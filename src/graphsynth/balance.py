@@ -11,21 +11,25 @@ randomly paired without replacement for contrastive generation, each side
 carrying one randomly sampled chunk.
 
 Entity utilization counts carry across subsets; chunk coverage resets per
-subset. The selection loop here uses a lazy min-heap, but its output is
-pinned, transcript-for-transcript, to a naive sort-and-pop reference
-implementation in the test suite.
+subset. The selection loop keeps the utilization of every remaining path
+in an integer vector in rank order, so a pick is an argmin whose ties go
+to the lowest rank; an entity -> path-positions index then raises the
+utilization of just the paths that share an entity with the pick. Its
+output is pinned, transcript-for-transcript, to a naive sort-and-pop
+reference implementation in the test suite.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError
+import numpy as np
+
+from .errors import ConfigurationError, IntegrityError
 from .jsonl import iter_jsonl, write_jsonl
 from .traversal import Path, PathSet
 
@@ -35,7 +39,9 @@ class UtilizationLedger:
 
     Coverage uses a witness counter (chunk -> number of retained items
     containing it) so reversing a returned path removes a chunk from the
-    covered set only when its last witness leaves.
+    covered set only when its last witness leaves. The number of covered
+    chunks changes only when a witness count moves between 0 and 1, so it
+    is kept as a running count.
     """
 
     def __init__(self, total_chunks: int):
@@ -44,6 +50,7 @@ class UtilizationLedger:
         self.total_chunks = total_chunks
         self.counts: Counter[str] = Counter()
         self._witness: Counter[str] = Counter()
+        self._covered = 0
 
     @property
     def covered_chunks(self) -> set[str]:
@@ -53,22 +60,27 @@ class UtilizationLedger:
     def coverage(self) -> float:
         if self.total_chunks == 0:
             return 0.0
-        return len(self.covered_chunks) / self.total_chunks
+        return self._covered / self.total_chunks
 
     def reset_coverage(self) -> None:
         self._witness.clear()
+        self._covered = 0
 
     def add_steps(self, steps: Sequence[tuple[str, str]]) -> None:
         for entity, _ in steps:
             self.counts[entity] += 1
         for chunk in dict.fromkeys(c for _, c in steps):
             self._witness[chunk] += 1
+            if self._witness[chunk] == 1:
+                self._covered += 1
 
     def remove_steps(self, steps: Sequence[tuple[str, str]]) -> None:
         for entity, _ in steps:
             self.counts[entity] -= 1
         for chunk in dict.fromkeys(c for _, c in steps):
             self._witness[chunk] -= 1
+            if self._witness[chunk] == 0:
+                self._covered -= 1
 
 
 @dataclass(frozen=True)
@@ -101,13 +113,6 @@ def resolve_standard_length(cfg: BalanceConfig, total_chunks: int, hop: float) -
 def path_utilization(path: Path, ledger: UtilizationLedger) -> int:
     """Sum of the ledger counts of every entity on the path."""
     return sum(ledger.counts[e] for e, _ in path.steps)
-
-
-def cc_trigger_check(sample_count: int, cfg: BalanceConfig, ledger: UtilizationLedger) -> bool:
-    """True iff the subset hit the standard length with coverage short of r."""
-    if cfg.standard_length == "auto":
-        raise ConfigurationError("standard_length must be resolved before trigger checks")
-    return sample_count >= int(cfg.standard_length) and ledger.coverage < cfg.target_coverage
 
 
 @dataclass
@@ -150,53 +155,80 @@ def _stable_order(paths: Sequence[Path]) -> dict[str, int]:
     return order
 
 
-def balanced_sampling(
-    remaining: Sequence[Path],
-    cfg: BalanceConfig,
+# Utilization of a path already taken: far above any reachable sum, far
+# below the int64 limit, so the increments it keeps receiving never wrap.
+_TAKEN = 1 << 62
+
+
+class _RankedPaths:
+    """Paths in rank order, with an entity -> path-positions index.
+
+    A pick adds one to the count of the entity of each of its steps, which
+    raises every path holding that entity by its number of steps on it.
+    """
+
+    def __init__(self, ranked: Sequence[Path]):
+        self.paths = list(ranked)
+        n = len(self.paths)
+        self._codes: dict[str, int] = {}
+        step_path: list[int] = []
+        step_entity: list[int] = []
+        for i, p in enumerate(self.paths):
+            for entity, _ in p.steps:
+                step_path.append(i)
+                step_entity.append(self._codes.setdefault(entity, len(self._codes)))
+        self._step_path = np.array(step_path, dtype=np.int64)
+        self._step_entity = np.array(step_entity, dtype=np.int64)
+        # One (entity, path) pair per distinct key, sorted by entity, with
+        # the number of the path's steps on that entity as its weight.
+        pairs, self._weights = np.unique(
+            self._step_entity * n + self._step_path, return_counts=True
+        )
+        self._positions = pairs % n
+        self._bounds = np.searchsorted(pairs // n, np.arange(len(self._codes) + 1)).tolist()
+
+    def utilization(self, counts: Mapping[str, int]) -> np.ndarray:
+        """Every path's summed entity counts (``path_utilization``), as int64."""
+        per_entity = np.array([counts[e] for e in self._codes], dtype=np.int64)
+        out = np.zeros(len(self.paths), dtype=np.int64)
+        np.add.at(out, self._step_path, per_entity[self._step_entity])
+        return out
+
+    def raise_sharing(self, utilization: np.ndarray, picked: Path) -> None:
+        """Apply ``picked``'s ledger increments to ``utilization``."""
+        for entity, _ in picked.steps:
+            code = self._codes[entity]
+            lo, hi = self._bounds[code], self._bounds[code + 1]
+            utilization[self._positions[lo:hi]] += self._weights[lo:hi]
+
+
+def _build_subset(
+    ranked: _RankedPaths,
+    available: np.ndarray,
+    length: int,
+    target: float,
     ledger: UtilizationLedger,
     rng: random.Random,
-    *,
     entity_to_chunks: Mapping[str, Sequence[str]],
-    subset_index: int = 0,
-    order: Mapping[str, int] | None = None,
-) -> tuple[SubsetAllocation, list[Path], UtilizationLedger]:
-    """Build one subset; returns (allocation, remaining', ledger).
-
-    ``order`` fixes the stable tie-break rank of each path (its position in
-    the original path set); by default the rank is the position in
-    ``remaining``. The ledger is mutated in place and also returned.
-    """
-    remaining = list(remaining)
-    if not remaining:
-        raise ValueError("remaining path set is empty")
-    if order is None:
-        order = _stable_order(remaining)
-    if cfg.standard_length == "auto":
-        hop = max(p.hop_count for p in remaining)
-        length = resolve_standard_length(cfg, ledger.total_chunks, hop)
-    else:
-        length = int(cfg.standard_length)
-    target = cfg.target_coverage
-
+    subset_index: int,
+) -> SubsetAllocation:
+    """One subset from the paths flagged in ``available``, which loses the retained ones."""
     ledger.reset_coverage()
     trace = BalanceTrace()
     cot: list[Path] = []
+    picked: list[int] = []
     cc_pairs: list[CCPair] = []
 
-    # Lazy min-heap on (utilization, original rank): counts only grow during
-    # selection, so a stale entry re-enters with its refreshed key.
-    heap: list[tuple[int, int, Path]] = [
-        (path_utilization(p, ledger), order[p.path_id], p) for p in remaining
-    ]
-    heapq.heapify(heap)
-
-    while heap:
-        stored, rank, candidate = heapq.heappop(heap)
-        current = path_utilization(candidate, ledger)
-        if current != stored:
-            heapq.heappush(heap, (current, rank, candidate))
-            continue
+    utilization = ranked.utilization(ledger.counts)
+    utilization[~available] = _TAKEN
+    for _ in range(int(available.sum())):
+        # argmin takes the first of equal values: the lowest rank.
+        pos = int(np.argmin(utilization))
+        candidate = ranked.paths[pos]
+        utilization[pos] = _TAKEN
+        ranked.raise_sharing(utilization, candidate)
         cot.append(candidate)
+        picked.append(pos)
         trace.selection_order.append(candidate.path_id)
         ledger.add_steps(candidate.steps)
         if ledger.coverage >= target:
@@ -216,6 +248,7 @@ def balanced_sampling(
             cut = max(cut, 1)
             returned = cot[cut:]
             cot = cot[:cut]
+            picked = picked[:cut]
             for p in returned:
                 ledger.remove_steps(p.steps)
             trace.returned = [p.path_id for p in returned]
@@ -242,15 +275,56 @@ def balanced_sampling(
                 ledger.add_steps(pair.steps())
             break
 
-    retained_ids = {p.path_id for p in cot}
-    remaining_after = [p for p in remaining if p.path_id not in retained_ids]
-    allocation = SubsetAllocation(
+    available[picked] = False
+    return SubsetAllocation(
         subset_index=subset_index,
         cot_paths=cot,
         cc_pairs=cc_pairs,
         achieved_coverage=ledger.coverage,
         trace=trace,
     )
+
+
+def balanced_sampling(
+    remaining: Sequence[Path],
+    cfg: BalanceConfig,
+    ledger: UtilizationLedger,
+    rng: random.Random,
+    *,
+    entity_to_chunks: Mapping[str, Sequence[str]],
+    subset_index: int = 0,
+    order: Mapping[str, int] | None = None,
+) -> tuple[SubsetAllocation, list[Path], UtilizationLedger]:
+    """Build one subset; returns (allocation, remaining', ledger).
+
+    ``order`` fixes the stable tie-break rank of each path (its position in
+    the original path set); by default the rank is the position in
+    ``remaining``. The ledger is mutated in place and also returned.
+    """
+    remaining = list(remaining)
+    if not remaining:
+        raise ValueError("remaining path set is empty")
+    if order is None:
+        order = _stable_order(remaining)
+    if cfg.standard_length == "auto":
+        hop = max(p.hop_count for p in remaining)
+        length = resolve_standard_length(cfg, ledger.total_chunks, hop)
+    else:
+        length = int(cfg.standard_length)
+
+    ranked = _RankedPaths(sorted(remaining, key=lambda p: order[p.path_id]))
+    allocation = _build_subset(
+        ranked,
+        np.ones(len(remaining), dtype=bool),
+        length,
+        cfg.target_coverage,
+        ledger,
+        rng,
+        entity_to_chunks,
+        subset_index,
+    )
+    retained_ids = {p.path_id for p in allocation.cot_paths}
+    remaining_after = [p for p in remaining if p.path_id not in retained_ids]
     return allocation, remaining_after, ledger
 
 
@@ -262,37 +336,42 @@ def secondary_sampling(
     total_chunks: int,
     rng: random.Random | None = None,
 ) -> list[SubsetAllocation]:
-    """Partition the whole path set into subsets, carrying the ledger."""
+    """Partition the whole path set into subsets, carrying the ledger.
+
+    The result equals calling ``balanced_sampling`` on what is left until
+    nothing is, with each path's rank its position in ``path_set``; the
+    path index is built once for all subsets.
+    """
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
         raise ValueError("path set is empty")
     for i, p in enumerate(paths):
         if p.path_id is None:
             p.path_id = f"p{i:06d}"
-    order = _stable_order(paths)
+    _stable_order(paths)  # rejects duplicate path ids
     if cfg.standard_length == "auto":
-        hop = max(p.hop_count for p in paths)
-        cfg = BalanceConfig(
-            target_coverage=cfg.target_coverage,
-            standard_length=resolve_standard_length(cfg, total_chunks, hop),
-            rng_seed=cfg.rng_seed,
-        )
+        length = resolve_standard_length(cfg, total_chunks, max(p.hop_count for p in paths))
+    else:
+        length = int(cfg.standard_length)
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     ledger = UtilizationLedger(total_chunks)
 
+    ranked = _RankedPaths(paths)
+    available = np.ones(len(paths), dtype=bool)
     subsets: list[SubsetAllocation] = []
-    remaining = paths
-    while remaining:
-        allocation, remaining, ledger = balanced_sampling(
-            remaining,
-            cfg,
-            ledger,
-            rng,
-            entity_to_chunks=entity_to_chunks,
-            subset_index=len(subsets),
-            order=order,
+    while available.any():
+        subsets.append(
+            _build_subset(
+                ranked,
+                available,
+                length,
+                cfg.target_coverage,
+                ledger,
+                rng,
+                entity_to_chunks,
+                len(subsets),
+            )
         )
-        subsets.append(allocation)
     return subsets
 
 
@@ -318,9 +397,15 @@ def load_subsets(path, path_set: PathSet) -> list[SubsetAllocation]:
     by_id = {p.path_id: p for p in path_set.paths}
     subsets = []
     for rec in iter_jsonl(path):
+        subset_index = int(rec["subset_index"])
+        unknown = [pid for pid in rec["cot_path_ids"] if pid not in by_id]
+        if unknown:
+            raise IntegrityError(
+                f"subset {subset_index} references unknown path id '{unknown[0]}'"
+            )
         subsets.append(
             SubsetAllocation(
-                subset_index=int(rec["subset_index"]),
+                subset_index=subset_index,
                 cot_paths=[by_id[pid] for pid in rec["cot_path_ids"]],
                 cc_pairs=[
                     CCPair(

@@ -146,10 +146,12 @@ def normalize_mention(mention: str, alias_table: Mapping[str, str] | None = None
     """Lowercase, strip outer punctuation, singularize trailing plural
     suffixes, then apply the alias table (alias mappings win).
 
-    Suffix rules run to a fixpoint so the function is idempotent.
+    Stripping and the suffix rules run to a fixpoint so the function is
+    idempotent: dropping a suffix can expose punctuation ("00:s" -> "00:").
     """
-    m = mention.lower().strip(_STRIP_CHARS)
+    m = mention.lower()
     while True:
+        m = m.strip(_STRIP_CHARS)
         if m.endswith("ies") and len(m) > 3:
             m = m[:-3] + "y"
         elif m.endswith("ses") and len(m) > 3:

@@ -6,6 +6,13 @@ each step the candidate pool is every (neighbor entity, paragraph) pair
 not yet on the path, scored by dot-product similarity against the root
 paragraph, and the top W candidates are kept. Leaves of the retained beam
 become paths.
+
+The sampler holds chunk embeddings as the columns of one matrix, filled
+the first time a candidate needs them, and each entity's candidate pool
+as arrays of (neighbor, chunk) pairs in (entity_id, chunk_id) order. A
+step masks the pool, scores what is left with the exact left-to-right
+summation of ``similarity()``, and keeps the head of a stable sort, so
+the ranking, tie-breaks and scores equal those of the scalar definition.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import ChunkStore
-from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text, similarity
+from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
 from .errors import BackendError
 from .extraction import EntityRecord
 from .graph import ContextGraph
@@ -96,14 +105,6 @@ class TraversalConfig:
             return 2
         return self.depth
 
-    def hop_for_budget(self) -> float:
-        """Average hop length implied by the policy, for auto sizing."""
-        if self.hop_policy == "one_hop":
-            return 1.0
-        if self.hop_policy == "two_hop":
-            return 2.0
-        return self.mixed_ratio * 1.0 + (1.0 - self.mixed_ratio) * self.depth
-
 
 def select_start_paragraphs(
     root: EntityRecord, cfg: TraversalConfig, rng: random.Random
@@ -120,6 +121,25 @@ class _BeamNode:
     scores: list[float]
     visited: set[str]
     chunks_on_path: set[str]
+
+
+@dataclass(frozen=True)
+class _CandidatePool:
+    """One entity's (neighbor, chunk) candidates, sorted by (entity_id, chunk_id).
+
+    Candidates ``bounds[i]:bounds[i + 1]`` are the chunks of ``neighbors[i]``
+    (``position[nb]`` is its ``i``); ``rows`` holds their matrix rows.
+    """
+
+    neighbors: list[str]
+    position: dict[str, int]
+    bounds: np.ndarray
+    rows: np.ndarray
+
+    def neighbor_of(self, candidate: int) -> str:
+        # The last neighbor starting at or before the candidate; a neighbor
+        # without chunks starts where the next one does, so it never is.
+        return self.neighbors[int(np.searchsorted(self.bounds, candidate, side="right")) - 1]
 
 
 class PathSampler:
@@ -139,9 +159,55 @@ class PathSampler:
         self.cfg = cfg
         self.backend = backend
         self.cache = cache if cache is not None else EmbeddingCache()
+        # One matrix row per chunk of the entity map; column j of the
+        # transposed matrix is row j's embedding once _filled[j] is set.
+        self._chunk_ids = sorted({c for chunks in self.entity_chunks.values() for c in chunks})
+        self._row = {c: i for i, c in enumerate(self._chunk_ids)}
+        self._doc_codes: dict[str, int] = {}
+        self._row_doc = np.array(
+            [
+                self._doc_codes.setdefault(chunk_store.get(c).doc_id, len(self._doc_codes))
+                for c in self._chunk_ids
+            ],
+            dtype=np.int64,
+        )
+        self._matrix_t: np.ndarray | None = None
+        self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
+        self._pools: dict[str, _CandidatePool] = {}
 
-    def _embed_chunk(self, chunk_id: str) -> Vector:
-        return embed_text(self.chunk_store.get(chunk_id).text, self.backend, self.cache)
+    def _fill(self, row: int) -> None:
+        vector = embed_text(
+            self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
+        )
+        if self._matrix_t is None:
+            # The cache rejects a vector whose dimension differs from earlier ones.
+            self._matrix_t = np.empty((len(vector), len(self._chunk_ids)), dtype=np.float64)
+        self._matrix_t[:, row] = vector
+        self._filled[row] = True
+
+    def _embed_chunk(self, chunk_id: str) -> np.ndarray:
+        row = self._row[chunk_id]
+        if not self._filled[row]:
+            self._fill(row)
+        return self._matrix_t[:, row]
+
+    def _pool(self, entity: str) -> _CandidatePool:
+        pool = self._pools.get(entity)
+        if pool is None:
+            neighbors = sorted(self.graph.adjacency.get(entity, []))
+            rows: list[int] = []
+            bounds = [0]
+            for nb in neighbors:
+                rows.extend(self._row[c] for c in sorted(self.entity_chunks.get(nb, [])))
+                bounds.append(len(rows))
+            pool = _CandidatePool(
+                neighbors,
+                {nb: i for i, nb in enumerate(neighbors)},
+                np.array(bounds, dtype=np.int64),
+                np.array(rows, dtype=np.int32),
+            )
+            self._pools[entity] = pool
+        return pool
 
     def expand_step(
         self,
@@ -150,34 +216,50 @@ class PathSampler:
         visited: set[str],
         chunks_on_path: set[str],
         doc_id: str | None = None,
-        score_memo: dict[str, float] | None = None,
     ) -> list[tuple[str, str, float]]:
         """Top-W (entity, chunk, score) candidates for one beam node.
 
-        The pool spans all unvisited neighbors' paragraphs; ties are broken
-        by (entity_id, chunk_id) ascending. ``score_memo`` may be shared by
-        every expansion under one (root, start): scores depend only on the
-        start paragraph and the candidate chunk.
+        The pool spans all unvisited neighbors' paragraphs that are not on
+        the path (and, with ``doc_id``, lie in that document); ties are
+        broken by (entity_id, chunk_id) ascending. Only those candidates'
+        chunks are embedded. Each score equals ``similarity(root_vec, v)``
+        bit for bit: it is summed over dimensions in the same order.
         """
-        entity, _ = current
-        pool: list[tuple[str, str, float]] = []
-        for nb in self.graph.adjacency.get(entity, []):
-            if nb in visited:
-                continue
-            for chunk_id in self.entity_chunks.get(nb, []):
-                if chunk_id in chunks_on_path:
-                    continue
-                if doc_id is not None and self.chunk_store.get(chunk_id).doc_id != doc_id:
-                    continue
-                if score_memo is not None and chunk_id in score_memo:
-                    score = score_memo[chunk_id]
-                else:
-                    score = similarity(root_vec, self._embed_chunk(chunk_id))
-                    if score_memo is not None:
-                        score_memo[chunk_id] = score
-                pool.append((nb, chunk_id, score))
-        pool.sort(key=lambda cand: (-cand[2], cand[0], cand[1]))
-        return pool[: self.cfg.beam_width]
+        pool = self._pool(current[0])
+        keep = np.ones(len(pool.rows), dtype=bool)
+        for nb in visited:
+            i = pool.position.get(nb)
+            if i is not None:
+                keep[pool.bounds[i] : pool.bounds[i + 1]] = False
+        for chunk_id in chunks_on_path:
+            row = self._row.get(chunk_id)
+            if row is not None:
+                keep &= pool.rows != row
+        if doc_id is not None:
+            keep &= self._row_doc[pool.rows] == self._doc_codes.get(doc_id, -1)
+        idx = np.flatnonzero(keep)
+        if idx.size == 0:
+            return []
+        rows = pool.rows[idx]
+        for row in rows[~self._filled[rows]].tolist():
+            if not self._filled[row]:  # a chunk of two neighbors is listed twice
+                self._fill(row)
+
+        q = np.asarray(root_vec, dtype=np.float64)
+        products = self._matrix_t[:, rows]
+        if q.shape != (products.shape[0],):
+            raise ValueError(f"dimension mismatch: {len(q)} vs {products.shape[0]}")
+        products *= q[:, None]
+        # Dimension by dimension from 0.0, as ``similarity()`` sums; a matrix
+        # product or np.sum would reassociate the sum and change the last bits.
+        scores = np.zeros(len(rows), dtype=np.float64)
+        for row in products:
+            scores += row
+        top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width]
+        return [
+            (pool.neighbor_of(idx[k]), self._chunk_ids[rows[k]], float(scores[k]))
+            for k in top.tolist()
+        ]
 
     def _expand_root(self, root: EntityRecord, start_chunk: str) -> list[Path]:
         cfg = self.cfg
@@ -185,7 +267,6 @@ class PathSampler:
         doc_id = self.chunk_store.get(start_chunk).doc_id if cfg.same_document_only else None
         depth = cfg.expansion_depth()
         emit_prefixes = cfg.hop_policy == "mixed"
-        score_memo: dict[str, float] = {}
 
         emitted: list[Path] = []
         frontier = [
@@ -200,8 +281,7 @@ class PathSampler:
             next_frontier: list[_BeamNode] = []
             for node in frontier:
                 candidates = self.expand_step(
-                    node.steps[-1], root_vec, node.visited, node.chunks_on_path, doc_id,
-                    score_memo,
+                    node.steps[-1], root_vec, node.visited, node.chunks_on_path, doc_id
                 )
                 if not candidates:
                     # Dead end: the node is a leaf of the retained beam.

@@ -10,12 +10,13 @@ from graphsynth.balance import (
     UtilizationLedger,
     auto_standard_length,
     balanced_sampling,
-    cc_trigger_check,
+    load_subsets,
     path_utilization,
     resolve_standard_length,
+    save_subsets,
     secondary_sampling,
 )
-from graphsynth.errors import ConfigurationError
+from graphsynth.errors import ConfigurationError, IntegrityError
 from graphsynth.traversal import Path, PathSet
 from oracles import secondary_sampling_oracle
 
@@ -46,6 +47,10 @@ def impl_transcript(plain_paths, entity_to_chunks, total_chunks, r, l, seed):
         total_chunks=total_chunks,
         rng=random.Random(seed),
     )
+    return transcript_of(plain_paths, subsets), subsets
+
+
+def transcript_of(plain_paths, subsets):
     all_ids = [pid for pid, _ in plain_paths]
     retained: set[str] = set()
     transcript = {"subsets": []}
@@ -66,7 +71,7 @@ def impl_transcript(plain_paths, entity_to_chunks, total_chunks, r, l, seed):
             }
         )
     transcript["final_counts"] = {e: n for e, n in sorted(_recount(subsets).items()) if n}
-    return transcript, subsets
+    return transcript
 
 
 # --- path_utilization -----------------------------------------------------------
@@ -211,12 +216,15 @@ def test_ledger_reversal_is_exact():
     ledger.add_steps(shared)
     ledger.add_steps(other)
     assert ledger.covered_chunks == {"c1", "c2", "c3"}
+    assert ledger.coverage == 0.3
     # removing one witness of c2 keeps it covered; the second removal clears it
     ledger.remove_steps(other)
     assert ledger.covered_chunks == {"c1", "c2"}
+    assert ledger.coverage == 0.2
     assert ledger.counts["b"] == 1
     ledger.remove_steps(shared)
     assert ledger.covered_chunks == set()
+    assert ledger.coverage == 0.0
     assert +ledger.counts == Counter()
 
 
@@ -227,20 +235,6 @@ def test_ledger_coverage_resets_per_subset():
     ledger.reset_coverage()
     assert ledger.coverage == 0.0
     assert ledger.counts["a"] == 1  # counts carry across subsets
-
-
-# --- cc_trigger_check -------------------------------------------------------------
-
-
-def test_cc_trigger_cases():
-    cfg = BalanceConfig(target_coverage=1.0, standard_length=5)
-    ledger = UtilizationLedger(total_chunks=10)
-    ledger.add_steps([("a", "c1")] * 1)
-    assert cc_trigger_check(5, cfg, ledger) is True  # coverage 0.1 < 1.0
-    assert cc_trigger_check(4, cfg, ledger) is False
-    full = UtilizationLedger(total_chunks=1)
-    full.add_steps([("a", "c1")])
-    assert cc_trigger_check(5, cfg, full) is False
 
 
 # --- auto length -------------------------------------------------------------------
@@ -296,6 +290,20 @@ def test_randomized_oracle_equivalence():
         assert got == want, f"divergence at seed {seed}"
 
 
+def test_entity_repeated_on_a_path_counts_per_step():
+    # After P0, Q holds "a" twice (utilization 2) and S once (1): S goes first.
+    plain = [
+        ("P0", [("a", "c1"), ("b", "c2")]),
+        ("Q", [("a", "c1"), ("y", "c3"), ("a", "c4")]),
+        ("R", [("z", "c5"), ("w", "c6")]),
+        ("S", [("a", "c4"), ("v", "c7")]),
+    ]
+    e2c = {"a": ["c1", "c4"], "b": ["c2"], "y": ["c3"], "z": ["c5"], "w": ["c6"], "v": ["c7"]}
+    transcript, _ = impl_transcript(plain, e2c, 50, 1.0, 10, seed=0)
+    assert transcript == secondary_sampling_oracle(plain, e2c, 50, 1.0, 10, seed=0)
+    assert transcript["subsets"][0]["selection_order"] == ["P0", "R", "S", "Q"]
+
+
 def test_conservation_and_ledger_consistency():
     for seed in (3, 14, 27):
         rng = random.Random(seed)
@@ -323,6 +331,36 @@ def test_conservation_and_ledger_consistency():
         retained = [p.path_id for s in subsets for p in s.cot_paths]
         assert sorted(retained) == sorted(pid for pid, _ in plain)
         assert len(retained) == len(set(retained))
+
+
+def test_balanced_sampling_ranks_by_order_not_list_position():
+    # Ties go to the lowest rank in ``order``, wherever the path sits in
+    # the list handed over.
+    for seed in range(12):
+        rng = random.Random(2000 + seed)
+        plain, e2c, total, r, l = random_balance_instance(rng)
+        paths = _paths(plain)
+        order = {p.path_id: i for i, p in enumerate(paths)}
+        remaining = list(paths)
+        random.Random(seed).shuffle(remaining)
+        remaining.reverse()  # never the original order, even for two paths
+        cfg = BalanceConfig(target_coverage=r, standard_length=l, rng_seed=seed)
+        ledger = UtilizationLedger(total)
+        shared_rng = random.Random(seed)
+        subsets = []
+        while remaining:
+            allocation, remaining, ledger = balanced_sampling(
+                remaining,
+                cfg,
+                ledger,
+                shared_rng,
+                entity_to_chunks=e2c,
+                subset_index=len(subsets),
+                order=order,
+            )
+            subsets.append(allocation)
+        want = secondary_sampling_oracle(plain, e2c, total, r, l, seed=seed)
+        assert transcript_of(plain, subsets) == want, f"divergence at seed {seed}"
 
 
 def test_minimum_selection_property():
@@ -406,3 +444,16 @@ def test_auto_resolution_in_secondary_sampling():
     assert len(subsets) == 1
     retained = [p.path_id for s in subsets for p in s.cot_paths]
     assert sorted(retained) == ["P1", "P2"]
+
+
+def test_load_subsets_rejects_unknown_path_ids(tmp_path):
+    _, subsets = impl_transcript(SIX_PATHS, SIX_E2C, 24, 1.0, 3, seed=5)
+    save_subsets(tmp_path / "subsets.jsonl", subsets)
+    loaded = load_subsets(tmp_path / "subsets.jsonl", PathSet(paths=_paths(SIX_PATHS)))
+    assert [[p.path_id for p in s.cot_paths] for s in loaded] == [
+        [p.path_id for p in s.cot_paths] for s in subsets
+    ]
+    missing = subsets[1].cot_paths[0].path_id
+    known = [(pid, steps) for pid, steps in SIX_PATHS if pid != missing]
+    with pytest.raises(IntegrityError, match=f"subset 1 .*'{missing}'"):
+        load_subsets(tmp_path / "subsets.jsonl", PathSet(paths=_paths(known)))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphsynth.embedding import EmbeddingCache
+from graphsynth.embedding import EmbeddingCache, similarity
 from graphsynth.graph import build_graph
 from graphsynth.traversal import (
     PathSampler,
@@ -108,6 +108,80 @@ def test_expand_filters_other_documents_when_pinned():
     assert {(c[0], c[1]) for c in unrestricted} == {("b", "d1#1"), ("b", "d2#0")}
     pinned = sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d1")
     assert [(c[0], c[1]) for c in pinned] == [("b", "d1#1")]
+
+
+@pytest.mark.parametrize("dim", [1, 4, 64])
+def test_expand_scores_equal_scalar_similarity(dim):
+    rng = random.Random(dim)
+    chunks = [f"c{i:02d}" for i in range(40)]
+    spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
+    vectors = {
+        c: tuple(rng.gauss(0.0, 1.0) for _ in range(dim)) for c in ["qa"] + chunks
+    }
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100))
+    q = vectors["qa"]
+    cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+    expected = sorted(
+        ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
+        key=lambda cand: (-cand[2], cand[0], cand[1]),
+    )
+    assert cands == expected
+
+
+@pytest.mark.parametrize(
+    "width, expected",
+    [
+        (1, [("b", "s")]),
+        (2, [("b", "s"), ("c", "s")]),
+        (3, [("b", "s"), ("c", "s"), ("c", "t")]),
+    ],
+)
+def test_expand_ties_on_a_chunk_shared_by_two_neighbors(width, expected):
+    spec = {"a": ["qa"], "c": ["qa", "t", "s"], "b": ["qa", "s"]}
+    sampler = _toy_sampler(
+        spec, _uniform_embedder(["qa", "s", "t"]), TraversalConfig(beam_width=width)
+    )
+    cands = sampler.expand_step(("a", "qa"), (1.0, 0.0), {"a"}, {"qa"})
+    assert cands == [(e, c, 1.0) for e, c in expected]
+
+
+def test_expand_ties_between_distinct_chunks_with_equal_scores():
+    # Different vectors, one score: the tie-break alone orders them.
+    spec = {"a": ["qa"], "c": ["qa", "k"], "b": ["qa", "n", "m"]}
+    vectors = {"qa": (1.0, 0.0), "m": (1.0, 0.5), "n": (1.0, -0.5), "k": (1.0, 0.0)}
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=3))
+    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+    assert cands == [("b", "m", 1.0), ("b", "n", 1.0), ("c", "k", 1.0)]
+
+
+class CountingEmbedder(FakeEmbedder):
+    def __init__(self, vectors):
+        super().__init__(vectors)
+        self.calls: list[str] = []
+
+    def embed(self, text):
+        self.calls.append(text)
+        return super().embed(text)
+
+
+def test_expand_embeds_only_unmasked_candidates():
+    # d1#1 is held only by a visited neighbor, d1#3 is on the path and
+    # d2#0 lies in another document: none of them is ever embedded.
+    spec = {
+        "a": ["d1#0"],
+        "b": ["d1#0", "d1#1"],
+        "c": ["d1#0", "d1#2", "d1#3", "d2#0"],
+    }
+    backend = CountingEmbedder({c: (1.0, 0.0) for c in ["d1#0", "d1#1", "d1#2", "d1#3", "d2#0"]})
+    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=5))
+    cands = sampler.expand_step(
+        ("a", "d1#0"), (1.0, 0.0), {"a", "b"}, {"d1#0", "d1#3"}, doc_id="d1"
+    )
+    assert cands == [("c", "d1#2", 1.0)]
+    assert backend.calls == ["d1#2"]
+    # A second step over the same pool reuses the embedded chunk.
+    sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d1")
+    assert sorted(backend.calls) == ["d1#1", "d1#2", "d1#3"]
 
 
 # --- sample_paths ----------------------------------------------------------------
