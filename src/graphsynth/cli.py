@@ -9,6 +9,7 @@ artifact is reproduced byte-identically on resume.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -232,28 +233,44 @@ def _config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _embedding_backend(config: RunConfig):
-    if config.embedding.backend == "hash":
-        return embedding_mod.HashEmbeddingBackend(dim=config.embedding.dim)
-    endpoint = config.embedding.endpoint or os.environ.get("GRAPHSYNTH_EMBED_ENDPOINT")
-    model = config.embedding.model or os.environ.get("GRAPHSYNTH_EMBED_MODEL", "")
+def _remote_backend(cls, settings, section: str, env: str):
+    """``cls`` from the config section, with the ``{env}_*`` variables as fallback."""
+    endpoint = settings.endpoint or os.environ.get(f"{env}_ENDPOINT")
     if not endpoint:
-        raise ConfigurationError("remote embedding backend needs an endpoint")
-    return embedding_mod.RemoteEmbeddingBackend(
-        endpoint=endpoint, model=model, api_key=os.environ.get("GRAPHSYNTH_EMBED_API_KEY")
+        raise ConfigurationError(
+            f"the remote {section} backend needs {section}.endpoint or {env}_ENDPOINT"
+        )
+    return cls(
+        endpoint=endpoint,
+        model=settings.model or os.environ.get(f"{env}_MODEL", ""),
+        api_key=os.environ.get(f"{env}_API_KEY"),
     )
 
 
-def _chat_backend(config: RunConfig):
-    if config.generation.backend == "mock":
-        return synthesis_mod.MockLlmBackend()
-    endpoint = config.generation.endpoint or os.environ.get("GRAPHSYNTH_LLM_ENDPOINT")
-    model = config.generation.model or os.environ.get("GRAPHSYNTH_LLM_MODEL", "")
-    if not endpoint:
-        raise ConfigurationError("remote generation backend needs an endpoint")
-    return synthesis_mod.RemoteChatBackend(
-        endpoint=endpoint, model=model, api_key=os.environ.get("GRAPHSYNTH_LLM_API_KEY")
+@contextlib.contextmanager
+def embedding_backend(settings: EmbeddingConfig):
+    """The configured embedding backend; a remote one is closed when the block ends."""
+    if settings.backend == "hash":
+        yield embedding_mod.HashEmbeddingBackend(dim=settings.dim)
+        return
+    remote = _remote_backend(
+        embedding_mod.RemoteEmbeddingBackend, settings, "embedding", "GRAPHSYNTH_EMBED"
     )
+    with contextlib.closing(remote):
+        yield remote
+
+
+@contextlib.contextmanager
+def chat_backend(settings: GenerationConfig):
+    """The configured chat backend; a remote one is closed when the block ends."""
+    if settings.backend == "mock":
+        yield synthesis_mod.MockLlmBackend()
+        return
+    remote = _remote_backend(
+        synthesis_mod.RemoteChatBackend, settings, "generation", "GRAPHSYNTH_LLM"
+    )
+    with contextlib.closing(remote):
+        yield remote
 
 
 def _synthetic_char_volume(records) -> int:
@@ -320,7 +337,7 @@ class _StageRunner:
                     raise StageError(name, FileNotFoundError(f"missing input {p}"))
             try:
                 counts = fn() or {}
-            except StageError:
+            except (StageError, ConfigurationError):
                 raise
             except Exception as e:
                 raise StageError(name, e) from e
@@ -367,22 +384,23 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
     def stage_ingest():
         with open(input_path, "r", encoding="utf-8") as f:
             docs = corpus_mod.ingest_corpus(f)
-        if config.chunking.policy == "fixed":
-            policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(
-                max_chars=config.chunking.max_chars
-            )
-        else:
-            backend = _embedding_backend(config)
-            cache = embedding_mod.EmbeddingCache()
-            policy = corpus_mod.SemanticChunking(
-                embed=lambda text: embedding_mod.embed_text(text, backend, cache),
-                breakpoint_percentile=config.chunking.breakpoint_percentile,
-            )
         chunks: list[corpus_mod.Chunk] = []
         titles: dict[str, str] = {}
-        for doc in docs:
-            chunks.extend(corpus_mod.chunk_document(doc, policy))
-            titles[doc.doc_id] = doc.title
+        with contextlib.ExitStack() as stack:
+            if config.chunking.policy == "fixed":
+                policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(
+                    max_chars=config.chunking.max_chars
+                )
+            else:
+                backend = stack.enter_context(embedding_backend(config.embedding))
+                cache = embedding_mod.EmbeddingCache()
+                policy = corpus_mod.SemanticChunking(
+                    embed=lambda text: embedding_mod.embed_text(text, backend, cache),
+                    breakpoint_percentile=config.chunking.breakpoint_percentile,
+                )
+            for doc in docs:
+                chunks.extend(corpus_mod.chunk_document(doc, policy))
+                titles[doc.doc_id] = doc.title
         corpus_mod.save_chunks(chunks_path, chunks, titles)
         return {"documents": len(docs), "chunks": len(chunks)}
 
@@ -393,11 +411,14 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             if config.extraction.aliases
             else {}
         )
-        if config.extraction.backend == "rule":
-            extractor = extraction_mod.RuleBasedExtractor()
-        else:
-            extractor = extraction_mod.LlmEntityExtractor(_chat_backend(config))
-        reports = [extractor.extract(c) for c in store.chunks()]
+        with contextlib.ExitStack() as stack:
+            if config.extraction.backend == "rule":
+                extractor = extraction_mod.RuleBasedExtractor()
+            else:
+                extractor = extraction_mod.LlmEntityExtractor(
+                    stack.enter_context(chat_backend(config.generation))
+                )
+            reports = [extractor.extract(c) for c in store.chunks()]
         entity_map = extraction_mod.build_entity_map(reports, aliases)
         extraction_mod.save_entity_map(entities_path, entity_map)
         return {"entities": len(entity_map)}
@@ -423,9 +444,8 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             rng_seed=config.seed,
         )
         cache = embedding_mod.EmbeddingCache()
-        path_set = traversal_mod.sample_paths(
-            g, entity_map, store, cfg, _embedding_backend(config), cache
-        )
+        with embedding_backend(config.embedding) as backend:
+            path_set = traversal_mod.sample_paths(g, entity_map, store, cfg, backend, cache)
         traversal_mod.save_paths(paths_path, path_set)
         cache.save(cache_path)
         return {"paths": len(path_set), "hop_policy": hop_policy}
@@ -465,12 +485,13 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             temperature=config.generation.temperature,
             max_tokens=config.generation.max_tokens,
         )
-        records = synthesis_mod.generate(
-            requests,
-            _chat_backend(config),
-            synthesis_mod.RetryPolicy(max_retries=config.generation.max_retries),
-            concurrency=config.generation.concurrency,
-        )
+        with chat_backend(config.generation) as backend:
+            records = synthesis_mod.generate(
+                requests,
+                backend,
+                synthesis_mod.RetryPolicy(max_retries=config.generation.max_retries),
+                concurrency=config.generation.concurrency,
+            )
         manifest = synthesis_mod.write_synthetic_corpus(records, synth_path)
         with open(synth_manifest_path, "w", encoding="utf-8") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
@@ -650,36 +671,28 @@ def _make_cache(path: str | None) -> embedding_mod.EmbeddingCache:
     return embedding_mod.EmbeddingCache(path) if path else embedding_mod.EmbeddingCache()
 
 
-def _cli_embedding_backend(args):
-    if args.embedding_backend == "hash":
-        return embedding_mod.HashEmbeddingBackend(dim=args.dim)
-    endpoint = os.environ.get("GRAPHSYNTH_EMBED_ENDPOINT")
-    if not endpoint:
-        raise ConfigurationError("set GRAPHSYNTH_EMBED_ENDPOINT for the remote backend")
-    return embedding_mod.RemoteEmbeddingBackend(
-        endpoint=endpoint,
-        model=os.environ.get("GRAPHSYNTH_EMBED_MODEL", ""),
-        api_key=os.environ.get("GRAPHSYNTH_EMBED_API_KEY"),
-    )
+def _embedding_settings(args) -> EmbeddingConfig:
+    return EmbeddingConfig(backend=args.embedding_backend, dim=args.dim)
 
 
 def _cmd_ingest(args) -> int:
     with open(args.input, "r", encoding="utf-8") as f:
         docs = corpus_mod.ingest_corpus(f)
-    if args.chunk_policy == "fixed":
-        policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(max_chars=args.max_chars)
-    else:
-        backend = _cli_embedding_backend(args)
-        cache = _make_cache(args.cache)
-        policy = corpus_mod.SemanticChunking(
-            embed=lambda text: embedding_mod.embed_text(text, backend, cache),
-            breakpoint_percentile=args.breakpoint_percentile,
-        )
     chunks: list[corpus_mod.Chunk] = []
     titles: dict[str, str] = {}
-    for doc in docs:
-        chunks.extend(corpus_mod.chunk_document(doc, policy))
-        titles[doc.doc_id] = doc.title
+    with contextlib.ExitStack() as stack:
+        if args.chunk_policy == "fixed":
+            policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(max_chars=args.max_chars)
+        else:
+            backend = stack.enter_context(embedding_backend(_embedding_settings(args)))
+            cache = _make_cache(args.cache)
+            policy = corpus_mod.SemanticChunking(
+                embed=lambda text: embedding_mod.embed_text(text, backend, cache),
+                breakpoint_percentile=args.breakpoint_percentile,
+            )
+        for doc in docs:
+            chunks.extend(corpus_mod.chunk_document(doc, policy))
+            titles[doc.doc_id] = doc.title
     corpus_mod.save_chunks(args.out, chunks, titles)
     print(f"ingested {len(docs)} documents into {len(chunks)} chunks")
     return EXIT_OK
@@ -688,20 +701,14 @@ def _cmd_ingest(args) -> int:
 def _cmd_extract(args) -> int:
     store = corpus_mod.load_chunks(args.chunks)
     aliases = extraction_mod.load_alias_table(args.aliases) if args.aliases else {}
-    if args.backend == "rule":
-        extractor = extraction_mod.RuleBasedExtractor()
-    else:
-        endpoint = os.environ.get("GRAPHSYNTH_LLM_ENDPOINT")
-        if not endpoint:
-            raise ConfigurationError("set GRAPHSYNTH_LLM_ENDPOINT for the llm backend")
-        extractor = extraction_mod.LlmEntityExtractor(
-            synthesis_mod.RemoteChatBackend(
-                endpoint=endpoint,
-                model=os.environ.get("GRAPHSYNTH_LLM_MODEL", ""),
-                api_key=os.environ.get("GRAPHSYNTH_LLM_API_KEY"),
+    with contextlib.ExitStack() as stack:
+        if args.backend == "rule":
+            extractor = extraction_mod.RuleBasedExtractor()
+        else:
+            extractor = extraction_mod.LlmEntityExtractor(
+                stack.enter_context(chat_backend(GenerationConfig(backend="remote")))
             )
-        )
-    reports = [extractor.extract(c) for c in store.chunks()]
+        reports = [extractor.extract(c) for c in store.chunks()]
     entity_map = extraction_mod.build_entity_map(reports, aliases)
     extraction_mod.save_entity_map(args.out, entity_map)
     print(f"extracted {len(entity_map)} entities from {len(store)} chunks")
@@ -738,9 +745,8 @@ def _cmd_sample(args) -> int:
     if problems:
         raise ConfigurationError("; ".join(problems))
     cache = _make_cache(args.cache)
-    path_set = traversal_mod.sample_paths(
-        g, entity_map, store, cfg, _cli_embedding_backend(args), cache
-    )
+    with embedding_backend(_embedding_settings(args)) as backend:
+        path_set = traversal_mod.sample_paths(g, entity_map, store, cfg, backend, cache)
     traversal_mod.save_paths(args.out, path_set)
     if args.cache:
         cache.save(args.cache)
@@ -777,17 +783,6 @@ def _cmd_generate(args) -> int:
     entity_map = extraction_mod.load_entity_map(args.entities)
     path_set = traversal_mod.load_paths(args.paths)
     subsets = balance_mod.load_subsets(args.subsets, path_set)
-    if args.backend == "mock":
-        backend: synthesis_mod.LlmBackend = synthesis_mod.MockLlmBackend()
-    else:
-        endpoint = os.environ.get("GRAPHSYNTH_LLM_ENDPOINT")
-        if not endpoint:
-            raise ConfigurationError("set GRAPHSYNTH_LLM_ENDPOINT for the remote backend")
-        backend = synthesis_mod.RemoteChatBackend(
-            endpoint=endpoint,
-            model=os.environ.get("GRAPHSYNTH_LLM_MODEL", ""),
-            api_key=os.environ.get("GRAPHSYNTH_LLM_API_KEY"),
-        )
     requests = synthesis_mod.build_requests(
         subsets,
         store,
@@ -796,12 +791,13 @@ def _cmd_generate(args) -> int:
         temperature=args.temperature,
         max_tokens=args.max_tokens,
     )
-    records = synthesis_mod.generate(
-        requests,
-        backend,
-        synthesis_mod.RetryPolicy(max_retries=args.retries),
-        concurrency=args.concurrency,
-    )
+    with chat_backend(GenerationConfig(backend=args.backend)) as backend:
+        records = synthesis_mod.generate(
+            requests,
+            backend,
+            synthesis_mod.RetryPolicy(max_retries=args.retries),
+            concurrency=args.concurrency,
+        )
     manifest = synthesis_mod.write_synthetic_corpus(records, args.out)
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as f:

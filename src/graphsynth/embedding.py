@@ -2,7 +2,9 @@
 
 Similarity is the raw dot product of embeddings; candidate paragraph
 ranking during traversal depends on nothing else. The hash backend gives
-deterministic unit-norm vectors so the whole pipeline can run offline.
+deterministic unit-norm vectors so the whole pipeline can run offline; the
+remote backend posts to an HTTP embedding service through the shared
+keep-alive ``remote.JsonClient``, which owns retries and connections.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ import hashlib
 import json
 import math
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import BackendError, IntegrityError
+from .errors import IntegrityError
 
 Vector = tuple[float, ...]
 
@@ -74,52 +75,27 @@ class RemoteEmbeddingBackend:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        session=None,
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
         timeout: float = 30.0,
     ):
-        import requests
-
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.timeout = timeout
         self.backend_id = f"remote:{model}"
+        # imported here so that runs with the offline backends never load
+        # http.client and ssl
+        from .remote import JsonClient
+
+        self.client = JsonClient(
+            endpoint, name="embedding", api_key=api_key, max_retries=max_retries,
+            backoff_seconds=backoff_seconds, timeout=timeout,
+        )
 
     def embed(self, text: str) -> Vector:
-        import requests
+        reply = self.client.post({"model": self.model, "input": [text]})
+        return tuple(float(x) for x in reply["data"][0]["embedding"])
 
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.backoff_seconds:
-                time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-            try:
-                resp = self.session.post(
-                    self.endpoint,
-                    json={"model": self.model, "input": [text]},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-                if resp.status_code >= 500:
-                    last_error = BackendError(
-                        f"embedding service returned {resp.status_code}", retryable=True
-                    )
-                    continue
-                if resp.status_code >= 400:
-                    # client errors (auth, bad model) never heal on retry
-                    raise BackendError(f"embedding service returned {resp.status_code}")
-                values = resp.json()["data"][0]["embedding"]
-                return tuple(float(x) for x in values)
-            except requests.RequestException as e:
-                last_error = e
-        raise BackendError(f"embedding backend failed after retries: {last_error}") from last_error
+    def close(self) -> None:
+        self.client.close()
 
 
 class EmbeddingCache:

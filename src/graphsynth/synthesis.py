@@ -4,6 +4,9 @@ Two strategies: a chained narrative with chain-of-thought QA over a path's
 fragments, and a contrastive comparison over a sparse-entity pair. Prompt
 text renders deterministically from (strategy, fragments); backend output
 must match the strategy schema or the record is rejected after retries.
+``RemoteChatBackend`` posts to a chat-completion service through the shared
+keep-alive ``remote.JsonClient``, which retries transport faults and 5xx
+replies; schema retries and repair prompts stay here.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import json
 import random
 import re
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -349,53 +351,31 @@ class RemoteChatBackend:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        session=None,
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
         timeout: float = 120.0,
     ):
-        import requests
-
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.timeout = timeout
+        # imported here so that runs with the offline backends never load
+        # http.client and ssl
+        from .remote import JsonClient
+
+        self.client = JsonClient(
+            endpoint, name="chat", api_key=api_key, max_retries=max_retries,
+            backoff_seconds=backoff_seconds, timeout=timeout,
+        )
 
     def complete(self, prompt, *, temperature, max_tokens, request_id=None):
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        body = {
+        reply = self.client.post({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
             "max_tokens": max_tokens,
-        }
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.backoff_seconds:
-                time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-            try:
-                resp = self.session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-                if resp.status_code >= 500:
-                    last_error = BackendError(
-                        f"chat service returned {resp.status_code}", retryable=True
-                    )
-                    continue
-                if resp.status_code >= 400:
-                    # client errors (auth, bad model) never heal on retry
-                    raise BackendError(f"chat service returned {resp.status_code}")
-                return resp.json()["choices"][0]["message"]["content"]
-            except requests.RequestException as e:
-                last_error = e
-        raise BackendError(f"chat backend failed after retries: {last_error}") from last_error
+        })
+        return reply["choices"][0]["message"]["content"]
+
+    def close(self) -> None:
+        self.client.close()
 
 
 def _token_count(text: str) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from graphsynth.cli import (
     validate_config,
 )
 from graphsynth.errors import ConfigurationError
+from graphsynth.synthesis import MockLlmBackend
 from graphsynth.jsonl import sha256_file
 
 from fixture_corpus import two_document_corpus
@@ -157,6 +160,83 @@ def test_missing_input_aborts_at_ingest(tmp_path):
     with pytest.raises(StageError) as err:
         run_pipeline(config)
     assert err.value.stage == "ingest"
+
+
+def _chat_server(json_server):
+    """A chat endpoint answering with the mock backend's payloads."""
+    mock = MockLlmBackend()
+
+    def respond(n, payload):
+        content = mock.complete(
+            payload["messages"][0]["content"],
+            temperature=payload["temperature"],
+            max_tokens=payload["max_tokens"],
+        )
+        return 200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+    return json_server(respond)
+
+
+def test_remote_generation_matches_mock_and_closes_its_connections(
+    tmp_path, json_server, monkeypatch
+):
+    server = _chat_server(json_server)
+    mock_config = load_config(_write_config(tmp_path, _config_dict(tmp_path, "out_mock"), "m.yaml"))
+    run_pipeline(mock_config)
+    data = _config_dict(tmp_path, "out_remote")
+    data["generation"].update(backend="remote", endpoint=server.url, model="m")
+    # the config's endpoint wins over the environment's
+    monkeypatch.setenv("GRAPHSYNTH_LLM_ENDPOINT", "http://127.0.0.1:9/unused")
+    with warnings.catch_warnings(record=True) as caught:
+        # a socket left for the garbage collector to close warns
+        warnings.simplefilter("always", ResourceWarning)
+        run_pipeline(load_config(_write_config(tmp_path, data, "r.yaml")))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    synth = "synth.jsonl"
+    assert (tmp_path / "out_remote" / synth).read_bytes() == (
+        tmp_path / "out_mock" / synth
+    ).read_bytes()
+    assert server.calls > 0
+    assert server.wait_closed() == 0
+
+
+def _remote_generate_args(workdir: Path, out: Path) -> list[str]:
+    return [
+        "generate", "--subsets", str(workdir / "subsets.jsonl"),
+        "--paths", str(workdir / "paths.jsonl"), "--chunks", str(workdir / "chunks.jsonl"),
+        "--entities", str(workdir / "entities.jsonl"), "--backend", "remote", "--out", str(out),
+    ]
+
+
+def test_remote_backend_without_endpoint_is_a_config_error(tmp_path, monkeypatch):
+    for var in ("GRAPHSYNTH_LLM_ENDPOINT", "GRAPHSYNTH_EMBED_ENDPOINT"):
+        monkeypatch.delenv(var, raising=False)
+    data = _config_dict(tmp_path)
+    data["generation"]["backend"] = "remote"
+    config_path = _write_config(tmp_path, data)
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    out = Path(data["workdir"])
+    assert main(_remote_generate_args(out, tmp_path / "synth.jsonl")) == EXIT_CONFIG
+    assert main(
+        [
+            "sample", "--graph", str(out / "graph.jsonl"),
+            "--entities", str(out / "entities.jsonl"), "--chunks", str(out / "chunks.jsonl"),
+            "--embedding-backend", "remote", "--out", str(tmp_path / "paths.jsonl"),
+        ]
+    ) == EXIT_CONFIG
+
+
+def test_generate_subcommand_reads_endpoint_from_environment(tmp_path, json_server, monkeypatch):
+    server = _chat_server(json_server)
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    out = Path(config.workdir)
+    monkeypatch.setenv("GRAPHSYNTH_LLM_ENDPOINT", server.url)
+    synth = tmp_path / "synth.jsonl"
+    assert main(_remote_generate_args(out, synth) + ["--concurrency", "2"]) == EXIT_OK
+    assert synth.read_bytes() == (out / "synth.jsonl").read_bytes()
+    assert server.wait_closed() == 0
 
 
 # --- CLI surface ----------------------------------------------------------------------

@@ -112,68 +112,37 @@ def test_embed_texts_concurrent_order_and_cache():
     assert len(cache) == 9
 
 
-class _FailingSession:
-    def __init__(self):
-        self.calls = 0
-
-    def post(self, *args, **kwargs):
-        import requests
-
-        self.calls += 1
-        raise requests.ConnectionError("no route to host")
+def test_remote_backend_posts_text_and_returns_floats(json_server):
+    server = json_server(lambda n, payload: (200, {"data": [{"embedding": [0.5, 1]}]}))
+    backend = RemoteEmbeddingBackend(server.url, model="m")
+    assert backend.embed("text") == (0.5, 1.0)
+    backend.close()
+    assert server.last_payload == {"model": "m", "input": ["text"]}
+    assert backend.backend_id == "remote:m"
 
 
-def test_remote_backend_error_after_bounded_retries():
-    session = _FailingSession()
-    backend = RemoteEmbeddingBackend(
-        "http://unreachable.invalid/v1/embeddings",
-        model="m",
-        session=session,
-        max_retries=2,
-        backoff_seconds=0.0,
-    )
+def test_remote_backend_error_after_bounded_retries(json_server):
+    server = json_server(lambda n, payload: None)  # drops every connection unanswered
+    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError):
         backend.embed("text")
-    assert session.calls == 3
+    backend.close()
+    assert server.calls == 3
 
 
-class _StatusSession:
-    def __init__(self, status):
-        self.status = status
-        self.calls = 0
-
-    def post(self, *args, **kwargs):
-        self.calls += 1
-
-        class Resp:
-            status_code = self.status
-
-        return Resp()
-
-
-def test_remote_backend_client_errors_are_not_retried():
-    session = _StatusSession(401)
-    backend = RemoteEmbeddingBackend(
-        "http://example.invalid/v1/embeddings",
-        model="m",
-        session=session,
-        max_retries=3,
-        backoff_seconds=0.0,
-    )
+def test_remote_backend_client_errors_are_not_retried(json_server):
+    server = json_server(lambda n, payload: (401, {"error": "unauthorized"}))
+    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=3, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="401"):
         backend.embed("text")
-    assert session.calls == 1
+    backend.close()
+    assert server.calls == 1
 
 
-def test_remote_backend_server_errors_are_retried():
-    session = _StatusSession(503)
-    backend = RemoteEmbeddingBackend(
-        "http://example.invalid/v1/embeddings",
-        model="m",
-        session=session,
-        max_retries=2,
-        backoff_seconds=0.0,
-    )
+def test_remote_backend_server_errors_are_retried(json_server):
+    server = json_server(lambda n, payload: (503, {"error": "overloaded"}))
+    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="503"):
         backend.embed("text")
-    assert session.calls == 3
+    backend.close()
+    assert server.calls == 3
