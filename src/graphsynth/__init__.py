@@ -22,7 +22,6 @@ from .extraction import (
     EntityRecord,
     ExtractionReport,
     build_entity_map,
-    extract_entities,
     normalize_mention,
 )
 from .graph import ContextGraph, build_graph, graph_stats, neighbors
@@ -54,7 +53,6 @@ __all__ = [
     "compare_reports",
     "embed_text",
     "entity_distribution",
-    "extract_entities",
     "generate",
     "graph_stats",
     "ingest_corpus",

@@ -225,12 +225,3 @@ def emit_histogram_svg(report: DistributionReport, path, width: int = 640, heigh
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def emit_report(report: DistributionReport, path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        emit_report_csv(report, path)
-    elif fmt == "svg":
-        emit_histogram_svg(report, path)
-    else:
-        raise ValueError(f"unknown report format '{fmt}'")

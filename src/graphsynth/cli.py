@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -233,7 +233,7 @@ def _config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _remote_backend(cls, settings, section: str, env: str):
+def _remote_backend(cls, settings, section: str, env: str, **options):
     """``cls`` from the config section, with the ``{env}_*`` variables as fallback."""
     endpoint = settings.endpoint or os.environ.get(f"{env}_ENDPOINT")
     if not endpoint:
@@ -244,6 +244,7 @@ def _remote_backend(cls, settings, section: str, env: str):
         endpoint=endpoint,
         model=settings.model or os.environ.get(f"{env}_MODEL", ""),
         api_key=os.environ.get(f"{env}_API_KEY"),
+        **options,
     )
 
 
@@ -267,7 +268,8 @@ def chat_backend(settings: GenerationConfig):
         yield synthesis_mod.MockLlmBackend()
         return
     remote = _remote_backend(
-        synthesis_mod.RemoteChatBackend, settings, "generation", "GRAPHSYNTH_LLM"
+        synthesis_mod.RemoteChatBackend, settings, "generation", "GRAPHSYNTH_LLM",
+        connections=settings.concurrency,
     )
     with contextlib.closing(remote):
         yield remote
@@ -415,8 +417,11 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             if config.extraction.backend == "rule":
                 extractor = extraction_mod.RuleBasedExtractor()
             else:
+                # always remote: the mock chat backend writes narratives, not
+                # entity lists; endpoint and model come from the generation section
+                remote = replace(config.generation, backend="remote")
                 extractor = extraction_mod.LlmEntityExtractor(
-                    stack.enter_context(chat_backend(config.generation))
+                    stack.enter_context(chat_backend(remote))
                 )
             reports = [extractor.extract(c) for c in store.chunks()]
         entity_map = extraction_mod.build_entity_map(reports, aliases)
@@ -791,12 +796,13 @@ def _cmd_generate(args) -> int:
         temperature=args.temperature,
         max_tokens=args.max_tokens,
     )
-    with chat_backend(GenerationConfig(backend=args.backend)) as backend:
+    settings = GenerationConfig(backend=args.backend, concurrency=args.concurrency)
+    with chat_backend(settings) as backend:
         records = synthesis_mod.generate(
             requests,
             backend,
             synthesis_mod.RetryPolicy(max_retries=args.retries),
-            concurrency=args.concurrency,
+            concurrency=settings.concurrency,
         )
     manifest = synthesis_mod.write_synthetic_corpus(records, args.out)
     if args.manifest:

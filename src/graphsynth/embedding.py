@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -26,18 +24,11 @@ Vector = tuple[float, ...]
 DEFAULT_HASH_DIM = 64
 
 
-def similarity(q: Sequence[float], c: Sequence[float], cosine: bool = False) -> float:
-    """Dot product by default; ``cosine`` normalizes both sides first."""
+def similarity(q: Sequence[float], c: Sequence[float]) -> float:
+    """Dot product, summed left to right."""
     if len(q) != len(c):
         raise ValueError(f"dimension mismatch: {len(q)} vs {len(c)}")
-    dot = float(sum(a * b for a, b in zip(q, c)))
-    if not cosine:
-        return dot
-    nq = math.sqrt(sum(a * a for a in q))
-    nc = math.sqrt(sum(b * b for b in c))
-    if nq == 0.0 or nc == 0.0:
-        return 0.0
-    return dot / (nq * nc)
+    return float(sum(a * b for a, b in zip(q, c)))
 
 
 def content_hash(text: str) -> str:
@@ -159,19 +150,3 @@ def embed_text(text: str, backend: EmbeddingBackend, cache: EmbeddingCache | Non
     vector = tuple(backend.embed(text))
     cache.put(backend.backend_id, key, vector)
     return vector
-
-
-def embed_texts(
-    texts: Sequence[str],
-    backend: EmbeddingBackend,
-    cache: EmbeddingCache | None = None,
-    concurrency: int = 1,
-) -> list[Vector]:
-    """Embed many texts, issuing backend calls with a bounded in-flight count.
-
-    Results come back in input order regardless of completion order.
-    """
-    if concurrency <= 1 or len(texts) <= 1:
-        return [embed_text(t, backend, cache) for t in texts]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(lambda t: embed_text(t, backend, cache), texts))

@@ -138,10 +138,6 @@ class LlmEntityExtractor:
         return ExtractionReport(chunk_id=chunk.chunk_id, raw_mentions=mentions)
 
 
-def extract_entities(chunk: Chunk, extractor) -> ExtractionReport:
-    return extractor.extract(chunk)
-
-
 def normalize_mention(mention: str, alias_table: Mapping[str, str] | None = None) -> str:
     """Lowercase, strip outer punctuation, singularize trailing plural
     suffixes, then apply the alias table (alias mappings win).

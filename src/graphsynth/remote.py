@@ -5,13 +5,16 @@ worked out once, when the client is built: the parsed endpoint, the
 headers, the proxy (from ``https_proxy``/``http_proxy`` and ``no_proxy``,
 reached through a CONNECT tunnel) and the TLS context (the default
 ``ssl`` context: certificates verified against the system CA store,
-which ``SSL_CERT_FILE`` can point elsewhere). Each worker thread keeps one
-keep-alive connection, and ``close()`` closes every connection the client
-opened.
+which ``SSL_CERT_FILE`` can point elsewhere). The client keeps a pool of
+at most ``connections`` keep-alive connections, opened as they are first
+needed, and ``close()`` closes every connection the pool opened. A request
+holds a connection only while it is sent and answered, so the pool size
+bounds the requests in flight, whatever the number of calling threads.
 
 ``post`` is the one retry loop: server errors (5xx), connection errors and
 bodies that are not JSON are retried with exponential back-off; client
-errors (4xx) never heal on retry and fail at once.
+errors (4xx) never heal on retry and fail at once. A request waiting out
+its back-off holds no connection.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import queue
 import ssl
 import threading
 import time
@@ -40,7 +44,10 @@ class JsonClient:
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
         timeout: float = 30.0,
+        connections: int = 1,
     ):
+        if connections < 1:
+            raise ConfigurationError(f"{name} client needs at least 1 connection")
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigurationError(f"{name} endpoint must be an http(s) URL, got {endpoint!r}")
@@ -68,30 +75,38 @@ class JsonClient:
             self._tunnel = {"host": target[0], "port": target[1], "headers": headers}
             target = (proxy_url.hostname, proxy_url.port or 80)
         self._address = target
-        self._local = threading.local()
+        # a None slot stands for a connection not opened yet; LIFO hands out
+        # the most recently used connection first, so a slot is opened only
+        # when every open connection is busy
+        self._pool: queue.LifoQueue[http.client.HTTPConnection | None] = queue.LifoQueue()
+        for _ in range(connections):
+            self._pool.put(None)
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            host, port = self._address
-            if self._context:
-                conn = http.client.HTTPSConnection(
-                    host, port, timeout=self.timeout, context=self._context
-                )
-            else:
-                conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
-            if self._tunnel:
-                conn.set_tunnel(**self._tunnel)
-            with self._lock:
-                self._connections.append(conn)
-            self._local.conn = conn
+    def _new_connection(self) -> http.client.HTTPConnection:
+        host, port = self._address
+        if self._context:
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout, context=self._context
+            )
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        if self._tunnel:
+            conn.set_tunnel(**self._tunnel)
+        with self._lock:
+            self._connections.append(conn)
         return conn
 
     def _send(self, body: bytes) -> tuple[int, bytes]:
-        """One request on this thread's connection: (status, body)."""
-        conn = self._connection()
+        """One request on a pooled connection: (status, body).
+
+        Blocks until a connection is free, and gives it back when the
+        exchange ends.
+        """
+        conn = self._pool.get()
+        if conn is None:
+            conn = self._new_connection()
         reused = conn.sock is not None
         try:
             try:
@@ -107,9 +122,12 @@ class JsonClient:
                 resp = conn.getresponse()
             return resp.status, resp.read()
         except BaseException:
-            # a half-finished exchange leaves the connection unusable
+            # a half-finished exchange leaves the connection unusable; closed,
+            # it reconnects on its next request
             conn.close()
             raise
+        finally:
+            self._pool.put(conn)
 
     def post(self, payload: dict) -> dict:
         """The decoded JSON reply; ``BackendError`` once retries run out."""
@@ -137,9 +155,8 @@ class JsonClient:
         ) from last_error
 
     def close(self) -> None:
-        """Close every connection this client opened, in any thread."""
+        """Close every connection this client opened; a later request reconnects."""
         with self._lock:
-            connections, self._connections = self._connections, []
-            self._local = threading.local()
+            connections = list(self._connections)
         for conn in connections:
             conn.close()

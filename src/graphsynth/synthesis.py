@@ -6,7 +6,10 @@ text renders deterministically from (strategy, fragments); backend output
 must match the strategy schema or the record is rejected after retries.
 ``RemoteChatBackend`` posts to a chat-completion service through the shared
 keep-alive ``remote.JsonClient``, which retries transport faults and 5xx
-replies; schema retries and repair prompts stay here.
+replies; schema retries and repair prompts stay here. With concurrency N
+the client pools N connections, which bound the requests in flight, and
+``generate`` runs 2N workers so that requests waiting out a back-off leave
+the connections to the others.
 """
 
 from __future__ import annotations
@@ -354,6 +357,7 @@ class RemoteChatBackend:
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
         timeout: float = 120.0,
+        connections: int = 1,
     ):
         self.model = model
         # imported here so that runs with the offline backends never load
@@ -362,7 +366,7 @@ class RemoteChatBackend:
 
         self.client = JsonClient(
             endpoint, name="chat", api_key=api_key, max_retries=max_retries,
-            backoff_seconds=backoff_seconds, timeout=timeout,
+            backoff_seconds=backoff_seconds, timeout=timeout, connections=connections,
         )
 
     def complete(self, prompt, *, temperature, max_tokens, request_id=None):
@@ -446,12 +450,18 @@ def generate(
     *,
     concurrency: int = 1,
 ) -> list[SynthRecord]:
-    """Run all requests; output order always equals request order."""
+    """Run all requests; output order always equals request order.
+
+    ``concurrency`` bounds the requests in flight, which the backend
+    enforces (a remote backend pools that many connections). Twice as many
+    workers run, so up to ``concurrency`` of them can wait out a retry
+    back-off while every slot stays busy.
+    """
     if not requests:
         return []
     if concurrency <= 1:
         return [_generate_one(r, backend, policy) for r in requests]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
         return list(pool.map(lambda r: _generate_one(r, backend, policy), requests))
 
 

@@ -70,14 +70,16 @@ class JsonServer:
     ``(status, body)``: a bytes body is sent as is, anything else as JSON.
     ``None`` drops the connection without a status line. With
     ``close_each`` every reply carries ``Connection: close``. The server
-    counts POSTs (``calls``), accepted connections (``accepted``) and
-    connections still open (``open``), and keeps the last request's
-    payload and headers.
+    counts POSTs (``calls``), accepted connections (``accepted``),
+    connections still open (``open``) and the most POSTs it was answering
+    at once (``peak_in_flight``), and keeps the last request's payload and
+    headers.
     """
 
     def __init__(self, respond, close_each: bool = False):
         self.respond = respond
         self.calls = self.accepted = self.open = 0
+        self.in_flight = self.peak_in_flight = 0
         self.last_payload = self.last_headers = None
         self._lock = threading.Lock()
         server = self
@@ -106,6 +108,15 @@ class JsonServer:
                     server.calls += 1
                     n = server.calls
                     server.last_payload, server.last_headers = payload, dict(self.headers)
+                    server.in_flight += 1
+                    server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
+                try:
+                    self._reply(n, payload)
+                finally:
+                    with server._lock:
+                        server.in_flight -= 1
+
+            def _reply(self, n, payload):
                 reply = server.respond(n, payload)
                 if reply is None:
                     self.close_connection = True

@@ -14,7 +14,6 @@ from graphsynth.analysis import (
     counts_from_subsets,
     counts_from_synth,
     emit_histogram_svg,
-    emit_report,
     emit_report_csv,
     entity_distribution,
     gini,
@@ -162,7 +161,7 @@ def test_compare_reports_deltas_and_universe_check():
 def test_csv_emission(tmp_path):
     report = build_report({"e1": 2, "e2": 0})
     out = tmp_path / "report.csv"
-    emit_report(report, out, fmt="csv")
+    emit_report_csv(report, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "entity_id,count"
     assert len(lines) == 3

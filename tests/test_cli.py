@@ -19,7 +19,9 @@ from graphsynth.cli import (
     run_pipeline,
     validate_config,
 )
+from graphsynth.corpus import Chunk
 from graphsynth.errors import ConfigurationError
+from graphsynth.extraction import RuleBasedExtractor
 from graphsynth.synthesis import MockLlmBackend
 from graphsynth.jsonl import sha256_file
 
@@ -198,6 +200,8 @@ def test_remote_generation_matches_mock_and_closes_its_connections(
         tmp_path / "out_mock" / synth
     ).read_bytes()
     assert server.calls > 0
+    # generation.concurrency 2: two pooled connections, never more in flight
+    assert server.accepted == 2 and server.peak_in_flight <= 2
     assert server.wait_closed() == 0
 
 
@@ -236,7 +240,39 @@ def test_generate_subcommand_reads_endpoint_from_environment(tmp_path, json_serv
     synth = tmp_path / "synth.jsonl"
     assert main(_remote_generate_args(out, synth) + ["--concurrency", "2"]) == EXIT_OK
     assert synth.read_bytes() == (out / "synth.jsonl").read_bytes()
+    assert server.accepted == 2 and server.peak_in_flight <= 2
     assert server.wait_closed() == 0
+
+
+def test_llm_extraction_in_run_uses_the_remote_chat_service(tmp_path, json_server):
+    # the service answers with the rule-based extractor's mentions, so the
+    # run must reproduce the rule-based entity map
+    def respond(n, payload):
+        passage = payload["messages"][0]["content"].split("Passage:\n", 1)[1]
+        chunk = Chunk(chunk_id="c#0000", doc_id="c", ordinal=0, text=passage)
+        mentions = RuleBasedExtractor().extract(chunk).raw_mentions
+        return 200, {"choices": [{"message": {"content": json.dumps(mentions)}}]}
+
+    server = json_server(respond)
+    rule_config = load_config(_write_config(tmp_path, _config_dict(tmp_path, "out_rule"), "a.yaml"))
+    run_pipeline(rule_config)
+    data = _config_dict(tmp_path, "out_llm")
+    data["extraction"] = {"backend": "llm"}
+    data["generation"].update(endpoint=server.url, model="m")
+    assert main(["run", "--config", str(_write_config(tmp_path, data, "b.yaml"))]) == EXIT_OK
+    entities = "entities.jsonl"
+    assert (tmp_path / "out_llm" / entities).read_bytes() == (
+        tmp_path / "out_rule" / entities
+    ).read_bytes()
+    assert server.calls == 8  # one per chunk; generation stays on the mock
+    assert server.wait_closed() == 0
+
+
+def test_llm_extraction_without_endpoint_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("GRAPHSYNTH_LLM_ENDPOINT", raising=False)
+    data = _config_dict(tmp_path)
+    data["extraction"] = {"backend": "llm"}
+    assert main(["run", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
 
 
 # --- CLI surface ----------------------------------------------------------------------

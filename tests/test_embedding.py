@@ -10,7 +10,6 @@ from graphsynth.embedding import (
     HashEmbeddingBackend,
     RemoteEmbeddingBackend,
     embed_text,
-    embed_texts,
     similarity,
 )
 from graphsynth.errors import BackendError, IntegrityError
@@ -95,21 +94,6 @@ def test_cache_transparency_for_ranking():
 def test_empty_text_rejected():
     with pytest.raises(ValueError):
         embed_text("", HashEmbeddingBackend(dim=4), EmbeddingCache())
-
-
-def test_cosine_flag_normalizes():
-    assert similarity((2.0, 0.0), (4.0, 0.0)) == 8.0
-    assert similarity((2.0, 0.0), (4.0, 0.0), cosine=True) == pytest.approx(1.0, abs=1e-12)
-    assert similarity((0.0, 0.0), (1.0, 0.0), cosine=True) == 0.0
-
-
-def test_embed_texts_concurrent_order_and_cache():
-    backend = HashEmbeddingBackend(dim=8)
-    texts = [f"text {i}" for i in range(9)]
-    cache = EmbeddingCache()
-    vectors = embed_texts(texts, backend, cache, concurrency=4)
-    assert vectors == [embed_text(t, backend, cache) for t in texts]
-    assert len(cache) == 9
 
 
 def test_remote_backend_posts_text_and_returns_floats(json_server):

@@ -14,7 +14,6 @@ from graphsynth.extraction import (
     RuleBasedExtractor,
     build_entity_map,
     ExtractionReport,
-    extract_entities,
     load_entity_map,
     normalize_mention,
     save_entity_map,
@@ -33,57 +32,57 @@ class ScriptedChat:
         return self.responses[request_id]
 
 
-# --- extract_entities ---------------------------------------------------------
+# --- extractors -------------------------------------------------------------
 
 
 def test_rule_based_finds_capitalized_span():
-    report = extract_entities(_chunk("Company X reported growth."), RuleBasedExtractor())
+    report = RuleBasedExtractor().extract(_chunk("Company X reported growth."))
     assert "Company X" in report.raw_mentions
 
 
 def test_rule_based_mentions_are_substrings():
     text = "Company X reported growth while Supplier Y struggled."
-    report = extract_entities(_chunk(text), RuleBasedExtractor())
+    report = RuleBasedExtractor().extract(_chunk(text))
     assert report.raw_mentions
     for m in report.raw_mentions:
         assert m in text
 
 
 def test_rule_based_empty_when_nothing_matches():
-    report = extract_entities(_chunk("nothing of note happened today."), RuleBasedExtractor())
+    report = RuleBasedExtractor().extract(_chunk("nothing of note happened today."))
     assert report.raw_mentions == []
 
 
 def test_rule_based_noun_phrase_after_determiner():
-    report = extract_entities(
-        _chunk("Growth in the accounts receivable balance was sharp."), RuleBasedExtractor()
+    report = RuleBasedExtractor().extract(
+        _chunk("Growth in the accounts receivable balance was sharp.")
     )
     assert any("accounts receivable" in m for m in report.raw_mentions)
 
 
 def test_rule_based_caps_mentions_keeping_longest():
     names = " ".join(f"Entity Number{i:02d} arrived." for i in range(30))
-    report = extract_entities(_chunk(names), RuleBasedExtractor())
+    report = RuleBasedExtractor().extract(_chunk(names))
     assert len(report.raw_mentions) == MAX_MENTIONS_PER_CHUNK
 
 
 def test_llm_extractor_passthrough():
     chat = ScriptedChat({"d#0000": json.dumps(["Company X", "accounts receivable"])})
-    report = extract_entities(_chunk("whatever text"), LlmEntityExtractor(chat))
+    report = LlmEntityExtractor(chat).extract(_chunk("whatever text"))
     assert report.raw_mentions == ["Company X", "accounts receivable"]
 
 
 def test_llm_extractor_rejects_non_list():
     chat = ScriptedChat({"d#0000": json.dumps({"entities": []})})
     with pytest.raises(FormatError) as err:
-        extract_entities(_chunk("text"), LlmEntityExtractor(chat))
+        LlmEntityExtractor(chat).extract(_chunk("text"))
     assert err.value.raw is not None
 
 
 def test_llm_extractor_rejects_unparseable():
     chat = ScriptedChat({"d#0000": "not json at all"})
     with pytest.raises(FormatError):
-        extract_entities(_chunk("text"), LlmEntityExtractor(chat))
+        LlmEntityExtractor(chat).extract(_chunk("text"))
 
 
 # --- normalize_mention ---------------------------------------------------------

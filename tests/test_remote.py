@@ -4,6 +4,7 @@ import base64
 import http.client
 import socket
 import ssl
+import sys
 import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -40,17 +41,50 @@ def _client(url, **kwargs) -> remote.JsonClient:
     return remote.JsonClient(url, name="test", **kwargs)
 
 
-def test_two_threads_share_two_keepalive_connections(json_server):
+def test_four_threads_share_a_pool_of_two_connections(json_server):
     server = json_server(_ok)
-    client = _client(server.url)
+    client = _client(server.url, connections=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose a race on the pool
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            replies = list(pool.map(lambda i: client.post({"i": i}), range(4 * 40)))
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+    assert sorted(r["n"] for r in replies) == list(range(1, 161))
+    assert server.calls == 160
+    assert server.accepted <= 2
+    assert server.peak_in_flight <= 2
+
+
+def test_backoff_leaves_the_connection_to_other_requests(json_server):
+    first_seen = threading.Event()
+
+    def respond(n, payload):
+        if n == 1:
+            first_seen.set()
+            return 503, {"error": "busy"}
+        return 200, {"n": n, "who": payload["who"]}
+
+    server = json_server(respond)
+    client = _client(server.url, connections=1, backoff_seconds=0.3)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            replies = list(pool.map(lambda i: client.post({"i": i}), range(40)))
+            a = pool.submit(client.post, {"who": "a"})
+            assert first_seen.wait(timeout=5)
+            b = pool.submit(client.post, {"who": "b"})
+            # b is served while a sleeps out its back-off, on the one connection
+            assert b.result(timeout=5) == {"n": 2, "who": "b"}
+            assert a.result(timeout=5) == {"n": 3, "who": "a"}
     finally:
         client.close()
-    assert sorted(r["n"] for r in replies) == list(range(1, 41))
-    assert server.calls == 40
-    assert server.accepted <= 2
+    assert server.accepted == 1
+
+
+def test_client_needs_a_connection():
+    with pytest.raises(ConfigurationError, match="connection"):
+        _client("http://127.0.0.1:9/x", connections=0)
 
 
 def test_server_error_then_success_backs_off_once(json_server, sleeps):
@@ -138,7 +172,7 @@ def test_endpoint_must_be_http_url():
 
 def test_https_verifies_certificates(no_proxy_env):
     client = _client("https://api.example.test/v1/chat")
-    conn = client._connection()  # built lazily: nothing is sent
+    conn = client._new_connection()  # nothing is sent
     assert isinstance(conn, http.client.HTTPSConnection)
     assert (conn.host, conn.port) == ("api.example.test", 443)
     assert conn._context.verify_mode == ssl.CERT_REQUIRED and conn._context.check_hostname

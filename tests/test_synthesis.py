@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from graphsynth.synthesis import (
     FaultInjectingBackend,
     GenerationRequest,
     MockLlmBackend,
+    RemoteChatBackend,
     RetryPolicy,
     build_requests,
     generate,
@@ -238,6 +241,66 @@ def test_output_order_independent_of_concurrency():
     assert [(r.request_id, r.narrative) for r in sequential] == [
         (r.request_id, r.narrative) for r in threaded
     ]
+
+
+def _tagged_requests(n):
+    """Requests whose prompts end in their index, so that a server can tell them apart."""
+    reqs = _requests(n)
+    for i, r in enumerate(reqs):
+        r.request_id = f"req-{i:02d}"
+        r.prompt_text += f"\n\n#{i}"
+    return reqs
+
+
+def _chat_server(json_server, refuse_first):
+    """A chat endpoint answering like the mock backend, after 2 ms. The first
+    attempt of each request ``i`` with ``refuse_first(i)`` gets a 503. Returns
+    the server and the (i, status) of each answer, in order."""
+    mock = MockLlmBackend()
+    served: list[tuple[int, int]] = []
+    lock = threading.Lock()
+
+    def respond(n, payload):
+        prompt = payload["messages"][0]["content"]
+        i = int(prompt.rsplit("#", 1)[1])
+        with lock:
+            status = 503 if refuse_first(i) and (i, 503) not in served else 200
+            served.append((i, status))
+        if status == 503:
+            return 503, {"error": "busy"}
+        time.sleep(0.002)  # service time, so that requests overlap
+        content = mock.complete(prompt, temperature=0.7, max_tokens=1)
+        return 200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+    return json_server(respond), served
+
+
+def _remote_generate(server, reqs, backoff_seconds):
+    backend = RemoteChatBackend(
+        server.url, model="m", backoff_seconds=backoff_seconds, connections=2
+    )
+    try:
+        return generate(reqs, backend, concurrency=2)
+    finally:
+        backend.close()
+
+
+def test_remote_generation_keeps_requests_in_flight_within_concurrency(json_server):
+    reqs = _tagged_requests(24)
+    server, served = _chat_server(json_server, lambda i: i % 4 == 0)
+    assert _remote_generate(server, reqs, 0.05) == generate(reqs, MockLlmBackend())
+    assert len(served) == len(reqs) + 6
+    assert server.accepted <= 2
+    assert server.peak_in_flight <= 2
+
+
+def test_requests_backing_off_leave_the_connections_to_others(json_server):
+    # requests 0 and 1 get a 503 first; at concurrency 2 both wait out their
+    # back-off at once, and the other requests must be served meanwhile
+    server, served = _chat_server(json_server, lambda i: i < 2)
+    records = _remote_generate(server, _tagged_requests(6), 0.5)
+    assert all(r.status == "ok" for r in records)
+    assert sorted(served[-2:]) == [(0, 200), (1, 200)]
 
 
 def test_write_corpus_manifest_accounting(tmp_path):
