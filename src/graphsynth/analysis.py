@@ -17,6 +17,7 @@ import numpy as np
 from .balance import SubsetAllocation
 from .errors import IntegrityError
 from .extraction import EntityRecord
+from .jsonl import atomic_write
 from .synthesis import SynthRecord
 
 DEFAULT_BUCKETS = 10
@@ -189,7 +190,7 @@ def compare_reports(a: DistributionReport, b: DistributionReport) -> ComparisonS
 
 
 def emit_report_csv(report: DistributionReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["entity_id", "count"])
         for entity_id in sorted(report.counts):
@@ -223,5 +224,5 @@ def emit_histogram_svg(report: DistributionReport, path, width: int = 640, heigh
             f'font-size="9" text-anchor="middle">{lo:.0f}-{hi:.0f}</text>'
         )
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("\n".join(lines) + "\n")

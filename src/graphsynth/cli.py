@@ -1,9 +1,11 @@
 """Pipeline entry point: config validation, staged execution, run manifests.
 
 Stages run as ingest -> extract -> graph -> sample -> balance -> generate
--> analyze. Every stage reads the previous stage's persisted artifact and
-is skipped when its own outputs already exist, so a deleted downstream
-artifact is reproduced byte-identically on resume.
+-> analyze. Each stage persists its artifacts and is skipped when its own
+outputs already exist, so a deleted downstream artifact is reproduced
+byte-identically on resume. Within one run, a stage hands what it wrote on
+to later stages in memory; an artifact that no stage of the run wrote is
+parsed once, on first use, and every artifact is hashed once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import graph as graph_mod
 from . import synthesis as synthesis_mod
 from . import traversal as traversal_mod
 from .errors import ConfigurationError, GraphSynthError
-from .jsonl import sha256_file
+from .jsonl import sha256_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -287,7 +289,9 @@ def _synthetic_char_volume(records) -> int:
     return total
 
 
-def _resolve_hop_policy(config: RunConfig, workdir: Path, chunk_store, force: bool) -> str:
+def _resolve_hop_policy(
+    config: RunConfig, workdir: Path, chunk_store, force: bool, artifacts: _Artifacts
+) -> str:
     """Volume schedule: one-hop until accumulated synthetic characters pass
     HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
 
@@ -305,25 +309,57 @@ def _resolve_hop_policy(config: RunConfig, workdir: Path, chunk_store, force: bo
         synth_path = workdir / "synth.jsonl"
         accumulated = 0
         if synth_path.exists():
-            accumulated = _synthetic_char_volume(synthesis_mod.load_synthetic_corpus(synth_path))
+            records = artifacts.get(synth_path, synthesis_mod.load_synthetic_corpus)
+            accumulated = _synthetic_char_volume(records)
         policy = "one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw_chars else "two_hop"
-    with open(decision_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "hop_policy": policy,
-                "accumulated_chars": accumulated,
-                "raw_chars": raw_chars,
-                "schedule_multiple": HOP_SCHEDULE_MULTIPLE,
-            },
-            f,
-            sort_keys=True,
-        )
+    write_json(
+        decision_path,
+        {
+            "hop_policy": policy,
+            "accumulated_chars": accumulated,
+            "raw_chars": raw_chars,
+            "schedule_multiple": HOP_SCHEDULE_MULTIPLE,
+        },
+    )
     return policy
 
 
+class _Artifacts:
+    """One run's artifacts: per path, its parsed value and its sha256.
+
+    The stage that writes an artifact hands its value on with ``put``; one
+    that no stage of the run wrote is parsed by ``get`` on first use. Both
+    are dropped when a stage that lists the path as an output runs, so a
+    value read before a rewrite (the auto hop schedule reads the previous
+    run's ``synth.jsonl``) is never handed on after it.
+    """
+
+    def __init__(self):
+        self._values: dict[Path, object] = {}
+        self._digests: dict[Path, str] = {}
+
+    def get(self, path: Path, load):
+        if path not in self._values:
+            self._values[path] = load(path)
+        return self._values[path]
+
+    def put(self, path: Path, value) -> None:
+        self._values[path] = value
+
+    def digest(self, path: Path) -> str:
+        if path not in self._digests:
+            self._digests[path] = sha256_file(path)
+        return self._digests[path]
+
+    def forget(self, paths: list[Path]) -> None:
+        for p in paths:
+            self._values.pop(p, None)
+            self._digests.pop(p, None)
+
+
 class _StageRunner:
-    def __init__(self, workdir: Path, force: bool):
-        self.workdir = workdir
+    def __init__(self, artifacts: _Artifacts, force: bool):
+        self.artifacts = artifacts
         self.force = force
         self.entries: list[dict] = []
 
@@ -337,6 +373,7 @@ class _StageRunner:
             for p in inputs:
                 if not p.exists():
                     raise StageError(name, FileNotFoundError(f"missing input {p}"))
+            self.artifacts.forget(outputs)
             try:
                 counts = fn() or {}
             except (StageError, ConfigurationError):
@@ -346,8 +383,8 @@ class _StageRunner:
         self.entries.append(
             {
                 "name": name,
-                "inputs": {str(p): sha256_file(p) for p in inputs if p.exists()},
-                "outputs": {str(p): sha256_file(p) for p in outputs if p.exists()},
+                "inputs": {str(p): self.artifacts.digest(p) for p in inputs if p.exists()},
+                "outputs": {str(p): self.artifacts.digest(p) for p in outputs if p.exists()},
                 "seconds": round(time.perf_counter() - start, 4),
                 "counts": counts,
                 "skipped": bool(skipped),
@@ -381,7 +418,22 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
         workdir / "comparison.json",
     ]
 
-    runner = _StageRunner(workdir, force)
+    artifacts = _Artifacts()
+    runner = _StageRunner(artifacts, force)
+
+    # Each loader is looked up as a module attribute at call time, so a wrapper
+    # installed there (the benchmark's tracer) sees the call.
+    def chunk_store():
+        return artifacts.get(chunks_path, corpus_mod.load_chunks)
+
+    def entity_map():
+        return artifacts.get(entities_path, extraction_mod.load_entity_map)
+
+    def path_set():
+        return artifacts.get(paths_path, traversal_mod.load_paths)
+
+    def subsets():
+        return artifacts.get(subsets_path, lambda p: balance_mod.load_subsets(p, path_set()))
 
     def stage_ingest():
         with open(input_path, "r", encoding="utf-8") as f:
@@ -404,10 +456,11 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
                 chunks.extend(corpus_mod.chunk_document(doc, policy))
                 titles[doc.doc_id] = doc.title
         corpus_mod.save_chunks(chunks_path, chunks, titles)
+        artifacts.put(chunks_path, corpus_mod.ChunkStore(chunks, titles))
         return {"documents": len(docs), "chunks": len(chunks)}
 
     def stage_extract():
-        store = corpus_mod.load_chunks(chunks_path)
+        store = chunk_store()
         aliases = (
             extraction_mod.load_alias_table(config.extraction.aliases)
             if config.extraction.aliases
@@ -424,21 +477,21 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
                     stack.enter_context(chat_backend(remote))
                 )
             reports = [extractor.extract(c) for c in store.chunks()]
-        entity_map = extraction_mod.build_entity_map(reports, aliases)
-        extraction_mod.save_entity_map(entities_path, entity_map)
-        return {"entities": len(entity_map)}
+        entities = extraction_mod.build_entity_map(reports, aliases)
+        extraction_mod.save_entity_map(entities_path, entities)
+        artifacts.put(entities_path, entities)
+        return {"entities": len(entities)}
 
     def stage_graph():
-        entity_map = extraction_mod.load_entity_map(entities_path)
-        g = graph_mod.build_graph(entity_map)
+        g = graph_mod.build_graph(entity_map())
         graph_mod.save_graph(graph_path, g)
+        artifacts.put(graph_path, g)
         return {"nodes": len(g.nodes), "edges": len(g.provenance)}
 
     def stage_sample():
-        store = corpus_mod.load_chunks(chunks_path)
-        entity_map = extraction_mod.load_entity_map(entities_path)
-        g = graph_mod.load_graph(graph_path)
-        hop_policy = _resolve_hop_policy(config, workdir, store, force)
+        store = chunk_store()
+        g = artifacts.get(graph_path, graph_mod.load_graph)
+        hop_policy = _resolve_hop_policy(config, workdir, store, force, artifacts)
         cfg = traversal_mod.TraversalConfig(
             max_start_paragraphs=config.traversal.max_start_paragraphs,
             depth=config.traversal.depth,
@@ -448,44 +501,40 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             same_document_only=config.traversal.same_document_only,
             rng_seed=config.seed,
         )
-        cache = embedding_mod.EmbeddingCache()
+        # entries are keyed by backend and text, so an earlier run's are reused
+        cache = embedding_mod.EmbeddingCache(cache_path)
         with embedding_backend(config.embedding) as backend:
-            path_set = traversal_mod.sample_paths(g, entity_map, store, cfg, backend, cache)
-        traversal_mod.save_paths(paths_path, path_set)
+            paths = traversal_mod.sample_paths(g, entity_map(), store, cfg, backend, cache)
+        traversal_mod.save_paths(paths_path, paths)
+        artifacts.put(paths_path, paths)
         cache.save(cache_path)
-        return {"paths": len(path_set), "hop_policy": hop_policy}
+        return {"paths": len(paths), "hop_policy": hop_policy}
 
     def stage_balance():
-        store = corpus_mod.load_chunks(chunks_path)
-        entity_map = extraction_mod.load_entity_map(entities_path)
-        path_set = traversal_mod.load_paths(paths_path)
         cfg = balance_mod.BalanceConfig(
             target_coverage=config.balance.target_coverage,
             standard_length=config.balance.standard_length,
             rng_seed=config.seed,
         )
-        subsets = balance_mod.secondary_sampling(
-            path_set,
+        allocations = balance_mod.secondary_sampling(
+            path_set(),
             cfg,
-            entity_to_chunks=extraction_mod.entity_chunk_index(entity_map),
-            total_chunks=len(store),
+            entity_to_chunks=extraction_mod.entity_chunk_index(entity_map()),
+            total_chunks=len(chunk_store()),
             rng=random.Random(config.seed),
         )
-        balance_mod.save_subsets(subsets_path, subsets)
+        balance_mod.save_subsets(subsets_path, allocations)
+        artifacts.put(subsets_path, allocations)
         return {
-            "subsets": len(subsets),
-            "cc_pairs": sum(len(s.cc_pairs) for s in subsets),
+            "subsets": len(allocations),
+            "cc_pairs": sum(len(s.cc_pairs) for s in allocations),
         }
 
     def stage_generate():
-        store = corpus_mod.load_chunks(chunks_path)
-        entity_map = extraction_mod.load_entity_map(entities_path)
-        path_set = traversal_mod.load_paths(paths_path)
-        subsets = balance_mod.load_subsets(subsets_path, path_set)
         requests = synthesis_mod.build_requests(
-            subsets,
-            store,
-            extraction_mod.canonical_names(entity_map),
+            subsets(),
+            chunk_store(),
+            extraction_mod.canonical_names(entity_map()),
             same_document=config.traversal.same_document_only,
             temperature=config.generation.temperature,
             max_tokens=config.generation.max_tokens,
@@ -498,22 +547,21 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
                 concurrency=config.generation.concurrency,
             )
         manifest = synthesis_mod.write_synthetic_corpus(records, synth_path)
-        with open(synth_manifest_path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, sort_keys=True, indent=2)
+        artifacts.put(synth_path, records)
+        write_json(synth_manifest_path, manifest, indent=2)
         return manifest
 
     def stage_analyze():
-        entity_map = extraction_mod.load_entity_map(entities_path)
-        path_set = traversal_mod.load_paths(paths_path)
-        subsets = balance_mod.load_subsets(subsets_path, path_set)
-        records = synthesis_mod.load_synthetic_corpus(synth_path)
+        entities = entity_map()
+        allocations = subsets()
+        records = artifacts.get(synth_path, synthesis_mod.load_synthetic_corpus)
         buckets = config.analysis.buckets
-        raw = analysis_mod.entity_distribution("raw", entity_map, buckets=buckets)
+        raw = analysis_mod.entity_distribution("raw", entities, buckets=buckets)
         sub = analysis_mod.entity_distribution(
-            "subsets", entity_map, subsets=subsets, buckets=buckets
+            "subsets", entities, subsets=allocations, buckets=buckets
         )
         syn = analysis_mod.entity_distribution(
-            "synth", entity_map, subsets=subsets, records=records, buckets=buckets
+            "synth", entities, subsets=allocations, records=records, buckets=buckets
         )
         analysis_mod.emit_report_csv(raw, analysis_outputs[0])
         analysis_mod.emit_report_csv(sub, analysis_outputs[1])
@@ -521,23 +569,21 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
         analysis_mod.emit_histogram_svg(raw, analysis_outputs[3])
         analysis_mod.emit_histogram_svg(sub, analysis_outputs[4])
         delta = analysis_mod.compare_reports(raw, sub)
-        with open(analysis_outputs[5], "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "raw_gini": raw.gini,
-                    "subsets_gini": sub.gini,
-                    "synth_gini": syn.gini,
-                    "gini_delta": delta.gini_delta,
-                    "cv_delta": delta.cv_delta,
-                    "coverage_delta": delta.coverage_delta,
-                    "top_decile_delta": delta.top_decile_delta,
-                },
-                f,
-                sort_keys=True,
-                indent=2,
-            )
+        write_json(
+            analysis_outputs[5],
+            {
+                "raw_gini": raw.gini,
+                "subsets_gini": sub.gini,
+                "synth_gini": syn.gini,
+                "gini_delta": delta.gini_delta,
+                "cv_delta": delta.cv_delta,
+                "coverage_delta": delta.coverage_delta,
+                "top_decile_delta": delta.top_decile_delta,
+            },
+            indent=2,
+        )
         return {
-            "entities": len(entity_map),
+            "entities": len(entities),
             "raw_gini": round(raw.gini, 4),
             "subsets_gini": round(sub.gini, 4),
         }
@@ -567,8 +613,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
     )
 
     manifest = {"config_digest": _config_digest(config), "stages": runner.entries}
-    with open(workdir / "run_manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
+    write_json(workdir / "run_manifest.json", manifest, indent=2)
     return manifest
 
 
@@ -806,8 +851,7 @@ def _cmd_generate(args) -> int:
         )
     manifest = synthesis_mod.write_synthetic_corpus(records, args.out)
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, sort_keys=True, indent=2)
+        write_json(args.manifest, manifest, indent=2)
     print(json.dumps(manifest, sort_keys=True))
     return EXIT_OK
 

@@ -18,6 +18,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import IntegrityError
+from .jsonl import write_json
 
 Vector = tuple[float, ...]
 
@@ -133,8 +134,7 @@ class EmbeddingCache:
             {"backend": backend, "hash": key, "values": list(vec)}
             for (backend, key), vec in sorted(self._entries.items())
         ]
-        with open(target, "w", encoding="utf-8") as f:
-            json.dump({"entries": entries}, f, sort_keys=True)
+        write_json(target, {"entries": entries})
 
 
 def embed_text(text: str, backend: EmbeddingBackend, cache: EmbeddingCache | None = None) -> Vector:

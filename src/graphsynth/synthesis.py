@@ -15,6 +15,7 @@ the connections to the others.
 from __future__ import annotations
 
 import json
+import logging
 import random
 import re
 import threading
@@ -27,6 +28,8 @@ from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .jsonl import write_jsonl
 from .traversal import Path
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 2048
@@ -460,9 +463,23 @@ def generate(
     if not requests:
         return []
     if concurrency <= 1:
-        return [_generate_one(r, backend, policy) for r in requests]
+        return _collect((_generate_one(r, backend, policy) for r in requests), len(requests))
     with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-        return list(pool.map(lambda r: _generate_one(r, backend, policy), requests))
+        return _collect(pool.map(lambda r: _generate_one(r, backend, policy), requests),
+                        len(requests))
+
+
+def _collect(results: Iterable[SynthRecord], total: int) -> list[SynthRecord]:
+    """The records in request order, logging progress about every tenth of them."""
+    every = -(-total // 10)
+    records: list[SynthRecord] = []
+    rejected = 0
+    for rec in results:
+        records.append(rec)
+        rejected += rec.status == "rejected"
+        if len(records) % every == 0 or len(records) == total:
+            log.info("generate: %d/%d records done, %d rejected", len(records), total, rejected)
+    return records
 
 
 def record_to_dict(rec: SynthRecord) -> dict:

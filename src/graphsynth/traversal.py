@@ -17,6 +17,7 @@ the ranking, tie-breaks and scores equal those of the scalar definition.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -29,6 +30,8 @@ from .errors import BackendError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
+
+log = logging.getLogger(__name__)
 
 HOP_POLICIES = ("one_hop", "two_hop", "mixed")
 
@@ -308,18 +311,21 @@ class PathSampler:
 
     def sample(self) -> PathSet:
         paths: list[Path] = []
-        for root in sorted(self.entity_map, key=lambda r: r.entity_id):
-            if not root.chunk_ids:
-                continue
-            # Per-root rng keeps results independent of root scheduling.
-            rng = random.Random(f"{self.cfg.rng_seed}:{root.entity_id}")
-            try:
-                for start_chunk in sorted(select_start_paragraphs(root, self.cfg, rng)):
-                    paths.extend(self._expand_root(root, start_chunk))
-            except BackendError as e:
-                raise BackendError(
-                    f"while sampling root {root.entity_id}: {e}", retryable=e.retryable
-                ) from e
+        roots = sorted(self.entity_map, key=lambda r: r.entity_id)
+        every = -(-len(roots) // 10)  # about every tenth of the roots
+        for done, root in enumerate(roots, 1):
+            if root.chunk_ids:
+                # Per-root rng keeps results independent of root scheduling.
+                rng = random.Random(f"{self.cfg.rng_seed}:{root.entity_id}")
+                try:
+                    for start_chunk in sorted(select_start_paragraphs(root, self.cfg, rng)):
+                        paths.extend(self._expand_root(root, start_chunk))
+                except BackendError as e:
+                    raise BackendError(
+                        f"while sampling root {root.entity_id}: {e}", retryable=e.retryable
+                    ) from e
+            if done % every == 0 or done == len(roots):
+                log.info("sample: %d/%d roots done, %d paths", done, len(roots), len(paths))
         for i, p in enumerate(paths):
             p.path_id = f"p{i:06d}"
         return PathSet(paths=paths)

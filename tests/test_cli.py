@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,140 @@ def test_stage_isolation_holds_for_sample_under_auto_hop_schedule(tmp_path):
     sample_entry = next(s for s in manifest["stages"] if s["name"] == "sample")
     assert not sample_entry["skipped"]
     assert sample_entry["counts"]["hop_policy"] == "one_hop"
+
+
+RESUME_CONFIGS = {
+    "default": {},
+    "mixed_depth_3": {"traversal": {"hop_policy": "mixed", "depth": 3}},
+    "same_document_only": {"traversal": {"same_document_only": True}},
+    "target_coverage_0.8": {"balance": {"target_coverage": 0.8}},
+}
+
+
+def _artifact_bytes(workdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in workdir.iterdir() if p.name != "run_manifest.json"}
+
+
+@pytest.mark.parametrize("name", list(RESUME_CONFIGS))
+def test_resume_from_every_stage_reproduces_the_full_run(tmp_path, name):
+    data = _config_dict(tmp_path)
+    for section, values in RESUME_CONFIGS[name].items():
+        data[section].update(values)
+    config = load_config(_write_config(tmp_path, data))
+    stages = run_pipeline(config)["stages"]
+    full = _artifact_bytes(Path(config.workdir))
+    for i, stage in enumerate(stages):
+        for later in stages[i:]:
+            for output in later["outputs"]:
+                Path(output).unlink()
+        manifest = run_pipeline(config)
+        assert [s["skipped"] for s in manifest["stages"]] == [j < i for j in range(len(stages))]
+        assert _artifact_bytes(Path(config.workdir)) == full, f"resumed at {stage['name']}"
+
+
+def test_cold_and_rebuild_runs_parse_and_hash_each_artifact_once(tmp_path, monkeypatch):
+    from graphsynth import balance, cli, corpus, extraction, graph, synthesis, traversal
+
+    calls: Counter = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(path, *args, **kwargs):
+            calls[name, str(path)] += 1
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(corpus, "load_chunks")
+    count(extraction, "load_entity_map")
+    count(graph, "load_graph")
+    count(traversal, "load_paths")
+    count(balance, "load_subsets")
+    count(synthesis, "load_synthetic_corpus")
+    count(cli, "sha256_file")
+
+    def check(manifest):
+        loads = Counter(name for name, _ in calls.elements() if name != "sha256_file")
+        assert max(loads.values(), default=0) <= 1, loads
+        hashed = {path: n for (name, path), n in calls.items() if name == "sha256_file"}
+        assert set(hashed.values()) == {1}
+        assert set(hashed) == {
+            p for s in manifest["stages"] for p in [*s["inputs"], *s["outputs"]]
+        }
+
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    check(run_pipeline(config))
+    assert not [name for name, _ in calls if name != "sha256_file"]  # all handed on
+
+    workdir = Path(config.workdir)
+    for name in ("subsets.jsonl", "synth.jsonl", "synth_manifest.json", "comparison.json"):
+        (workdir / name).unlink()
+    calls.clear()
+    check(run_pipeline(config))
+
+
+def test_forced_rerun_analyzes_the_records_it_generated(tmp_path):
+    # The auto hop schedule parses the previous run's synth.jsonl in sample;
+    # once generate rewrites the file, analyze must count the new records.
+    data = _config_dict(tmp_path)
+    run_pipeline(load_config(_write_config(tmp_path, data)))
+    workdir = Path(data["workdir"])
+    seed_7 = (workdir / "report_synth.csv").read_bytes()
+    data["seed"] = 8
+    run_pipeline(load_config(_write_config(tmp_path, data)), force=True)
+    report = tmp_path / "report_synth.csv"
+    assert main(
+        [
+            "analyze", "--source", "synth", "--entities", str(workdir / "entities.jsonl"),
+            "--subsets", str(workdir / "subsets.jsonl"), "--paths", str(workdir / "paths.jsonl"),
+            "--synth", str(workdir / "synth.jsonl"), "--out", str(report),
+        ]
+    ) == EXIT_OK
+    assert (workdir / "report_synth.csv").read_bytes() == report.read_bytes() != seed_7
+
+
+def test_sample_rebuild_reuses_the_embedding_cache(tmp_path, monkeypatch):
+    from graphsynth.embedding import HashEmbeddingBackend
+
+    texts: list[str] = []
+    embed = HashEmbeddingBackend.embed
+
+    def counted(self, text):
+        texts.append(text)
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbeddingBackend, "embed", counted)
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    assert texts
+    paths_path = Path(config.workdir) / "paths.jsonl"
+    original = paths_path.read_bytes()
+    paths_path.unlink()
+    texts.clear()
+    manifest = run_pipeline(config)
+    assert not next(s for s in manifest["stages"] if s["name"] == "sample")["skipped"]
+    assert texts == []
+    assert paths_path.read_bytes() == original
+
+
+def test_sample_and_generate_log_progress(tmp_path, caplog):
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    with caplog.at_level(logging.INFO, logger="graphsynth"):
+        manifest = run_pipeline(config)
+    counts = {s["name"]: s["counts"] for s in manifest["stages"]}
+
+    def messages(logger):
+        return [r.getMessage() for r in caplog.records if r.name == logger]
+
+    roots = counts["extract"]["entities"]
+    sample = messages("graphsynth.traversal")
+    assert 1 <= len(sample) <= 10
+    assert sample[-1] == f"sample: {roots}/{roots} roots done, {counts['sample']['paths']} paths"
+    records, rejected = counts["generate"]["records"], counts["generate"]["rejected"]
+    generate = messages("graphsynth.synthesis")
+    assert 1 <= len(generate) <= 10
+    assert generate[-1] == f"generate: {records}/{records} records done, {rejected} rejected"
 
 
 def test_semantic_chunking_and_mixed_hops_run_end_to_end(tmp_path):
