@@ -1,11 +1,17 @@
-"""Pipeline entry point: config validation, staged execution, run manifests.
+"""Pipeline entry point: config validation, the stage table, run manifests.
 
-Stages run as ingest -> extract -> graph -> sample -> balance -> generate
--> analyze. Each stage persists its artifacts and is skipped when its own
-outputs already exist, so a deleted downstream artifact is reproduced
-byte-identically on resume. Within one run, a stage hands what it wrote on
-to later stages in memory; an artifact that no stage of the run wrote is
-parsed once, on first use, and every artifact is hashed once.
+Each stage is declared once in ``STAGES``: the artifact keys it reads and
+writes, and a function of a ``StageContext``. ``run_pipeline`` binds every
+key to its file in the workdir and runs the table in order, ingest ->
+extract -> graph -> sample -> balance -> generate -> analyze; a stage is
+skipped when its outputs already exist, so a deleted downstream artifact is
+reproduced byte-identically on resume. A stage subcommand binds the files
+its flags name, validates the config its flags set as ``run`` does, and runs
+the same stage function. An optional output (the embedding caches, the hop
+decision, the generation manifest) is written only when its key is bound.
+Within one run, a stage hands what it wrote on to later stages in memory; an
+artifact that no stage of the run wrote is parsed once, on first use, and
+every artifact is hashed once.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ import hashlib
 import json
 import logging
 import os
-import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -103,7 +109,6 @@ class TraversalSettings:
     depth: int = 2
     beam_width: int = 2
     hop_policy: str = "auto"
-    mixed_ratio: float = 0.5
     same_document_only: bool = False
 
     def validate(self) -> list[str]:
@@ -113,7 +118,6 @@ class TraversalSettings:
             depth=self.depth,
             beam_width=self.beam_width,
             hop_policy=resolved,
-            mixed_ratio=self.mixed_ratio,
             same_document_only=self.same_document_only,
         )
         problems = [f"traversal.{p}" for p in cfg.validate()]
@@ -182,9 +186,13 @@ _SECTION_TYPES = {
     "analysis": AnalysisConfig,
 }
 
+# Section fields that the stages set from the top-level ``seed``; a config
+# file that sets them is rejected.
+_SEEDED_FIELDS = {"balance": {"rng_seed"}}
+
 
 def _build_section(name: str, cls, data: dict):
-    known = {f.name for f in fields(cls)}
+    known = {f.name for f in fields(cls)} - _SEEDED_FIELDS.get(name, set())
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown key(s) in '{name}': {sorted(unknown)}")
@@ -228,6 +236,12 @@ def validate_config(config: RunConfig) -> list[str]:
     problems += config.generation.validate()
     problems += config.analysis.validate()
     return problems
+
+
+def _check_config(config: RunConfig) -> None:
+    problems = validate_config(config)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
 
 
 def _config_digest(config: RunConfig) -> str:
@@ -277,53 +291,6 @@ def chat_backend(settings: GenerationConfig):
         yield remote
 
 
-def _synthetic_char_volume(records) -> int:
-    total = 0
-    for rec in records:
-        if rec.status != "ok":
-            continue
-        total += len(rec.narrative)
-        for item in rec.qa or []:
-            total += len(item.get("question", "")) + len(item.get("answer", ""))
-        total += len(rec.comparison or "")
-    return total
-
-
-def _resolve_hop_policy(
-    config: RunConfig, workdir: Path, chunk_store, force: bool, artifacts: _Artifacts
-) -> str:
-    """Volume schedule: one-hop until accumulated synthetic characters pass
-    HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
-
-    The decision is snapshotted to hop_decision.json so rebuilding the sample
-    stage alone cannot be influenced by downstream artifacts.
-    """
-    decision_path = workdir / "hop_decision.json"
-    if config.traversal.hop_policy != "auto":
-        policy = config.traversal.hop_policy
-        accumulated = raw_chars = None
-    elif decision_path.exists() and not force:
-        return json.loads(decision_path.read_text(encoding="utf-8"))["hop_policy"]
-    else:
-        raw_chars = sum(len(c.text) for c in chunk_store.chunks())
-        synth_path = workdir / "synth.jsonl"
-        accumulated = 0
-        if synth_path.exists():
-            records = artifacts.get(synth_path, synthesis_mod.load_synthetic_corpus)
-            accumulated = _synthetic_char_volume(records)
-        policy = "one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw_chars else "two_hop"
-    write_json(
-        decision_path,
-        {
-            "hop_policy": policy,
-            "accumulated_chars": accumulated,
-            "raw_chars": raw_chars,
-            "schedule_multiple": HOP_SCHEDULE_MULTIPLE,
-        },
-    )
-    return policy
-
-
 class _Artifacts:
     """One run's artifacts: per path, its parsed value and its sha256.
 
@@ -357,224 +324,252 @@ class _Artifacts:
             self._digests.pop(p, None)
 
 
-class _StageRunner:
-    def __init__(self, artifacts: _Artifacts, force: bool):
-        self.artifacts = artifacts
-        self.force = force
-        self.entries: list[dict] = []
-
-    def run(self, name: str, inputs: list[Path], outputs: list[Path], fn) -> None:
-        start = time.perf_counter()
-        skipped = all(p.exists() for p in outputs) and not self.force and outputs
-        counts: dict = {}
-        if skipped:
-            log.info("stage %s: outputs exist, skipping", name)
-        else:
-            for p in inputs:
-                if not p.exists():
-                    raise StageError(name, FileNotFoundError(f"missing input {p}"))
-            self.artifacts.forget(outputs)
-            try:
-                counts = fn() or {}
-            except (StageError, ConfigurationError):
-                raise
-            except Exception as e:
-                raise StageError(name, e) from e
-        self.entries.append(
-            {
-                "name": name,
-                "inputs": {str(p): self.artifacts.digest(p) for p in inputs if p.exists()},
-                "outputs": {str(p): self.artifacts.digest(p) for p in outputs if p.exists()},
-                "seconds": round(time.perf_counter() - start, 4),
-                "counts": counts,
-                "skipped": bool(skipped),
-            }
-        )
+# Each loader is looked up as a module attribute at call time, so a wrapper
+# installed there (the benchmark's tracer) sees the call.
+_LOADERS = {
+    "chunks": lambda ctx, path: corpus_mod.load_chunks(path),
+    "entities": lambda ctx, path: extraction_mod.load_entity_map(path),
+    "graph": lambda ctx, path: graph_mod.load_graph(path),
+    "paths": lambda ctx, path: traversal_mod.load_paths(path),
+    "subsets": lambda ctx, path: balance_mod.load_subsets(path, ctx.load("paths")),
+    "synth": lambda ctx, path: synthesis_mod.load_synthetic_corpus(path),
+}
 
 
-def run_pipeline(config: RunConfig, force: bool = False) -> dict:
-    """Execute all stages; returns the run manifest (also written to disk)."""
-    problems = validate_config(config)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    workdir = Path(config.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+@dataclass
+class StageContext:
+    """What a stage reads: the config, one path per bound artifact key, and
+    the run's artifact table. ``force`` rebuilds the hop decision too."""
 
-    input_path = Path(config.input)
-    chunks_path = workdir / "chunks.jsonl"
-    entities_path = workdir / "entities.jsonl"
-    graph_path = workdir / "graph.jsonl"
-    paths_path = workdir / "paths.jsonl"
-    cache_path = workdir / "embeddings.json"
-    subsets_path = workdir / "subsets.jsonl"
-    synth_path = workdir / "synth.jsonl"
-    synth_manifest_path = workdir / "synth_manifest.json"
-    analysis_outputs = [
-        workdir / "report_raw.csv",
-        workdir / "report_subsets.csv",
-        workdir / "report_synth.csv",
-        workdir / "hist_raw.svg",
-        workdir / "hist_subsets.svg",
-        workdir / "comparison.json",
-    ]
+    config: RunConfig
+    paths: dict[str, Path]
+    artifacts: _Artifacts = field(default_factory=_Artifacts)
+    force: bool = False
 
-    artifacts = _Artifacts()
-    runner = _StageRunner(artifacts, force)
+    def path(self, key: str) -> Path:
+        if key not in self.paths:
+            raise ConfigurationError(f"this stage needs the {key} file")
+        return self.paths[key]
 
-    # Each loader is looked up as a module attribute at call time, so a wrapper
-    # installed there (the benchmark's tracer) sees the call.
-    def chunk_store():
-        return artifacts.get(chunks_path, corpus_mod.load_chunks)
+    def load(self, key: str):
+        """The artifact's value, handed on by the stage that wrote it or parsed now."""
+        return self.artifacts.get(self.path(key), lambda path: _LOADERS[key](self, path))
 
-    def entity_map():
-        return artifacts.get(entities_path, extraction_mod.load_entity_map)
+    def put(self, key: str, value) -> None:
+        self.artifacts.put(self.paths[key], value)
 
-    def path_set():
-        return artifacts.get(paths_path, traversal_mod.load_paths)
 
-    def subsets():
-        return artifacts.get(subsets_path, lambda p: balance_mod.load_subsets(p, path_set()))
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step: the artifact keys it reads and writes, and ``fn``,
+    which writes the bound outputs and returns the counts for the manifest."""
 
-    def stage_ingest():
-        with open(input_path, "r", encoding="utf-8") as f:
-            docs = corpus_mod.ingest_corpus(f)
-        chunks: list[corpus_mod.Chunk] = []
-        titles: dict[str, str] = {}
-        with contextlib.ExitStack() as stack:
-            if config.chunking.policy == "fixed":
-                policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(
-                    max_chars=config.chunking.max_chars
-                )
-            else:
-                backend = stack.enter_context(embedding_backend(config.embedding))
-                cache = embedding_mod.EmbeddingCache()
-                policy = corpus_mod.SemanticChunking(
-                    embed=lambda text: embedding_mod.embed_text(text, backend, cache),
-                    breakpoint_percentile=config.chunking.breakpoint_percentile,
-                )
-            for doc in docs:
-                chunks.extend(corpus_mod.chunk_document(doc, policy))
-                titles[doc.doc_id] = doc.title
-        corpus_mod.save_chunks(chunks_path, chunks, titles)
-        artifacts.put(chunks_path, corpus_mod.ChunkStore(chunks, titles))
-        return {"documents": len(docs), "chunks": len(chunks)}
+    name: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    fn: Callable[[StageContext], dict]
 
-    def stage_extract():
-        store = chunk_store()
-        aliases = (
-            extraction_mod.load_alias_table(config.extraction.aliases)
-            if config.extraction.aliases
-            else {}
-        )
-        with contextlib.ExitStack() as stack:
-            if config.extraction.backend == "rule":
-                extractor = extraction_mod.RuleBasedExtractor()
-            else:
-                # always remote: the mock chat backend writes narratives, not
-                # entity lists; endpoint and model come from the generation section
-                remote = replace(config.generation, backend="remote")
-                extractor = extraction_mod.LlmEntityExtractor(
-                    stack.enter_context(chat_backend(remote))
-                )
-            reports = [extractor.extract(c) for c in store.chunks()]
-        entities = extraction_mod.build_entity_map(reports, aliases)
-        extraction_mod.save_entity_map(entities_path, entities)
-        artifacts.put(entities_path, entities)
-        return {"entities": len(entities)}
 
-    def stage_graph():
-        g = graph_mod.build_graph(entity_map())
-        graph_mod.save_graph(graph_path, g)
-        artifacts.put(graph_path, g)
-        return {"nodes": len(g.nodes), "edges": len(g.provenance)}
-
-    def stage_sample():
-        store = chunk_store()
-        g = artifacts.get(graph_path, graph_mod.load_graph)
-        hop_policy = _resolve_hop_policy(config, workdir, store, force, artifacts)
-        cfg = traversal_mod.TraversalConfig(
-            max_start_paragraphs=config.traversal.max_start_paragraphs,
-            depth=config.traversal.depth,
-            beam_width=config.traversal.beam_width,
-            hop_policy=hop_policy,
-            mixed_ratio=config.traversal.mixed_ratio,
-            same_document_only=config.traversal.same_document_only,
-            rng_seed=config.seed,
-        )
-        # entries are keyed by backend and text, so an earlier run's are reused
-        cache = embedding_mod.EmbeddingCache(cache_path)
-        with embedding_backend(config.embedding) as backend:
-            paths = traversal_mod.sample_paths(g, entity_map(), store, cfg, backend, cache)
-        traversal_mod.save_paths(paths_path, paths)
-        artifacts.put(paths_path, paths)
-        cache.save(cache_path)
-        return {"paths": len(paths), "hop_policy": hop_policy}
-
-    def stage_balance():
-        cfg = balance_mod.BalanceConfig(
-            target_coverage=config.balance.target_coverage,
-            standard_length=config.balance.standard_length,
-            rng_seed=config.seed,
-        )
-        allocations = balance_mod.secondary_sampling(
-            path_set(),
-            cfg,
-            entity_to_chunks=extraction_mod.entity_chunk_index(entity_map()),
-            total_chunks=len(chunk_store()),
-            rng=random.Random(config.seed),
-        )
-        balance_mod.save_subsets(subsets_path, allocations)
-        artifacts.put(subsets_path, allocations)
-        return {
-            "subsets": len(allocations),
-            "cc_pairs": sum(len(s.cc_pairs) for s in allocations),
-        }
-
-    def stage_generate():
-        requests = synthesis_mod.build_requests(
-            subsets(),
-            chunk_store(),
-            extraction_mod.canonical_names(entity_map()),
-            same_document=config.traversal.same_document_only,
-            temperature=config.generation.temperature,
-            max_tokens=config.generation.max_tokens,
-        )
-        with chat_backend(config.generation) as backend:
-            records = synthesis_mod.generate(
-                requests,
-                backend,
-                synthesis_mod.RetryPolicy(max_retries=config.generation.max_retries),
-                concurrency=config.generation.concurrency,
+def _ingest(ctx: StageContext) -> dict:
+    config = ctx.config
+    with open(ctx.path("input"), "r", encoding="utf-8") as f:
+        docs = corpus_mod.ingest_corpus(f)
+    chunks: list[corpus_mod.Chunk] = []
+    titles: dict[str, str] = {}
+    cache = None
+    with contextlib.ExitStack() as stack:
+        if config.chunking.policy == "fixed":
+            policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(
+                max_chars=config.chunking.max_chars
             )
-        manifest = synthesis_mod.write_synthetic_corpus(records, synth_path)
-        artifacts.put(synth_path, records)
-        write_json(synth_manifest_path, manifest, indent=2)
-        return manifest
+        else:
+            backend = stack.enter_context(embedding_backend(config.embedding))
+            cache = embedding_mod.EmbeddingCache(ctx.paths.get("ingest_cache"))
+            policy = corpus_mod.SemanticChunking(
+                embed=lambda text: embedding_mod.embed_text(text, backend, cache),
+                breakpoint_percentile=config.chunking.breakpoint_percentile,
+            )
+        for doc in docs:
+            chunks.extend(corpus_mod.chunk_document(doc, policy))
+            titles[doc.doc_id] = doc.title
+    corpus_mod.save_chunks(ctx.path("chunks"), chunks, titles)
+    ctx.put("chunks", corpus_mod.ChunkStore(chunks, titles))
+    if cache is not None and cache.path:
+        cache.save()
+    return {"documents": len(docs), "chunks": len(chunks)}
 
-    def stage_analyze():
-        entities = entity_map()
-        allocations = subsets()
-        records = artifacts.get(synth_path, synthesis_mod.load_synthetic_corpus)
-        buckets = config.analysis.buckets
-        raw = analysis_mod.entity_distribution("raw", entities, buckets=buckets)
-        sub = analysis_mod.entity_distribution(
-            "subsets", entities, subsets=allocations, buckets=buckets
+
+def _extract(ctx: StageContext) -> dict:
+    config = ctx.config
+    store = ctx.load("chunks")
+    aliases = (
+        extraction_mod.load_alias_table(config.extraction.aliases)
+        if config.extraction.aliases
+        else {}
+    )
+    with contextlib.ExitStack() as stack:
+        if config.extraction.backend == "rule":
+            extractor = extraction_mod.RuleBasedExtractor()
+        else:
+            # always remote: the mock chat backend writes narratives, not
+            # entity lists; endpoint and model come from the generation section
+            remote = replace(config.generation, backend="remote")
+            extractor = extraction_mod.LlmEntityExtractor(
+                stack.enter_context(chat_backend(remote))
+            )
+        reports = [extractor.extract(c) for c in store.chunks()]
+    entities = extraction_mod.build_entity_map(reports, aliases)
+    extraction_mod.save_entity_map(ctx.path("entities"), entities)
+    ctx.put("entities", entities)
+    return {"entities": len(entities)}
+
+
+def _graph(ctx: StageContext) -> dict:
+    g = graph_mod.build_graph(ctx.load("entities"))
+    graph_mod.save_graph(ctx.path("graph"), g)
+    ctx.put("graph", g)
+    return {"nodes": len(g.nodes), "edges": len(g.provenance)}
+
+
+def _synthetic_char_volume(records) -> int:
+    total = 0
+    for rec in records:
+        if rec.status != "ok":
+            continue
+        total += len(rec.narrative)
+        for item in rec.qa or []:
+            total += len(item.get("question", "")) + len(item.get("answer", ""))
+        total += len(rec.comparison or "")
+    return total
+
+
+def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
+    """Volume schedule: one-hop until accumulated synthetic characters pass
+    HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
+
+    The decision is snapshotted to the bound hop_decision file so rebuilding
+    the sample stage alone cannot be influenced by downstream artifacts.
+    """
+    decision_path = ctx.paths.get("hop_decision")
+    synth_path = ctx.paths.get("synth")
+    if ctx.config.traversal.hop_policy != "auto":
+        policy = ctx.config.traversal.hop_policy
+        accumulated = raw_chars = None
+    elif decision_path and decision_path.exists() and not ctx.force:
+        return json.loads(decision_path.read_text(encoding="utf-8"))["hop_policy"]
+    else:
+        raw_chars = sum(len(c.text) for c in chunk_store.chunks())
+        accumulated = 0
+        if synth_path and synth_path.exists():
+            accumulated = _synthetic_char_volume(ctx.load("synth"))
+        policy = "one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw_chars else "two_hop"
+    if decision_path:
+        write_json(
+            decision_path,
+            {
+                "hop_policy": policy,
+                "accumulated_chars": accumulated,
+                "raw_chars": raw_chars,
+                "schedule_multiple": HOP_SCHEDULE_MULTIPLE,
+            },
         )
-        syn = analysis_mod.entity_distribution(
-            "synth", entities, subsets=allocations, records=records, buckets=buckets
+    return policy
+
+
+def _sample(ctx: StageContext) -> dict:
+    config = ctx.config
+    store = ctx.load("chunks")
+    g = ctx.load("graph")
+    hop_policy = _resolve_hop_policy(ctx, store)
+    cfg = traversal_mod.TraversalConfig(
+        max_start_paragraphs=config.traversal.max_start_paragraphs,
+        depth=config.traversal.depth,
+        beam_width=config.traversal.beam_width,
+        hop_policy=hop_policy,
+        same_document_only=config.traversal.same_document_only,
+        rng_seed=config.seed,
+    )
+    # entries are keyed by backend and text, so an earlier run's are reused
+    cache = embedding_mod.EmbeddingCache(ctx.paths.get("embeddings"))
+    with embedding_backend(config.embedding) as backend:
+        paths = traversal_mod.sample_paths(g, ctx.load("entities"), store, cfg, backend, cache)
+    traversal_mod.save_paths(ctx.path("paths"), paths)
+    ctx.put("paths", paths)
+    if cache.path:
+        cache.save()
+    return {"paths": len(paths), "hop_policy": hop_policy}
+
+
+def _balance(ctx: StageContext) -> dict:
+    allocations = balance_mod.secondary_sampling(
+        ctx.load("paths"),
+        replace(ctx.config.balance, rng_seed=ctx.config.seed),
+        entity_to_chunks=extraction_mod.entity_chunk_index(ctx.load("entities")),
+        total_chunks=len(ctx.load("chunks")),
+    )
+    balance_mod.save_subsets(ctx.path("subsets"), allocations)
+    ctx.put("subsets", allocations)
+    return {
+        "subsets": len(allocations),
+        "cc_pairs": sum(len(s.cc_pairs) for s in allocations),
+    }
+
+
+def _generate(ctx: StageContext) -> dict:
+    config = ctx.config
+    requests = synthesis_mod.build_requests(
+        ctx.load("subsets"),
+        ctx.load("chunks"),
+        extraction_mod.canonical_names(ctx.load("entities")),
+        same_document=config.traversal.same_document_only,
+        temperature=config.generation.temperature,
+        max_tokens=config.generation.max_tokens,
+    )
+    with chat_backend(config.generation) as backend:
+        records = synthesis_mod.generate(
+            requests,
+            backend,
+            synthesis_mod.RetryPolicy(max_retries=config.generation.max_retries),
+            concurrency=config.generation.concurrency,
         )
-        analysis_mod.emit_report_csv(raw, analysis_outputs[0])
-        analysis_mod.emit_report_csv(sub, analysis_outputs[1])
-        analysis_mod.emit_report_csv(syn, analysis_outputs[2])
-        analysis_mod.emit_histogram_svg(raw, analysis_outputs[3])
-        analysis_mod.emit_histogram_svg(sub, analysis_outputs[4])
+    manifest = synthesis_mod.write_synthetic_corpus(records, ctx.path("synth"))
+    ctx.put("synth", records)
+    if "synth_manifest" in ctx.paths:
+        write_json(ctx.paths["synth_manifest"], manifest, indent=2)
+    return manifest
+
+
+def _analyze(ctx: StageContext) -> dict:
+    """The report (``report_<source>``) and histogram (``hist_<source>``) of
+    each bound source, and the raw-versus-subsets ``comparison``."""
+    entities = ctx.load("entities")
+    wanted = {"raw", "subsets", "synth"} if "comparison" in ctx.paths else set()
+    reports = {}
+    for source in ("raw", "subsets", "synth"):
+        report_path = ctx.paths.get(f"report_{source}")
+        hist_path = ctx.paths.get(f"hist_{source}")
+        if not (report_path or hist_path or source in wanted):
+            continue
+        report = reports[source] = analysis_mod.entity_distribution(
+            source,
+            entities,
+            subsets=ctx.load("subsets") if source != "raw" else None,
+            records=ctx.load("synth") if source == "synth" else None,
+            buckets=ctx.config.analysis.buckets,
+        )
+        if report_path:
+            analysis_mod.emit_report_csv(report, report_path)
+        if hist_path:
+            analysis_mod.emit_histogram_svg(report, hist_path)
+    if wanted:
+        raw, sub = reports["raw"], reports["subsets"]
         delta = analysis_mod.compare_reports(raw, sub)
         write_json(
-            analysis_outputs[5],
+            ctx.paths["comparison"],
             {
                 "raw_gini": raw.gini,
                 "subsets_gini": sub.gini,
-                "synth_gini": syn.gini,
+                "synth_gini": reports["synth"].gini,
                 "gini_delta": delta.gini_delta,
                 "cv_delta": delta.cv_delta,
                 "coverage_delta": delta.coverage_delta,
@@ -582,48 +577,135 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
             },
             indent=2,
         )
-        return {
-            "entities": len(entities),
-            "raw_gini": round(raw.gini, 4),
-            "subsets_gini": round(sub.gini, 4),
-        }
+    counts = {"entities": len(entities)}
+    for source, report in reports.items():
+        counts[f"{source}_gini"] = round(report.gini, 4)
+    return counts
 
-    hop_decision_path = workdir / "hop_decision.json"
-    runner.run("ingest", [input_path], [chunks_path], stage_ingest)
-    runner.run("extract", [chunks_path], [entities_path], stage_extract)
-    runner.run("graph", [entities_path], [graph_path], stage_graph)
-    runner.run(
+
+STAGES = (
+    Stage("ingest", ("input",), ("chunks", "ingest_cache"), _ingest),
+    Stage("extract", ("chunks",), ("entities",), _extract),
+    Stage("graph", ("entities",), ("graph",), _graph),
+    Stage(
         "sample",
-        [chunks_path, entities_path, graph_path],
-        [paths_path, cache_path, hop_decision_path],
-        stage_sample,
-    )
-    runner.run("balance", [chunks_path, entities_path, paths_path], [subsets_path], stage_balance)
-    runner.run(
+        ("chunks", "entities", "graph"),
+        ("paths", "embeddings", "hop_decision"),
+        _sample,
+    ),
+    Stage("balance", ("chunks", "entities", "paths"), ("subsets",), _balance),
+    Stage(
         "generate",
-        [chunks_path, entities_path, paths_path, subsets_path],
-        [synth_path, synth_manifest_path],
-        stage_generate,
-    )
-    runner.run(
+        ("chunks", "entities", "paths", "subsets"),
+        ("synth", "synth_manifest"),
+        _generate,
+    ),
+    Stage(
         "analyze",
-        [entities_path, paths_path, subsets_path, synth_path],
-        analysis_outputs,
-        stage_analyze,
-    )
+        ("entities", "paths", "subsets", "synth"),
+        (
+            "report_raw", "report_subsets", "report_synth",
+            "hist_raw", "hist_subsets", "hist_synth", "comparison",
+        ),
+        _analyze,
+    ),
+)
 
-    manifest = {"config_digest": _config_digest(config), "stages": runner.entries}
+# The file each artifact key names in a run's workdir; ``run`` binds
+# ``input`` to ``config.input`` and leaves ``ingest_cache`` and
+# ``hist_synth`` unbound.
+WORKDIR_FILES = {
+    "chunks": "chunks.jsonl",
+    "entities": "entities.jsonl",
+    "graph": "graph.jsonl",
+    "paths": "paths.jsonl",
+    "embeddings": "embeddings.json",
+    "hop_decision": "hop_decision.json",
+    "subsets": "subsets.jsonl",
+    "synth": "synth.jsonl",
+    "synth_manifest": "synth_manifest.json",
+    "report_raw": "report_raw.csv",
+    "report_subsets": "report_subsets.csv",
+    "report_synth": "report_synth.csv",
+    "hist_raw": "hist_raw.svg",
+    "hist_subsets": "hist_subsets.svg",
+    "comparison": "comparison.json",
+}
+
+
+def _run_stages(stages, ctx: StageContext) -> list[dict]:
+    """Run each stage over its bound keys; one manifest entry per stage.
+
+    A stage whose bound outputs all exist is skipped unless ``ctx.force``.
+    """
+    entries = []
+    for stage in stages:
+        start = time.perf_counter()
+        inputs = [ctx.paths[k] for k in stage.inputs if k in ctx.paths]
+        outputs = [ctx.paths[k] for k in stage.outputs if k in ctx.paths]
+        skipped = bool(outputs) and all(p.exists() for p in outputs) and not ctx.force
+        counts: dict = {}
+        if skipped:
+            log.info("stage %s: outputs exist, skipping", stage.name)
+        else:
+            for p in inputs:
+                if not p.exists():
+                    raise StageError(stage.name, FileNotFoundError(f"missing input {p}"))
+            ctx.artifacts.forget(outputs)
+            try:
+                counts = stage.fn(ctx)
+            except (StageError, ConfigurationError):
+                raise
+            except Exception as e:
+                raise StageError(stage.name, e) from e
+        entries.append(
+            {
+                "name": stage.name,
+                "inputs": {str(p): ctx.artifacts.digest(p) for p in inputs if p.exists()},
+                "outputs": {str(p): ctx.artifacts.digest(p) for p in outputs if p.exists()},
+                "seconds": round(time.perf_counter() - start, 4),
+                "counts": counts,
+                "skipped": skipped,
+            }
+        )
+    return entries
+
+
+def run_pipeline(config: RunConfig, force: bool = False) -> dict:
+    """Execute all stages; returns the run manifest (also written to disk)."""
+    _check_config(config)
+    workdir = Path(config.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    paths = {key: workdir / name for key, name in WORKDIR_FILES.items()}
+    paths["input"] = Path(config.input)
+    stages = _run_stages(STAGES, StageContext(config, paths, force=force))
+    manifest = {"config_digest": _config_digest(config), "stages": stages}
     write_json(workdir / "run_manifest.json", manifest, indent=2)
     return manifest
 
 
 # --- argparse wiring ---------------------------------------------------------
+#
+# A stage subcommand's flags name their targets in ``dest``: ``section.field``
+# sets that field of the run config, ``seed`` the seed, and ``@key`` binds an
+# artifact key to the file given. Unset flags keep the config defaults.
 
 
-def _add_embedding_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embedding-backend", choices=["hash", "remote"], default="hash")
-    p.add_argument("--dim", type=int, default=embedding_mod.DEFAULT_HASH_DIM)
-    p.add_argument("--cache", default=None, help="embedding cache file")
+def _stage_parser(sub, name: str, help: str, stage: str | None = None):
+    p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    p.set_defaults(handler=_cmd_stage, stage=stage or name)
+    return p
+
+
+def _add_embedding_args(p: argparse.ArgumentParser, cache_key: str) -> None:
+    p.add_argument("--embedding-backend", dest="embedding.backend", choices=["hash", "remote"])
+    p.add_argument("--dim", dest="embedding.dim", type=int)
+    p.add_argument("--cache", dest=f"@{cache_key}", help="embedding cache file")
+
+
+def _standard_length(text: str) -> int | str:
+    # anything but a number stays text, for validation to name
+    return int(text) if text.isdigit() else text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,252 +715,124 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="split a JSONL corpus into chunks")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--chunk-policy", choices=["fixed", "semantic"], default="fixed")
-    p.add_argument("--max-chars", type=int, default=corpus_mod.DEFAULT_MAX_CHARS)
+    p = _stage_parser(sub, "ingest", "split a JSONL corpus into chunks")
+    p.add_argument("--input", dest="@input", required=True)
+    p.add_argument("--out", dest="@chunks", required=True)
+    p.add_argument("--chunk-policy", dest="chunking.policy", choices=["fixed", "semantic"])
+    p.add_argument("--max-chars", dest="chunking.max_chars", type=int)
     p.add_argument(
-        "--breakpoint-percentile",
-        type=float,
-        default=corpus_mod.DEFAULT_BREAKPOINT_PERCENTILE,
+        "--breakpoint-percentile", dest="chunking.breakpoint_percentile", type=float
     )
-    _add_embedding_args(p)
+    _add_embedding_args(p, "ingest_cache")
 
-    p = sub.add_parser("extract", help="extract entities and build the entity map")
-    p.add_argument("--chunks", required=True)
-    p.add_argument("--backend", choices=["rule", "llm"], default="rule")
-    p.add_argument("--aliases", default=None)
-    p.add_argument("--out", required=True)
+    p = _stage_parser(sub, "extract", "extract entities and build the entity map")
+    p.add_argument("--chunks", dest="@chunks", required=True)
+    p.add_argument("--backend", dest="extraction.backend", choices=["rule", "llm"])
+    p.add_argument("--aliases", dest="extraction.aliases")
+    p.add_argument("--out", dest="@entities", required=True)
 
     p = sub.add_parser("graph", help="context graph operations")
     gsub = p.add_subparsers(dest="graph_command", required=True)
-    gb = gsub.add_parser("build")
-    gb.add_argument("--entities", required=True)
-    gb.add_argument("--out", required=True)
+    gb = _stage_parser(gsub, "build", "build the context graph", stage="graph")
+    gb.add_argument("--entities", dest="@entities", required=True)
+    gb.add_argument("--out", dest="@graph", required=True)
     gs = gsub.add_parser("stats")
     gs.add_argument("--graph", required=True)
+    gs.set_defaults(handler=_cmd_graph_stats)
 
-    p = sub.add_parser("sample", help="sample cross-document paths")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--entities", required=True)
-    p.add_argument("--chunks", required=True)
-    p.add_argument("-S", "--max-start-paragraphs", type=int, default=3)
-    p.add_argument("-D", "--depth", type=int, default=2)
-    p.add_argument("-W", "--beam-width", type=int, default=2)
-    p.add_argument("--hop-policy", choices=list(traversal_mod.HOP_POLICIES), default="one_hop")
-    p.add_argument("--mixed-ratio", type=float, default=0.5)
-    p.add_argument("--same-document-only", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_embedding_args(p)
+    p = _stage_parser(sub, "sample", "sample cross-document paths")
+    p.add_argument("--graph", dest="@graph", required=True)
+    p.add_argument("--entities", dest="@entities", required=True)
+    p.add_argument("--chunks", dest="@chunks", required=True)
+    p.add_argument("-S", "--max-start-paragraphs", dest="traversal.max_start_paragraphs", type=int)
+    p.add_argument("-D", "--depth", dest="traversal.depth", type=int)
+    p.add_argument("-W", "--beam-width", dest="traversal.beam_width", type=int)
+    p.add_argument(
+        "--hop-policy",
+        dest="traversal.hop_policy",
+        choices=list(traversal_mod.HOP_POLICIES),
+        default="one_hop",
+    )
+    p.add_argument(
+        "--same-document-only", dest="traversal.same_document_only", action="store_true"
+    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="@paths", required=True)
+    _add_embedding_args(p, "embeddings")
 
-    p = sub.add_parser("balance", help="secondary sampling into subsets")
-    p.add_argument("--paths", required=True)
-    p.add_argument("--entities", required=True)
-    p.add_argument("--chunks", required=True)
-    p.add_argument("-r", "--target-coverage", type=float, default=1.0)
-    p.add_argument("-l", "--standard-length", default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p = _stage_parser(sub, "balance", "secondary sampling into subsets")
+    p.add_argument("--paths", dest="@paths", required=True)
+    p.add_argument("--entities", dest="@entities", required=True)
+    p.add_argument("--chunks", dest="@chunks", required=True)
+    p.add_argument("-r", "--target-coverage", dest="balance.target_coverage", type=float)
+    p.add_argument(
+        "-l", "--standard-length", dest="balance.standard_length", type=_standard_length
+    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="@subsets", required=True)
 
-    p = sub.add_parser("generate", help="run generation over the subsets")
-    p.add_argument("--subsets", required=True)
-    p.add_argument("--paths", required=True)
-    p.add_argument("--chunks", required=True)
-    p.add_argument("--entities", required=True)
-    p.add_argument("--backend", choices=["mock", "remote"], default="mock")
-    p.add_argument("--temperature", type=float, default=synthesis_mod.DEFAULT_TEMPERATURE)
-    p.add_argument("--max-tokens", type=int, default=synthesis_mod.DEFAULT_MAX_TOKENS)
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--concurrency", type=int, default=1)
-    p.add_argument("--same-document", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--manifest", default=None)
+    p = _stage_parser(sub, "generate", "run generation over the subsets")
+    p.add_argument("--subsets", dest="@subsets", required=True)
+    p.add_argument("--paths", dest="@paths", required=True)
+    p.add_argument("--chunks", dest="@chunks", required=True)
+    p.add_argument("--entities", dest="@entities", required=True)
+    p.add_argument("--backend", dest="generation.backend", choices=["mock", "remote"])
+    p.add_argument("--temperature", dest="generation.temperature", type=float)
+    p.add_argument("--max-tokens", dest="generation.max_tokens", type=int)
+    p.add_argument("--retries", dest="generation.max_retries", type=int)
+    p.add_argument("--concurrency", dest="generation.concurrency", type=int)
+    p.add_argument(
+        "--same-document", dest="traversal.same_document_only", action="store_true"
+    )
+    p.add_argument("--out", dest="@synth", required=True)
+    p.add_argument("--manifest", dest="@synth_manifest")
 
-    p = sub.add_parser("analyze", help="entity distribution reports")
+    p = _stage_parser(sub, "analyze", "entity distribution reports")
     p.add_argument("--source", choices=["raw", "subsets", "synth"], required=True)
-    p.add_argument("--entities", required=True)
-    p.add_argument("--subsets", default=None)
-    p.add_argument("--paths", default=None)
-    p.add_argument("--synth", default=None)
-    p.add_argument("--buckets", type=int, default=analysis_mod.DEFAULT_BUCKETS)
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot", default=None)
+    p.add_argument("--entities", dest="@entities", required=True)
+    p.add_argument("--subsets", dest="@subsets")
+    p.add_argument("--paths", dest="@paths")
+    p.add_argument("--synth", dest="@synth")
+    p.add_argument("--buckets", dest="analysis.buckets", type=int)
+    # --source picks the report and histogram that --out and --plot name
+    p.add_argument("--out", dest="@report_{source}", metavar="OUT", required=True)
+    p.add_argument("--plot", dest="@hist_{source}", metavar="PLOT")
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--workdir", default=None, help="override config workdir")
     p.add_argument("--force", action="store_true", help="rebuild existing artifacts")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("validate", help="validate a config file")
     p.add_argument("--config", required=True)
+    p.set_defaults(handler=_cmd_validate)
 
     return parser
 
 
-def _make_cache(path: str | None) -> embedding_mod.EmbeddingCache:
-    return embedding_mod.EmbeddingCache(path) if path else embedding_mod.EmbeddingCache()
-
-
-def _embedding_settings(args) -> EmbeddingConfig:
-    return EmbeddingConfig(backend=args.embedding_backend, dim=args.dim)
-
-
-def _cmd_ingest(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as f:
-        docs = corpus_mod.ingest_corpus(f)
-    chunks: list[corpus_mod.Chunk] = []
-    titles: dict[str, str] = {}
-    with contextlib.ExitStack() as stack:
-        if args.chunk_policy == "fixed":
-            policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(max_chars=args.max_chars)
-        else:
-            backend = stack.enter_context(embedding_backend(_embedding_settings(args)))
-            cache = _make_cache(args.cache)
-            policy = corpus_mod.SemanticChunking(
-                embed=lambda text: embedding_mod.embed_text(text, backend, cache),
-                breakpoint_percentile=args.breakpoint_percentile,
-            )
-        for doc in docs:
-            chunks.extend(corpus_mod.chunk_document(doc, policy))
-            titles[doc.doc_id] = doc.title
-    corpus_mod.save_chunks(args.out, chunks, titles)
-    print(f"ingested {len(docs)} documents into {len(chunks)} chunks")
+def _cmd_stage(args) -> int:
+    """One stage over the files its flags name, validated as ``run`` validates."""
+    config = RunConfig()
+    paths: dict[str, Path] = {}
+    for dest, value in vars(args).items():
+        if dest.startswith("@"):
+            paths[dest[1:].format_map(vars(args))] = Path(value)
+        elif dest == "seed":
+            config.seed = value
+        elif "." in dest:
+            section, name = dest.split(".")
+            setattr(config, section, replace(getattr(config, section), **{name: value}))
+    _check_config(config)
+    stage = next(s for s in STAGES if s.name == args.stage)
+    [entry] = _run_stages([stage], StageContext(config, paths, force=True))
+    print(json.dumps(entry["counts"], sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_extract(args) -> int:
-    store = corpus_mod.load_chunks(args.chunks)
-    aliases = extraction_mod.load_alias_table(args.aliases) if args.aliases else {}
-    with contextlib.ExitStack() as stack:
-        if args.backend == "rule":
-            extractor = extraction_mod.RuleBasedExtractor()
-        else:
-            extractor = extraction_mod.LlmEntityExtractor(
-                stack.enter_context(chat_backend(GenerationConfig(backend="remote")))
-            )
-        reports = [extractor.extract(c) for c in store.chunks()]
-    entity_map = extraction_mod.build_entity_map(reports, aliases)
-    extraction_mod.save_entity_map(args.out, entity_map)
-    print(f"extracted {len(entity_map)} entities from {len(store)} chunks")
-    return EXIT_OK
-
-
-def _cmd_graph(args) -> int:
-    if args.graph_command == "build":
-        entity_map = extraction_mod.load_entity_map(args.entities)
-        g = graph_mod.build_graph(entity_map)
-        graph_mod.save_graph(args.out, g)
-        print(f"graph: {len(g.nodes)} nodes, {len(g.provenance)} edges")
-        return EXIT_OK
-    g = graph_mod.load_graph(args.graph)
-    stats = graph_mod.graph_stats(g)
+def _cmd_graph_stats(args) -> int:
+    stats = graph_mod.graph_stats(graph_mod.load_graph(args.graph))
     print(json.dumps(asdict(stats), sort_keys=True, indent=2, default=str))
-    return EXIT_OK
-
-
-def _cmd_sample(args) -> int:
-    store = corpus_mod.load_chunks(args.chunks)
-    entity_map = extraction_mod.load_entity_map(args.entities)
-    g = graph_mod.load_graph(args.graph)
-    cfg = traversal_mod.TraversalConfig(
-        max_start_paragraphs=args.max_start_paragraphs,
-        depth=args.depth,
-        beam_width=args.beam_width,
-        hop_policy=args.hop_policy,
-        mixed_ratio=args.mixed_ratio,
-        same_document_only=args.same_document_only,
-        rng_seed=args.seed,
-    )
-    problems = cfg.validate()
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    cache = _make_cache(args.cache)
-    with embedding_backend(_embedding_settings(args)) as backend:
-        path_set = traversal_mod.sample_paths(g, entity_map, store, cfg, backend, cache)
-    traversal_mod.save_paths(args.out, path_set)
-    if args.cache:
-        cache.save(args.cache)
-    print(f"sampled {len(path_set)} paths")
-    return EXIT_OK
-
-
-def _cmd_balance(args) -> int:
-    store = corpus_mod.load_chunks(args.chunks)
-    entity_map = extraction_mod.load_entity_map(args.entities)
-    path_set = traversal_mod.load_paths(args.paths)
-    length = args.standard_length
-    if length != "auto":
-        length = int(length)
-    cfg = balance_mod.BalanceConfig(
-        target_coverage=args.target_coverage, standard_length=length, rng_seed=args.seed
-    )
-    problems = cfg.validate()
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    subsets = balance_mod.secondary_sampling(
-        path_set,
-        cfg,
-        entity_to_chunks=extraction_mod.entity_chunk_index(entity_map),
-        total_chunks=len(store),
-    )
-    balance_mod.save_subsets(args.out, subsets)
-    print(f"allocated {len(subsets)} subsets")
-    return EXIT_OK
-
-
-def _cmd_generate(args) -> int:
-    store = corpus_mod.load_chunks(args.chunks)
-    entity_map = extraction_mod.load_entity_map(args.entities)
-    path_set = traversal_mod.load_paths(args.paths)
-    subsets = balance_mod.load_subsets(args.subsets, path_set)
-    requests = synthesis_mod.build_requests(
-        subsets,
-        store,
-        extraction_mod.canonical_names(entity_map),
-        same_document=args.same_document,
-        temperature=args.temperature,
-        max_tokens=args.max_tokens,
-    )
-    settings = GenerationConfig(backend=args.backend, concurrency=args.concurrency)
-    with chat_backend(settings) as backend:
-        records = synthesis_mod.generate(
-            requests,
-            backend,
-            synthesis_mod.RetryPolicy(max_retries=args.retries),
-            concurrency=settings.concurrency,
-        )
-    manifest = synthesis_mod.write_synthetic_corpus(records, args.out)
-    if args.manifest:
-        write_json(args.manifest, manifest, indent=2)
-    print(json.dumps(manifest, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    entity_map = extraction_mod.load_entity_map(args.entities)
-    subsets = None
-    records = None
-    if args.source in ("subsets", "synth"):
-        if not args.subsets or not args.paths:
-            raise ConfigurationError(f"--source {args.source} needs --subsets and --paths")
-        path_set = traversal_mod.load_paths(args.paths)
-        subsets = balance_mod.load_subsets(args.subsets, path_set)
-    if args.source == "synth":
-        if not args.synth:
-            raise ConfigurationError("--source synth needs --synth")
-        records = synthesis_mod.load_synthetic_corpus(args.synth)
-    report = analysis_mod.entity_distribution(
-        args.source, entity_map, subsets=subsets, records=records, buckets=args.buckets
-    )
-    analysis_mod.emit_report_csv(report, args.out)
-    if args.plot:
-        analysis_mod.emit_histogram_svg(report, args.plot)
-    print(
-        f"gini={report.gini:.4f} cv={report.coefficient_of_variation:.4f} "
-        f"coverage={report.coverage:.4f}"
-    )
     return EXIT_OK
 
 
@@ -886,11 +840,6 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.workdir:
         config.workdir = args.workdir
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
     manifest = run_pipeline(config, force=args.force)
     for entry in manifest["stages"]:
         flag = "skipped" if entry["skipped"] else f"{entry['seconds']}s"
@@ -899,41 +848,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    _check_config(load_config(args.config))
     print("config ok")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "extract": _cmd_extract,
-    "graph": _cmd_graph,
-    "sample": _cmd_sample,
-    "balance": _cmd_balance,
-    "generate": _cmd_generate,
-    "analyze": _cmd_analyze,
-    "run": _cmd_run,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("GRAPHSYNTH_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_STAGE
     except GraphSynthError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STAGE

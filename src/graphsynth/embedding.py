@@ -93,6 +93,8 @@ class RemoteEmbeddingBackend:
 class EmbeddingCache:
     """(backend id, content hash) -> vector, persisted as a single JSON file.
 
+    ``save`` writes only the entries this cache looked up or added since it
+    was made, so entries loaded for texts a run no longer has are dropped.
     Reads are lock-free on the snapshot dict; writes are serialized.
     """
 
@@ -100,6 +102,7 @@ class EmbeddingCache:
         self.path = Path(path) if path else None
         self._entries: dict[tuple[str, str], Vector] = {}
         self._dims: dict[str, int] = {}
+        self._used: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         if self.path and self.path.exists():
             self.load(self.path)
@@ -108,9 +111,16 @@ class EmbeddingCache:
         return len(self._entries)
 
     def get(self, backend_id: str, key: str) -> Vector | None:
-        return self._entries.get((backend_id, key))
+        hit = self._entries.get((backend_id, key))
+        if hit is not None:
+            self._used.add((backend_id, key))
+        return hit
 
     def put(self, backend_id: str, key: str, vector: Vector) -> None:
+        self._store(backend_id, key, vector)
+        self._used.add((backend_id, key))
+
+    def _store(self, backend_id: str, key: str, vector: Vector) -> None:
         with self._lock:
             dim = self._dims.get(backend_id)
             if dim is not None and dim != len(vector):
@@ -124,15 +134,15 @@ class EmbeddingCache:
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
         for rec in payload.get("entries", []):
-            self.put(rec["backend"], rec["hash"], tuple(float(x) for x in rec["values"]))
+            self._store(rec["backend"], rec["hash"], tuple(float(x) for x in rec["values"]))
 
     def save(self, path: str | Path | None = None) -> None:
         target = Path(path) if path else self.path
         if target is None:
             raise ValueError("no cache path configured")
         entries = [
-            {"backend": backend, "hash": key, "values": list(vec)}
-            for (backend, key), vec in sorted(self._entries.items())
+            {"backend": backend, "hash": key, "values": list(self._entries[backend, key])}
+            for backend, key in sorted(self._used)
         ]
         write_json(target, {"entries": entries})
 

@@ -84,6 +84,24 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [("balance", "rng_seed"), ("traversal", "mixed_ratio")])
+def test_load_config_rejects_removed_knobs(tmp_path, section, key):
+    path = _write_config(tmp_path, {section: {key: 0.5}})
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(path)
+
+
+def test_sample_subcommand_has_no_mixed_ratio_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(
+            [
+                "sample", "--graph", "g", "--entities", "e", "--chunks", "c",
+                "--mixed-ratio", "0.5", "--out", str(tmp_path / "paths.jsonl"),
+            ]
+        )
+    assert "--mixed-ratio" in capsys.readouterr().err
+
+
 # --- run_pipeline --------------------------------------------------------------------
 
 
@@ -258,6 +276,20 @@ def test_sample_rebuild_reuses_the_embedding_cache(tmp_path, monkeypatch):
     assert paths_path.read_bytes() == original
 
 
+def test_forced_rerun_after_a_config_change_writes_a_fresh_embedding_cache(tmp_path):
+    data = _config_dict(tmp_path, "out_forced")
+    run_pipeline(load_config(_write_config(tmp_path, data, "a.yaml")))
+    data["chunking"]["max_chars"] = 120
+    run_pipeline(load_config(_write_config(tmp_path, data, "a.yaml")), force=True)
+    fresh = _config_dict(tmp_path, "out_fresh")
+    fresh["chunking"]["max_chars"] = 120
+    run_pipeline(load_config(_write_config(tmp_path, fresh, "b.yaml")))
+    cache = "embeddings.json"
+    assert (tmp_path / "out_forced" / cache).read_bytes() == (
+        tmp_path / "out_fresh" / cache
+    ).read_bytes()
+
+
 def test_sample_and_generate_log_progress(tmp_path, caplog):
     config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
     with caplog.at_level(logging.INFO, logger="graphsynth"):
@@ -280,7 +312,7 @@ def test_sample_and_generate_log_progress(tmp_path, caplog):
 def test_semantic_chunking_and_mixed_hops_run_end_to_end(tmp_path):
     data = _config_dict(tmp_path)
     data["chunking"] = {"policy": "semantic", "breakpoint_percentile": 5.0}
-    data["traversal"] = {"depth": 2, "beam_width": 2, "hop_policy": "mixed", "mixed_ratio": 0.5}
+    data["traversal"] = {"depth": 2, "beam_width": 2, "hop_policy": "mixed"}
     data["workdir"] = str(tmp_path / "out_semantic")
     config = load_config(_write_config(tmp_path, data, "semantic.yaml"))
     manifest = run_pipeline(config)
@@ -432,51 +464,94 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_stagewise_chain(tmp_path):
-    corpus = _write_corpus(tmp_path)
-    chunks = tmp_path / "chunks.jsonl"
-    entities = tmp_path / "entities.jsonl"
-    graph = tmp_path / "graph.jsonl"
-    paths = tmp_path / "paths.jsonl"
-    subsets = tmp_path / "subsets.jsonl"
-    synth = tmp_path / "synth.jsonl"
-    report = tmp_path / "report.csv"
-    plot = tmp_path / "hist.svg"
+    # the _config_dict run, one subcommand at a time
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    out = tmp_path / "chain"
+    out.mkdir()
 
-    assert main(
-        ["ingest", "--input", str(corpus), "--out", str(chunks), "--max-chars", "55"]
-    ) == EXIT_OK
-    assert main(
-        ["extract", "--chunks", str(chunks), "--backend", "rule", "--out", str(entities)]
-    ) == EXIT_OK
-    assert main(["graph", "build", "--entities", str(entities), "--out", str(graph)]) == EXIT_OK
-    assert main(["graph", "stats", "--graph", str(graph)]) == EXIT_OK
-    assert main(
+    def f(name):
+        return str(out / name)
+
+    files = ["--chunks", f("chunks.jsonl"), "--entities", f("entities.jsonl")]
+    commands = [
+        ["ingest", "--input", config.input, "--out", f("chunks.jsonl"), "--max-chars", "55"],
+        ["extract", *files[:2], "--backend", "rule", "--out", f("entities.jsonl")],
+        ["graph", "build", "--entities", f("entities.jsonl"), "--out", f("graph.jsonl")],
+        ["graph", "stats", "--graph", f("graph.jsonl")],
         [
-            "sample", "--graph", str(graph), "--entities", str(entities),
-            "--chunks", str(chunks), "-S", "3", "-D", "2", "-W", "2",
-            "--hop-policy", "one_hop", "--seed", "7", "--out", str(paths),
-        ]
-    ) == EXIT_OK
-    assert main(
+            "sample", "--graph", f("graph.jsonl"), *files, "-S", "3", "-D", "2", "-W", "2",
+            "--hop-policy", "one_hop", "--seed", "7", "--cache", f("embeddings.json"),
+            "--out", f("paths.jsonl"),
+        ],
         [
-            "balance", "--paths", str(paths), "--entities", str(entities),
-            "--chunks", str(chunks), "-r", "1.0", "-l", "auto",
-            "--seed", "7", "--out", str(subsets),
-        ]
-    ) == EXIT_OK
-    assert main(
+            "balance", "--paths", f("paths.jsonl"), *files, "-r", "1.0", "-l", "auto",
+            "--seed", "7", "--out", f("subsets.jsonl"),
+        ],
         [
-            "generate", "--subsets", str(subsets), "--paths", str(paths),
-            "--chunks", str(chunks), "--entities", str(entities),
-            "--backend", "mock", "--temperature", "0.7", "--out", str(synth),
+            "generate", "--subsets", f("subsets.jsonl"), "--paths", f("paths.jsonl"), *files,
+            "--backend", "mock", "--temperature", "0.7", "--concurrency", "2",
+            "--manifest", f("synth_manifest.json"), "--out", f("synth.jsonl"),
+        ],
+    ]
+    for source in ("raw", "subsets", "synth"):
+        command = [
+            "analyze", "--source", source, "--entities", f("entities.jsonl"),
+            "--subsets", f("subsets.jsonl"), "--paths", f("paths.jsonl"),
+            "--synth", f("synth.jsonl"), "--out", f(f"report_{source}.csv"),
         ]
-    ) == EXIT_OK
-    assert main(
+        if source != "synth":
+            command += ["--plot", f(f"hist_{source}.svg")]
+        commands.append(command)
+    for command in commands:
+        assert main(command) == EXIT_OK, command
+
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(
         [
-            "analyze", "--source", "subsets", "--entities", str(entities),
-            "--subsets", str(subsets), "--paths", str(paths),
-            "--out", str(report), "--plot", str(plot),
+            "chunks.jsonl", "entities.jsonl", "graph.jsonl", "paths.jsonl", "embeddings.json",
+            "subsets.jsonl", "synth.jsonl", "synth_manifest.json", "report_raw.csv",
+            "report_subsets.csv", "report_synth.csv", "hist_raw.svg", "hist_subsets.svg",
         ]
-    ) == EXIT_OK
-    assert report.exists() and plot.exists()
-    assert json.loads(synth.read_text().splitlines()[0])["status"] == "ok"
+    )
+    for name in written:
+        assert (out / name).read_bytes() == (workdir / name).read_bytes(), name
+
+
+def _stage_command(workdir: Path, out: Path, stage: str) -> list[str]:
+    def files(*names):
+        return [arg for n in names for arg in (f"--{n}", str(workdir / f"{n}.jsonl"))]
+
+    return {
+        "ingest": ["ingest", "--input", str(workdir.parent / "corpus.jsonl")],
+        "sample": ["sample", *files("graph", "entities", "chunks")],
+        "balance": ["balance", *files("paths", "entities", "chunks")],
+        "generate": ["generate", *files("subsets", "paths", "chunks", "entities")],
+        "analyze": ["analyze", "--source", "raw", *files("entities")],
+    }[stage] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "stage, flags, problem",
+    [
+        ("balance", ["-l", "abc"], "balance.standard_length"),
+        ("ingest", ["--max-chars", "0"], "chunking.max_chars"),
+        ("sample", ["--dim", "0"], "embedding.dim"),
+        ("generate", ["--temperature", "9"], "generation.temperature"),
+        ("generate", ["--retries", "-1"], "generation.max_retries"),
+        ("generate", ["--concurrency", "0"], "generation.concurrency"),
+        ("analyze", ["--buckets", "0"], "analysis.buckets"),
+        ("analyze", ["--source", "synth"], "needs the subsets file"),
+    ],
+)
+def test_stage_subcommands_validate_like_run(tmp_path, capsys, stage, flags, problem):
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    capsys.readouterr()
+    out = tmp_path / "out.file"
+    assert main(_stage_command(Path(config.workdir), out, stage) + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and problem in err
+    assert "Traceback" not in err
+    assert not out.exists()
