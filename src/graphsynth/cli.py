@@ -497,7 +497,7 @@ def _sample(ctx: StageContext) -> dict:
     ctx.put("paths", paths)
     if cache.path:
         cache.save()
-    return {"paths": len(paths), "hop_policy": hop_policy}
+    return {"paths": len(paths), "hop_policy": hop_policy, **paths.counts}
 
 
 def _balance(ctx: StageContext) -> dict:

@@ -59,8 +59,10 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
 
 def write_json(path: str | Path, obj: Any, **dump_kwargs) -> None:
     """Write one JSON document with sorted keys, atomically."""
+    # One dumps call: json.dump streams through the pure-Python encoder.
+    text = json.dumps(obj, sort_keys=True, **dump_kwargs)
     with atomic_write(path) as f:
-        json.dump(obj, f, sort_keys=True, **dump_kwargs)
+        f.write(text)
 
 
 def sha256_file(path: str | Path) -> str:

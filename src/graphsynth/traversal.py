@@ -8,16 +8,23 @@ paragraph, and the top W candidates are kept. Leaves of the retained beam
 become paths.
 
 The sampler holds chunk embeddings as the columns of one matrix, filled
-the first time a candidate needs them, and each entity's candidate pool
-as arrays of (neighbor, chunk) pairs in (entity_id, chunk_id) order. A
-step masks the pool, scores what is left with the exact left-to-right
-summation of ``similarity()``, and keeps the head of a stable sort, so
-the ranking, tie-breaks and scores equal those of the scalar definition.
+the first time a candidate needs them, and every entity's chunk rows in
+one CSR array; an entity's candidate pool is the concatenation of its
+neighbors' slices, in (entity_id, chunk_id) order. A step ranks the
+unmasked pool in two passes. A BLAS product of the root query with the
+matrix gives each candidate an approximate score and a proven bound on
+its distance from the exact one (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., section 3.1). Only the candidates whose
+upper bound reaches the W-th largest lower bound can be in the top W, and
+only they are scored exactly, with the left-to-right summation of
+``similarity()``; the head of a stable sort over them is kept. So the
+ranking, tie-breaks and scores equal those of the scalar definition.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -26,7 +33,7 @@ import numpy as np
 
 from .corpus import ChunkStore
 from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
-from .errors import BackendError
+from .errors import BackendError, IntegrityError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
@@ -34,6 +41,27 @@ from .jsonl import iter_jsonl, write_jsonl
 log = logging.getLogger(__name__)
 
 HOP_POLICIES = ("one_hop", "two_hop", "mixed")
+
+# Any summation order of a d-term dot product q.c lies within
+# gamma_d |q|.|c| <= gamma_d ||q|| ||c|| of the real value, gamma_d =
+# d u / (1 - d u) with unit roundoff u (Higham, section 3.1), so a BLAS score
+# and the ordered sum differ by at most about 2 d u ||q|| ||c||. The bound
+# takes (4 d + 16) u ||q|| ||c||: the rest covers rounding in the norms, in
+# the bound and in the pruning threshold. Pruning runs only while ||q|| and
+# the largest ||c|| lie in [2**-500, 2**500]: then no partial sum overflows,
+# no norm loses accuracy to underflow, and the bound exceeds the error of
+# products that underflow. Otherwise every candidate is scored exactly.
+_UNIT_ROUNDOFF = 2.0**-53
+_NORM_MIN, _NORM_MAX = 2.0**-500, 2.0**500
+
+
+def _error_bound(dim: int, q_norm: float, c_norm: float) -> float:
+    """Largest gap between a BLAS score ``q . c`` and the ordered sum, for ||c|| <= c_norm."""
+    return (4 * dim + 16) * _UNIT_ROUNDOFF * q_norm * c_norm
+
+
+def _bounded(norm: float) -> bool:
+    return _NORM_MIN <= norm <= _NORM_MAX  # false for nan
 
 
 @dataclass
@@ -64,6 +92,9 @@ class Path:
 @dataclass
 class PathSet:
     paths: list[Path] = field(default_factory=list)
+    # What the sampler did: candidates left after masking, and how many of
+    # them it scored exactly.
+    counts: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -142,7 +173,7 @@ class _CandidatePool:
     def neighbor_of(self, candidate: int) -> str:
         # The last neighbor starting at or before the candidate; a neighbor
         # without chunks starts where the next one does, so it never is.
-        return self.neighbors[int(np.searchsorted(self.bounds, candidate, side="right")) - 1]
+        return self.neighbors[int(self.bounds.searchsorted(candidate, side="right")) - 1]
 
 
 class PathSampler:
@@ -157,14 +188,14 @@ class PathSampler:
     ):
         self.graph = graph
         self.entity_map = list(entity_map)
-        self.entity_chunks = {rec.entity_id: list(rec.chunk_ids) for rec in entity_map}
         self.chunk_store = chunk_store
         self.cfg = cfg
         self.backend = backend
         self.cache = cache if cache is not None else EmbeddingCache()
+        entity_chunks = {rec.entity_id: rec.chunk_ids for rec in entity_map}
         # One matrix row per chunk of the entity map; column j of the
         # transposed matrix is row j's embedding once _filled[j] is set.
-        self._chunk_ids = sorted({c for chunks in self.entity_chunks.values() for c in chunks})
+        self._chunk_ids = sorted({c for chunks in entity_chunks.values() for c in chunks})
         self._row = {c: i for i, c in enumerate(self._chunk_ids)}
         self._doc_codes: dict[str, int] = {}
         self._row_doc = np.array(
@@ -174,19 +205,54 @@ class PathSampler:
             ],
             dtype=np.int64,
         )
+        # CSR over entities: an entity's rows, ascending, are
+        # _entity_rows[_entity_slice[entity]]; _holders[row] lists the
+        # entities that hold that chunk.
+        sizes = [len(chunks) for chunks in entity_chunks.values()]
+        rows = np.array(
+            [self._row[c] for chunks in entity_chunks.values() for c in chunks], dtype=np.int32
+        )
+        owners = np.repeat(np.arange(len(sizes)), sizes)
+        self._entity_rows = rows[np.lexsort((rows, owners))]
+        ends = np.cumsum(sizes).tolist()
+        self._entity_slice = {
+            e: slice(end - n, end) for e, n, end in zip(entity_chunks, sizes, ends)
+        }
+        self._holders: dict[int, list[str]] = {}
+        for e, chunks in entity_chunks.items():
+            for c in chunks:
+                self._holders.setdefault(self._row[c], []).append(e)
         self._matrix_t: np.ndarray | None = None
         self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
+        self._fill_log: list[int] = []  # rows in the order they were filled
         self._pools: dict[str, _CandidatePool] = {}
+        self._max_norm = 0.0
+        # _query's result for the query with these bytes, current up to
+        # _fill_log[:_query_seen].
+        self._query_key: bytes | None = None
+        self._query_norm = 0.0
+        self._query_scores = np.zeros(0, dtype=np.float64)
+        self._query_seen = 0
+        self.candidates = 0  # candidates left after masking, over all steps
+        self.rescored = 0  # candidates scored exactly
 
     def _fill(self, row: int) -> None:
         vector = embed_text(
             self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
         )
+        if not vector:
+            raise IntegrityError(f"backend '{self.backend.backend_id}' returned an empty vector")
         if self._matrix_t is None:
             # The cache rejects a vector whose dimension differs from earlier ones.
-            self._matrix_t = np.empty((len(vector), len(self._chunk_ids)), dtype=np.float64)
-        self._matrix_t[:, row] = vector
+            # Zeros, not np.empty: _approximate multiplies unfilled columns too.
+            self._matrix_t = np.zeros((len(vector), len(self._chunk_ids)), dtype=np.float64)
+        column = self._matrix_t[:, row]
+        column[:] = vector
+        norm = math.sqrt(float(column @ column))
+        # max() would drop a nan; as inf it keeps _bounded false
+        self._max_norm = max(self._max_norm, norm if norm < math.inf else math.inf)
         self._filled[row] = True
+        self._fill_log.append(row)
 
     def _embed_chunk(self, chunk_id: str) -> np.ndarray:
         row = self._row[chunk_id]
@@ -198,19 +264,43 @@ class PathSampler:
         pool = self._pools.get(entity)
         if pool is None:
             neighbors = sorted(self.graph.adjacency.get(entity, []))
-            rows: list[int] = []
-            bounds = [0]
-            for nb in neighbors:
-                rows.extend(self._row[c] for c in sorted(self.entity_chunks.get(nb, [])))
-                bounds.append(len(rows))
+            parts = [
+                self._entity_rows[self._entity_slice.get(nb, slice(0, 0))] for nb in neighbors
+            ]
             pool = _CandidatePool(
                 neighbors,
                 {nb: i for i, nb in enumerate(neighbors)},
-                np.array(bounds, dtype=np.int64),
-                np.array(rows, dtype=np.int32),
+                np.cumsum([0] + [len(part) for part in parts]),
+                np.concatenate([self._entity_rows[:0], *parts]),
             )
             self._pools[entity] = pool
         return pool
+
+    def _approximate(self, q: np.ndarray, columns) -> np.ndarray:
+        """BLAS scores ``q . c`` of the matrix columns ``columns``.
+
+        Each may differ from the ordered sum by up to ``_error_bound``; a
+        test swaps in a scorer that errs by nearly that much.
+        """
+        return q @ self._matrix_t[:, columns]
+
+    def _query(self, q: np.ndarray) -> tuple[float, np.ndarray]:
+        """``q``'s norm and ``_approximate`` over every column.
+
+        Kept for the query with ``q``'s bytes (tests pass tuples that are
+        not matrix columns); a later call for it multiplies only the
+        columns filled since.
+        """
+        key = q.tobytes()
+        if key != self._query_key:
+            self._query_key = key
+            self._query_norm = math.sqrt(float(q @ q))
+            self._query_scores = self._approximate(q, slice(None))
+        elif self._query_seen < len(self._fill_log):
+            new = self._fill_log[self._query_seen :]
+            self._query_scores[new] = self._approximate(q, new)
+        self._query_seen = len(self._fill_log)
+        return self._query_norm, self._query_scores
 
     def expand_step(
         self,
@@ -225,8 +315,10 @@ class PathSampler:
         The pool spans all unvisited neighbors' paragraphs that are not on
         the path (and, with ``doc_id``, lie in that document); ties are
         broken by (entity_id, chunk_id) ascending. Only those candidates'
-        chunks are embedded. Each score equals ``similarity(root_vec, v)``
-        bit for bit: it is summed over dimensions in the same order.
+        chunks are embedded. A BLAS score with a proven error bound rules
+        most of the pool out of the top W; only the rest are scored, by the
+        left-to-right sum of ``similarity()``, so each returned score
+        equals ``similarity(root_vec, v)`` bit for bit.
         """
         pool = self._pool(current[0])
         keep = np.ones(len(pool.rows), dtype=bool)
@@ -236,28 +328,47 @@ class PathSampler:
                 keep[pool.bounds[i] : pool.bounds[i + 1]] = False
         for chunk_id in chunks_on_path:
             row = self._row.get(chunk_id)
-            if row is not None:
-                keep &= pool.rows != row
+            if row is None:
+                continue
+            for holder in self._holders[row]:
+                i = pool.position.get(holder)
+                if i is not None:
+                    start, end = pool.bounds[i], pool.bounds[i + 1]
+                    first, stop = start + pool.rows[start:end].searchsorted((row, row + 1))
+                    keep[first:stop] = False
         if doc_id is not None:
             keep &= self._row_doc[pool.rows] == self._doc_codes.get(doc_id, -1)
         idx = np.flatnonzero(keep)
         if idx.size == 0:
             return []
         rows = pool.rows[idx]
-        for row in rows[~self._filled[rows]].tolist():
-            if not self._filled[row]:  # a chunk of two neighbors is listed twice
-                self._fill(row)
+        if len(self._fill_log) < len(self._chunk_ids):
+            for row in rows[~self._filled[rows]].tolist():
+                if not self._filled[row]:  # a chunk of two neighbors is listed twice
+                    self._fill(row)
 
         q = np.asarray(root_vec, dtype=np.float64)
-        products = self._matrix_t[:, rows]
-        if q.shape != (products.shape[0],):
-            raise ValueError(f"dimension mismatch: {len(q)} vs {products.shape[0]}")
-        products *= q[:, None]
-        # Dimension by dimension from 0.0, as ``similarity()`` sums; a matrix
-        # product or np.sum would reassociate the sum and change the last bits.
-        scores = np.zeros(len(rows), dtype=np.float64)
-        for row in products:
-            scores += row
+        if q.shape != (self._matrix_t.shape[0],):
+            raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
+        self.candidates += len(rows)
+        if len(rows) > self.cfg.beam_width:
+            q_norm, approx_all = self._query(q)
+            if _bounded(q_norm) and _bounded(self._max_norm):
+                # Each exact score is within err of its approx, so the W-th
+                # largest exact score is at least the W-th largest approx
+                # minus err, and a candidate whose approx falls below that by
+                # more than err cannot be in the top W. The rest keep their
+                # pool order.
+                approx = approx_all[rows]
+                kth = len(rows) - self.cfg.beam_width
+                err = _error_bound(len(q), q_norm, self._max_norm)
+                contenders = np.flatnonzero(approx >= np.partition(approx, kth)[kth] - 2 * err)
+                idx, rows = idx[contenders], rows[contenders]
+        self.rescored += len(rows)
+        # Row by row from the first, as ``similarity()`` sums; a matrix product
+        # or np.sum would reassociate the sum and change the last bits. Adding
+        # 0.0 turns the -0.0 of an all-(-0.0) column into similarity()'s 0.0.
+        scores = np.cumsum(self._matrix_t[:, rows] * q[:, None], axis=0)[-1] + 0.0
         top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width]
         return [
             (pool.neighbor_of(idx[k]), self._chunk_ids[rows[k]], float(scores[k]))
@@ -328,7 +439,7 @@ class PathSampler:
                 log.info("sample: %d/%d roots done, %d paths", done, len(roots), len(paths))
         for i, p in enumerate(paths):
             p.path_id = f"p{i:06d}"
-        return PathSet(paths=paths)
+        return PathSet(paths, {"candidates": self.candidates, "rescored": self.rescored})
 
 
 def sample_paths(

@@ -27,7 +27,7 @@ from graphsynth.extraction import RuleBasedExtractor
 from graphsynth.synthesis import MockLlmBackend
 from graphsynth.jsonl import sha256_file
 
-from fixture_corpus import two_document_corpus
+from fixture_corpus import longtail_corpus_jsonl, two_document_corpus
 
 
 def _write_corpus(tmp_path: Path) -> Path:
@@ -119,6 +119,18 @@ def test_full_run_produces_all_stages(tmp_path):
     assert counts["balance"]["subsets"] >= 1
     assert counts["generate"]["records"] > 0
     assert counts["generate"]["rejected"] == 0
+
+
+def test_sample_counts_candidates_and_exact_rescores(tmp_path):
+    # On a Zipf corpus head entities pool most chunks, and the error bound
+    # lets only a few candidates per step reach the exact re-score.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(longtail_corpus_jsonl()) + "\n", encoding="utf-8")
+    config = RunConfig(input=str(corpus), workdir=str(tmp_path / "out"))
+    manifest = run_pipeline(config)
+    counts = next(s["counts"] for s in manifest["stages"] if s["name"] == "sample")
+    assert 0 < counts["rescored"] <= counts["candidates"]
+    assert counts["rescored"] * 20 < counts["candidates"]
 
 
 def test_rerun_identical_digests(tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from graphsynth.jsonl import iter_jsonl, write_jsonl
+from graphsynth.jsonl import iter_jsonl, write_json, write_jsonl
 
 
 def test_write_that_raises_halfway_keeps_the_earlier_file(tmp_path):
@@ -22,3 +24,15 @@ def test_write_that_raises_halfway_keeps_the_earlier_file(tmp_path):
     assert write_jsonl(target, [{"n": 2}]) == 1
     assert list(iter_jsonl(target)) == [{"n": 2}]
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, indent):
+    obj = {
+        "zeta": [0.1, -2.5e-310, 1e308, -0.0],
+        "alpha": {"b": [3.141592653589793, 2.0 / 3.0], "a": {"n": 1, "x": [1e-7]}},
+        "mid": [{"y": 0.5, "x": -1.25}, []],
+    }
+    target = tmp_path / "doc.json"
+    write_json(target, obj, indent=indent)
+    assert target.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=indent)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from graphsynth.embedding import EmbeddingCache, similarity
@@ -110,7 +113,7 @@ def test_expand_filters_other_documents_when_pinned():
     assert [(c[0], c[1]) for c in pinned] == [("b", "d1#1")]
 
 
-@pytest.mark.parametrize("dim", [1, 4, 64])
+@pytest.mark.parametrize("dim", [1, 4, 64, 768])
 def test_expand_scores_equal_scalar_similarity(dim):
     rng = random.Random(dim)
     chunks = [f"c{i:02d}" for i in range(40)]
@@ -126,6 +129,123 @@ def test_expand_scores_equal_scalar_similarity(dim):
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )
     assert cands == expected
+
+
+@pytest.mark.parametrize("dim", [4, 64, 768])
+@pytest.mark.parametrize("width", [1, 3, 100])
+def test_expand_scores_equal_scalar_similarity_under_cancellation(dim, width):
+    # Components of +-1e8 cancel in the sum and leave an O(1) score, so a
+    # BLAS product and the ordered sum differ far above the last bit.
+    rng = random.Random(dim + width)
+    chunks = [f"c{i:02d}" for i in range(40)]
+    spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
+    big = rng.sample(range(dim), 2)
+    q = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+    q[big[0]], q[big[1]] = 1e8, 1e8
+    vectors = {"qa": tuple(q)}
+    for c in chunks:
+        v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        sign = rng.choice((1.0, -1.0))
+        v[big[0]], v[big[1]] = sign * (1.0 + rng.random()), -sign * (1.0 + rng.random())
+        vectors[c] = tuple(v)
+    vectors[chunks[3]] = vectors[chunks[20]]  # an exact tie
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+    expected = sorted(
+        ((e, c, similarity(vectors["qa"], vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
+        key=lambda cand: (-cand[2], cand[0], cand[1]),
+    )[:width]
+    assert json.dumps(cands) == json.dumps(expected)
+
+
+def test_expand_scores_a_sum_of_negative_zeros_as_zero():
+    # similarity() adds to 0, so a sum of -0.0 products is 0.0, as paths.jsonl writes it.
+    spec = {"a": ["qa"], "b": ["qa", "z", "y", "x"]}
+    vectors = {"qa": (-1.0, -2.0), "z": (0.0, 0.0), "y": (0.0, 0.0), "x": (-1.0, 0.0)}
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=3))
+    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+    assert json.dumps(cands) == json.dumps([["b", "x", 1.0], ["b", "y", 0.0], ["b", "z", 0.0]])
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("query", ["qa", "h", "n", "t", (math.nan, 1.0), (1e300, -1e300)])
+@pytest.mark.parametrize("extra", [[], ["h", "o"], ["n", "n2"], ["t"]])
+def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extra):
+    # Norms past the range the error bound covers, or a nan, in a chunk or
+    # in the query make the step score every candidate exactly; nan scores
+    # sort last, in pool order.
+    spec = {"a": ["qa"], "b": ["qa", "f1", "f2", *extra], "c": ["qa", "f3"]}
+    vectors = {
+        "qa": (1.0, 1.0), "f1": (0.5, 0.25), "f2": (-1.0, 2.0), "f3": (0.75, 0.0),
+        "h": (1e300, 1e300), "o": (1e308, 1e308), "n": (math.nan, 0.0), "n2": (0.0, math.nan),
+        "t": (1e-160, -1e-170),
+    }
+    q = vectors[query] if isinstance(query, str) else query
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+    scored = [(e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]]
+    ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
+    expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
+    assert json.dumps(cands) == json.dumps(expected)
+
+
+def _allowed_error(q, c):
+    """The gap the traversal module allows between a BLAS score and the ordered sum."""
+    dim = len(q)
+    return (4 * dim + 16) * 2.0**-53 * math.hypot(*q) * math.hypot(*c)
+
+
+class AdversarialSampler(PathSampler):
+    """Approximate scores off by 3/4 of the allowed error: the expected top W
+    are pushed down and every other candidate up, so near ties flip."""
+
+    winners: set[str] = set()
+
+    def _approximate(self, q, columns):
+        out = []
+        for j in np.arange(self._matrix_t.shape[1])[columns].tolist():
+            c = tuple(self._matrix_t[:, j].tolist())
+            push = 0.75 * _allowed_error(tuple(q.tolist()), c)
+            exact = similarity(tuple(q.tolist()), c)
+            out.append(exact - push if self._chunk_ids[j] in self.winners else exact + push)
+        return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_expand_is_exact_under_an_approximate_scorer_that_errs_by_the_bound(width):
+    # Signed permutations of one vector share its norm and tie often; copies
+    # one ulp away make near ties. A bound too small to cover the scorer's
+    # error drops a true top-W candidate. Scaling a query by 2**-570 keeps
+    # its ties, but its squares underflow.
+    rng = random.Random(width)
+    base = [3.0, -1.0, 2.0, 0.5, 0.0, -2.5, 1.0, 4.0]
+
+    def signed_permutation():
+        v = base[:]
+        rng.shuffle(v)
+        return tuple(x * rng.choice((1.0, -1.0)) for x in v)
+
+    chunks = [f"c{i:02d}" for i in range(40)]
+    vectors = {c: signed_permutation() for c in ["qa"] + chunks}
+    for near, original in zip(chunks[1::4], chunks[0::4]):
+        vectors[near] = tuple(np.nextafter(vectors[original], math.inf).tolist())
+    spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
+    entity_map = make_entity_map(spec)
+    store = make_store({c: c for c in vectors})
+    sampler = AdversarialSampler(
+        build_graph(entity_map), entity_map, store, TraversalConfig(beam_width=width),
+        FakeEmbedder(vectors), EmbeddingCache(),
+    )
+    for query in ["qa"] + chunks[:8]:
+        for scale in (1.0, 2.0**-570):
+            q = tuple(x * scale for x in vectors[query])
+            expected = sorted(
+                ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
+                key=lambda cand: (-cand[2], cand[0], cand[1]),
+            )[:width]
+            sampler.winners = {c for _, c, _ in expected}
+            assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, (query, scale)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +385,33 @@ def test_five_entity_toy_matches_exhaustive_enumeration():
     assert got == _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
 
 
+@pytest.mark.parametrize(
+    "depth, width, policy", [(1, 1, "one_hop"), (2, 2, "two_hop"), (3, 2, "mixed")]
+)
+def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, policy):
+    # Vectors from a five-value grid tie often, so the tie-break decides
+    # many beams; paths and scores must follow similarity() exactly.
+    for seed in range(10):
+        rng = random.Random(900 + seed)
+        chunk_entities, entity_chunks, _ = _random_instance(rng, 7, 16)
+        vectors = {
+            c: tuple(rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0)) for _ in range(3))
+            for c in sorted(chunk_entities)
+        }
+        cfg = TraversalConfig(
+            depth=depth, beam_width=width, hop_policy=policy, max_start_paragraphs=99
+        )
+        entity_map = make_entity_map(entity_chunks)
+        store = make_store({c: c for c in vectors})
+        graph = build_graph(entity_map)
+        paths = sample_paths(graph, entity_map, store, cfg, FakeEmbedder(vectors)).paths
+        got = sorted(tuple(p.steps) for p in paths)
+        assert got == _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg), seed
+        for p in paths:
+            q = vectors[p.root_chunk]
+            assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]]
+
+
 def test_path_invariants_on_random_graphs():
     for seed in range(8):
         rng = random.Random(seed)
@@ -370,6 +517,15 @@ def test_backend_errors_identify_the_root():
     with pytest.raises(BackendError, match="root a") as err:
         sampler.sample()
     assert err.value.retryable
+
+
+def test_an_empty_embedding_is_rejected():
+    from graphsynth.errors import IntegrityError
+
+    spec = {"a": ["qa"], "b": ["qa", "cb"]}
+    sampler = _toy_sampler(spec, {"qa": (), "cb": ()}, TraversalConfig())
+    with pytest.raises(IntegrityError, match="empty vector"):
+        sampler.sample()
 
 
 def test_paths_file_roundtrip(tmp_path):
