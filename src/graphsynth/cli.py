@@ -226,7 +226,7 @@ def load_config(path: str | Path) -> RunConfig:
 def validate_config(config: RunConfig) -> list[str]:
     """Empty list iff every stage precondition holds."""
     problems: list[str] = []
-    if not isinstance(config.seed, int):
+    if not isinstance(config.seed, int) or isinstance(config.seed, bool):
         problems.append("seed must be an integer")
     problems += config.chunking.validate()
     problems += config.extraction.validate()

@@ -83,13 +83,14 @@ class Fragment:
     doc_title: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationRequest:
     request_id: str
     strategy: str  # "cot" | "cc"
     source_id: str
-    fragments: list[Fragment]
+    fragments: tuple[Fragment, ...]
     prompt_text: str
+    prompt_tokens: int  # len(prompt_text.split())
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
 
@@ -114,12 +115,97 @@ class RetryPolicy:
     max_retries: int = 2
 
 
-def _render_fragments(fragments: Sequence[Fragment]) -> str:
-    blocks = []
-    for i, frag in enumerate(fragments, start=1):
-        title = f" (article: {frag.doc_title})" if frag.doc_title else ""
-        blocks.append(f"Fragment {i} — entity: {frag.entity_name}{title}\n{frag.chunk_text}")
-    return "\n\n".join(blocks)
+# Each template splits at ``{fragments}`` into a head and a tail. A prompt is
+# the head, one block per fragment, blocks separated by a blank line, and the
+# tail. Block i reads ``"Fragment i — entity: "`` followed by the fragment's
+# piece: its entity name, the optional ``" (article: …)"``, a newline and the
+# chunk text. Every junction between those parts has whitespace on at least
+# one side (the head ends and the tail starts with a blank line, the block
+# prefix ends in a space), so no ``str.split`` token spans two parts and a
+# prompt's token count is the sum of its parts' counts.
+_BLOCK_TOKENS = len("Fragment 1 — entity: ".split())
+
+
+def _split_template(template: str) -> tuple[str, str, int]:
+    """The head and tail of ``template`` and their token count."""
+    head, tail = template.format(fragments="\0").split("\0")
+    if not (head[-1:].isspace() and tail[:1].isspace()):  # what str.split splits on
+        raise ValueError("a prompt template needs whitespace on both sides of {fragments}")
+    return head, tail, len(head.split()) + len(tail.split())
+
+
+_TEMPLATES = {"cot": _split_template(COT_PROMPT_TEMPLATE), "cc": _split_template(CC_PROMPT_TEMPLATE)}
+_REPAIR_TOKENS = len(REPAIR_INSTRUCTION.split())
+
+
+class _Renderer:
+    """Renders the requests of one call. Each distinct (entity, chunk)
+    fragment is looked up, rendered and counted once, then quoted by every
+    request that cites it."""
+
+    def __init__(
+        self,
+        chunk_store: ChunkStore,
+        entity_names: Mapping[str, str],
+        same_document: bool,
+        temperature: float,
+        max_tokens: int,
+    ):
+        self.chunk_store = chunk_store
+        self.entity_names = entity_names
+        self.same_document = same_document
+        self.temperature = temperature
+        self.max_tokens = max_tokens
+        # (entity_id, chunk_id) -> (fragment, piece, the piece's token count)
+        self._pieces: dict[tuple[str, str], tuple[Fragment, str, int]] = {}
+
+    def _piece(self, entity_id: str, chunk_id: str, owner: str) -> tuple[Fragment, str, int]:
+        if chunk_id not in self.chunk_store:
+            raise IntegrityError(f"{owner} references unknown chunk '{chunk_id}'")
+        fragment = Fragment(
+            entity_name=self.entity_names.get(entity_id, entity_id),
+            chunk_text=self.chunk_store.get(chunk_id).text,
+            doc_title=self.chunk_store.title_for(chunk_id) if self.same_document else None,
+        )
+        title = f" (article: {fragment.doc_title})" if fragment.doc_title else ""
+        piece = f"{fragment.entity_name}{title}\n{fragment.chunk_text}"
+        entry = self._pieces[entity_id, chunk_id] = (fragment, piece, len(piece.split()))
+        return entry
+
+    def _request(
+        self, strategy: str, source_id: str, request_id: str,
+        steps: Sequence[tuple[str, str]], owner: str,
+    ) -> GenerationRequest:
+        head, tail, tokens = _TEMPLATES[strategy]
+        fragments = []
+        parts = [head]
+        for i, (entity_id, chunk_id) in enumerate(steps, start=1):
+            fragment, piece, count = (
+                self._pieces.get((entity_id, chunk_id)) or self._piece(entity_id, chunk_id, owner)
+            )
+            fragments.append(fragment)
+            parts += (f"Fragment {i} — entity: ", piece, "\n\n")
+            tokens += _BLOCK_TOKENS + count
+        parts[-1] = tail  # in place of the blank line after the last block
+        return GenerationRequest(
+            request_id, strategy, source_id, tuple(fragments), "".join(parts),
+            tokens, self.temperature, self.max_tokens,
+        )
+
+    def cot(self, path: Path) -> GenerationRequest:
+        if len(path.steps) < 2:
+            raise ValueError("a chained-narrative request needs a path with >= 2 steps")
+        return self._request(
+            "cot", path.path_id or "", f"cot:{path.path_id}", path.steps, f"path {path.path_id}"
+        )
+
+    def cc(self, pair: CCPair) -> GenerationRequest:
+        if pair.left[0] == pair.right[0]:
+            raise ValueError("a contrastive pair needs two distinct entities")
+        return self._request(
+            "cc", pair.pair_id, f"cc:{pair.pair_id}", (pair.left, pair.right),
+            f"pair {pair.pair_id}",
+        )
 
 
 def render_cot_prompt(
@@ -132,29 +218,7 @@ def render_cot_prompt(
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> GenerationRequest:
     """One chained-narrative request per path, fragments in path order."""
-    if len(path.steps) < 2:
-        raise ValueError("a chained-narrative request needs a path with >= 2 steps")
-    fragments = []
-    for entity_id, chunk_id in path.steps:
-        if chunk_id not in chunk_store:
-            raise IntegrityError(f"path {path.path_id} references unknown chunk '{chunk_id}'")
-        fragments.append(
-            Fragment(
-                entity_name=entity_names.get(entity_id, entity_id),
-                chunk_text=chunk_store.get(chunk_id).text,
-                doc_title=chunk_store.title_for(chunk_id) if same_document else None,
-            )
-        )
-    prompt = COT_PROMPT_TEMPLATE.format(fragments=_render_fragments(fragments))
-    return GenerationRequest(
-        request_id=f"cot:{path.path_id}",
-        strategy="cot",
-        source_id=path.path_id or "",
-        fragments=fragments,
-        prompt_text=prompt,
-        temperature=temperature,
-        max_tokens=max_tokens,
-    )
+    return _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens).cot(path)
 
 
 def render_cc_prompt(
@@ -167,30 +231,7 @@ def render_cc_prompt(
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> GenerationRequest:
     """One contrastive request per sparse-entity pair."""
-    (ex, cx), (ey, cy) = pair.left, pair.right
-    if ex == ey:
-        raise ValueError("a contrastive pair needs two distinct entities")
-    fragments = []
-    for entity_id, chunk_id in (pair.left, pair.right):
-        if chunk_id not in chunk_store:
-            raise IntegrityError(f"pair {pair.pair_id} references unknown chunk '{chunk_id}'")
-        fragments.append(
-            Fragment(
-                entity_name=entity_names.get(entity_id, entity_id),
-                chunk_text=chunk_store.get(chunk_id).text,
-                doc_title=chunk_store.title_for(chunk_id) if same_document else None,
-            )
-        )
-    prompt = CC_PROMPT_TEMPLATE.format(fragments=_render_fragments(fragments))
-    return GenerationRequest(
-        request_id=f"cc:{pair.pair_id}",
-        strategy="cc",
-        source_id=pair.pair_id,
-        fragments=fragments,
-        prompt_text=prompt,
-        temperature=temperature,
-        max_tokens=max_tokens,
-    )
+    return _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens).cc(pair)
 
 
 def build_requests(
@@ -202,22 +243,18 @@ def build_requests(
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> list[GenerationRequest]:
+    """The requests of every subset: its paths' CoT requests, then its pairs' CC requests.
+
+    Prompts are assembled from per-fragment pieces, each (entity, chunk)
+    fragment rendered once per call however many requests quote it, and
+    each request's ``prompt_tokens`` is summed from its pieces' counts; it
+    equals ``len(prompt_text.split())`` exactly.
+    """
+    renderer = _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens)
     requests: list[GenerationRequest] = []
     for subset in subsets:
-        for p in subset.cot_paths:
-            requests.append(
-                render_cot_prompt(
-                    p, chunk_store, entity_names,
-                    same_document=same_document, temperature=temperature, max_tokens=max_tokens,
-                )
-            )
-        for pair in subset.cc_pairs:
-            requests.append(
-                render_cc_prompt(
-                    pair, chunk_store, entity_names,
-                    same_document=same_document, temperature=temperature, max_tokens=max_tokens,
-                )
-            )
+        requests.extend(renderer.cot(p) for p in subset.cot_paths)
+        requests.extend(renderer.cc(pair) for pair in subset.cc_pairs)
     return requests
 
 
@@ -393,6 +430,7 @@ def _generate_one(
     request: GenerationRequest, backend: LlmBackend, policy: RetryPolicy
 ) -> SynthRecord:
     prompt = request.prompt_text
+    input_tokens = request.prompt_tokens
     repaired = False
     attempts = 0
     while True:
@@ -422,7 +460,7 @@ def _generate_one(
                 narrative=payload["narrative"],
                 qa=payload.get("qa"),
                 comparison=payload.get("comparison"),
-                input_tokens=_token_count(prompt),
+                input_tokens=input_tokens,
                 output_tokens=_token_count(raw),
                 retries=attempts,
             )
@@ -435,7 +473,7 @@ def _generate_one(
                 narrative="",
                 qa=None,
                 comparison=None,
-                input_tokens=_token_count(prompt),
+                input_tokens=input_tokens,
                 output_tokens=_token_count(raw),
                 status="rejected",
                 reject_reason=f"schema: {problem}",
@@ -443,6 +481,7 @@ def _generate_one(
             )
         if not repaired:
             prompt = prompt + "\n\n" + REPAIR_INSTRUCTION
+            input_tokens += _REPAIR_TOKENS
             repaired = True
 
 

@@ -10,7 +10,10 @@ become paths.
 The sampler holds chunk embeddings as the columns of one matrix, filled
 the first time a candidate needs them, and every entity's chunk rows in
 one CSR array; an entity's candidate pool is the concatenation of its
-neighbors' slices, in (entity_id, chunk_id) order. A step ranks the
+neighbors' slices, in (entity_id, chunk_id) order, built with a few array
+operations when a root's expansion first needs it and dropped when the
+next root entity starts, so that memory does not grow with the number of
+roots. A step ranks the
 unmasked pool in two passes. A BLAS product of the root query with the
 matrix gives each candidate an approximate score and a proven bound on
 its distance from the exact one (Higham, *Accuracy and Stability of
@@ -23,6 +26,7 @@ ranking, tie-breaks and scores equal those of the scalar definition.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import random
@@ -161,16 +165,23 @@ class _BeamNode:
 class _CandidatePool:
     """One entity's (neighbor, chunk) candidates, sorted by (entity_id, chunk_id).
 
-    Candidates ``bounds[i]:bounds[i + 1]`` are the chunks of ``neighbors[i]``
-    (``position[nb]`` is its ``i``); ``rows`` holds their matrix rows.
+    ``neighbors`` lists the neighbors' entity indices, ascending; candidates
+    ``bounds[i]:bounds[i + 1]`` are the chunks of ``neighbors[i]``, and
+    ``rows`` holds their matrix rows.
     """
 
-    neighbors: list[str]
-    position: dict[str, int]
+    neighbors: list[int]
     bounds: np.ndarray
     rows: np.ndarray
 
-    def neighbor_of(self, candidate: int) -> str:
+    def span(self, entity: int) -> tuple[int, int]:
+        """The candidates of the entity with index ``entity``: empty if it is no neighbor."""
+        i = bisect.bisect_left(self.neighbors, entity)
+        if i < len(self.neighbors) and self.neighbors[i] == entity:
+            return self.bounds[i], self.bounds[i + 1]
+        return 0, 0
+
+    def neighbor_of(self, candidate: int) -> int:
         # The last neighbor starting at or before the candidate; a neighbor
         # without chunks starts where the next one does, so it never is.
         return self.neighbors[int(self.bounds.searchsorted(candidate, side="right")) - 1]
@@ -205,27 +216,51 @@ class PathSampler:
             ],
             dtype=np.int64,
         )
-        # CSR over entities: an entity's rows, ascending, are
-        # _entity_rows[_entity_slice[entity]]; _holders[row] lists the
-        # entities that hold that chunk.
-        sizes = [len(chunks) for chunks in entity_chunks.values()]
+        # Entities in id order, so that sorting indices sorts ids; the graph
+        # may name entities without chunks.
+        self._entities = sorted(
+            set(entity_chunks).union(graph.adjacency, *graph.adjacency.values())
+        )
+        self._index = {e: i for i, e in enumerate(self._entities)}
+        # Entity i's rows, ascending, are the next sizes[i] entries of
+        # _entity_rows; _holders[row] lists the indices of the entities that
+        # hold that chunk.
+        sizes = np.zeros(len(self._entities), dtype=np.int64)
+        owners = []
+        self._holders: dict[int, list[int]] = {}
+        for e, chunks in entity_chunks.items():
+            i = self._index[e]
+            sizes[i] = len(chunks)
+            owners += [i] * len(chunks)
+            for c in chunks:
+                self._holders.setdefault(self._row[c], []).append(i)
         rows = np.array(
             [self._row[c] for chunks in entity_chunks.values() for c in chunks], dtype=np.int32
         )
-        owners = np.repeat(np.arange(len(sizes)), sizes)
-        self._entity_rows = rows[np.lexsort((rows, owners))]
-        ends = np.cumsum(sizes).tolist()
-        self._entity_slice = {
-            e: slice(end - n, end) for e, n, end in zip(entity_chunks, sizes, ends)
-        }
-        self._holders: dict[int, list[str]] = {}
-        for e, chunks in entity_chunks.items():
-            for c in chunks:
-                self._holders.setdefault(self._row[c], []).append(e)
+        self._entity_rows = rows[np.lexsort((rows, np.array(owners, dtype=np.int64)))]
+        # CSR over the graph: entity i's neighbors, ascending, fill the slots
+        # _adjacent_starts[i] to _adjacent_starts[i + 1] of _adjacent. With
+        # every pool laid end to end, slot k's candidates take the positions
+        # _slot_starts[k] to _slot_starts[k + 1], and position p holds entity
+        # row p + _slot_shift[k].
+        adjacency = [
+            sorted(self._index[nb] for nb in graph.adjacency.get(e, ())) for e in self._entities
+        ]
+        self._adjacent = np.array([i for nbs in adjacency for i in nbs], dtype=np.int64)
+        self._adjacent_starts = np.cumsum([0] + [len(nbs) for nbs in adjacency]).tolist()
+        self._slot_sizes = sizes[self._adjacent]
+        self._slot_starts = np.zeros(len(self._adjacent) + 1, dtype=np.int64)
+        np.cumsum(self._slot_sizes, out=self._slot_starts[1:])
+        self._slot_shift = (np.cumsum(sizes) - sizes)[self._adjacent] - self._slot_starts[:-1]
         self._matrix_t: np.ndarray | None = None
         self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
         self._fill_log: list[int] = []  # rows in the order they were filled
+        # The pools of the current root entity's expansion, dropped when the
+        # next root entity starts: one_hop uses a pool only for one root's S
+        # starts, back to back, and keeping every pool costs memory that
+        # grows with the corpus.
         self._pools: dict[str, _CandidatePool] = {}
+        self._pools_root: str | None = None
         self._max_norm = 0.0
         # _query's result for the query with these bytes, current up to
         # _fill_log[:_query_seen].
@@ -263,15 +298,13 @@ class PathSampler:
     def _pool(self, entity: str) -> _CandidatePool:
         pool = self._pools.get(entity)
         if pool is None:
-            neighbors = sorted(self.graph.adjacency.get(entity, []))
-            parts = [
-                self._entity_rows[self._entity_slice.get(nb, slice(0, 0))] for nb in neighbors
-            ]
+            i = self._index[entity]
+            first, last = self._adjacent_starts[i], self._adjacent_starts[i + 1]
+            bounds = self._slot_starts[first : last + 1]
+            rows = np.repeat(self._slot_shift[first:last], self._slot_sizes[first:last])
+            rows += np.arange(bounds[0], bounds[-1])
             pool = _CandidatePool(
-                neighbors,
-                {nb: i for i, nb in enumerate(neighbors)},
-                np.cumsum([0] + [len(part) for part in parts]),
-                np.concatenate([self._entity_rows[:0], *parts]),
+                self._adjacent[first:last].tolist(), bounds - bounds[0], self._entity_rows[rows]
             )
             self._pools[entity] = pool
         return pool
@@ -323,17 +356,15 @@ class PathSampler:
         pool = self._pool(current[0])
         keep = np.ones(len(pool.rows), dtype=bool)
         for nb in visited:
-            i = pool.position.get(nb)
-            if i is not None:
-                keep[pool.bounds[i] : pool.bounds[i + 1]] = False
+            start, end = pool.span(self._index.get(nb, -1))
+            keep[start:end] = False
         for chunk_id in chunks_on_path:
             row = self._row.get(chunk_id)
             if row is None:
                 continue
             for holder in self._holders[row]:
-                i = pool.position.get(holder)
-                if i is not None:
-                    start, end = pool.bounds[i], pool.bounds[i + 1]
+                start, end = pool.span(holder)
+                if start < end:
                     first, stop = start + pool.rows[start:end].searchsorted((row, row + 1))
                     keep[first:stop] = False
         if doc_id is not None:
@@ -371,12 +402,15 @@ class PathSampler:
         scores = np.cumsum(self._matrix_t[:, rows] * q[:, None], axis=0)[-1] + 0.0
         top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width]
         return [
-            (pool.neighbor_of(idx[k]), self._chunk_ids[rows[k]], float(scores[k]))
+            (self._entities[pool.neighbor_of(idx[k])], self._chunk_ids[rows[k]], float(scores[k]))
             for k in top.tolist()
         ]
 
     def _expand_root(self, root: EntityRecord, start_chunk: str) -> list[Path]:
         cfg = self.cfg
+        if root.entity_id != self._pools_root:
+            self._pools.clear()
+            self._pools_root = root.entity_id
         root_vec = self._embed_chunk(start_chunk)
         doc_id = self.chunk_store.get(start_chunk).doc_id if cfg.same_document_only else None
         depth = cfg.expansion_depth()

@@ -231,3 +231,18 @@ def gini_mean_difference(values) -> float:
     mad = sum(abs(a - b) for a in values for b in values)
     mean = total / n
     return mad / (2 * n * n * mean)
+
+
+# --- generation prompts -------------------------------------------------------
+
+
+def render_prompt(template: str, fragments) -> tuple[str, int]:
+    """The prompt for ``fragments``, (entity name, chunk text, document title
+    or None) triples in order, by one ``str.format`` of the whole template,
+    and its whitespace-token count by splitting the finished prompt."""
+    blocks = []
+    for i, (name, text, title) in enumerate(fragments, start=1):
+        article = f" (article: {title})" if title else ""
+        blocks.append(f"Fragment {i} — entity: {name}{article}\n{text}")
+    prompt = template.format(fragments="\n\n".join(blocks))
+    return prompt, len(prompt.split())

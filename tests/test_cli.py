@@ -475,6 +475,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(missing_path)]) == EXIT_STAGE
 
 
+def test_cli_rejects_a_boolean_seed(tmp_path, capsys):
+    data = _config_dict(tmp_path)
+    data["seed"] = True
+    path = _write_config(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_stagewise_chain(tmp_path):
     # the _config_dict run, one subcommand at a time
     config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))

@@ -3,12 +3,18 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsynth.balance import CCPair
+from graphsynth.balance import CCPair, SubsetAllocation
 from graphsynth.errors import BackendError, IntegrityError
 from graphsynth.synthesis import (
+    CC_PROMPT_TEMPLATE,
+    COT_PROMPT_TEMPLATE,
+    REPAIR_INSTRUCTION,
     FaultInjectingBackend,
     GenerationRequest,
     MockLlmBackend,
@@ -24,6 +30,7 @@ from graphsynth.synthesis import (
 from graphsynth.traversal import Path
 
 from conftest import make_store
+from oracles import render_prompt
 
 NAMES = {"e1": "amber analytics", "e2": "basalt biologics", "e3": "cobalt cartage"}
 
@@ -103,6 +110,68 @@ def test_cc_prompt_permits_no_connection_outcome():
     assert "no direct connection" in req.prompt_text
 
 
+# Pieces of names, titles and chunk texts: whitespace that str.split() splits
+# on (including \u2003, \x1c, \x85 and \u2028) next to words, format fields and
+# the title marker, so that an empty, whitespace-only or space-padded value
+# lands next to every junction of the prompt.
+_PIECES = st.sampled_from(
+    ["Zeta", "é—x", " ", "  ", "\n", "\t", "\u2003", "\x1c", "\x85", "\u2028",
+     "{fragments}", "{}", "{{", "}", "(article:", ")", ":"]
+)
+_TEXT = st.lists(_PIECES, max_size=6).map("".join)
+
+
+@st.composite
+def _rendering_case(draw):
+    """Names (some entities unnamed), one chunk per document with a titled
+    document, CoT paths of 2-4 steps and CC pairs over them."""
+    entities = [f"e{i}" for i in range(4)]
+    chunks = [f"d{i}#0" for i in range(4)]
+    names = {e: draw(_TEXT) for e in entities if draw(st.booleans())}
+    texts = {c: draw(_TEXT) for c in chunks}
+    titles = {c.split("#")[0]: draw(_TEXT) for c in chunks}
+    step = st.tuples(st.sampled_from(entities), st.sampled_from(chunks))
+    paths = [
+        Path(steps=steps, path_id=f"p{i:06d}")
+        for i, steps in enumerate(draw(st.lists(st.lists(step, min_size=2, max_size=4), max_size=4)))
+    ]
+    pairs = [
+        CCPair(pair_id=f"cc-0-{i}", left=(left, draw(st.sampled_from(chunks))),
+               right=(right, draw(st.sampled_from(chunks))))
+        for i, (left, right) in enumerate(
+            draw(st.lists(st.permutations(entities).map(lambda p: p[:2]), max_size=3))
+        )
+    ]
+    return names, texts, titles, paths, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rendering_case(), same_document=st.booleans())
+def test_prompts_and_token_counts_equal_the_format_reference(case, same_document):
+    names, texts, titles, paths, pairs = case
+    store = make_store(texts, titles)
+
+    def reference(template, steps):
+        return render_prompt(
+            template,
+            [
+                (names.get(e, e), texts[c], titles[c.split("#")[0]] if same_document else None)
+                for e, c in steps
+            ],
+        )
+
+    expected = [reference(COT_PROMPT_TEMPLATE, p.steps) for p in paths]
+    expected += [reference(CC_PROMPT_TEMPLATE, (pair.left, pair.right)) for pair in pairs]
+    subset = SubsetAllocation(0, paths, pairs, 1.0)
+    built = build_requests([subset], store, names, same_document=same_document)
+    single = [render_cot_prompt(p, store, names, same_document=same_document) for p in paths]
+    single += [render_cc_prompt(pair, store, names, same_document=same_document) for pair in pairs]
+    for requests in (built, single):
+        assert [(r.prompt_text.encode(), r.prompt_tokens) for r in requests] == [
+            (prompt.encode(), tokens) for prompt, tokens in expected
+        ]
+
+
 # --- generate --------------------------------------------------------------------
 
 
@@ -160,6 +229,32 @@ def test_generate_rejects_after_exhausted_retries():
     assert records[1].status == "ok"
 
 
+class _Recording:
+    """Answers from ``replies`` in turn and keeps every prompt it was sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.prompts: list[str] = []
+
+    def complete(self, prompt, *, temperature, max_tokens, request_id=None):
+        self.prompts.append(prompt)
+        return self.replies[min(len(self.prompts), len(self.replies)) - 1]
+
+
+@pytest.mark.parametrize(
+    "max_retries, valid_reply, status, calls",
+    [(2, True, "ok", 2), (0, False, "rejected", 1), (2, False, "rejected", 3)],
+)
+def test_input_tokens_count_the_last_prompt_sent(max_retries, valid_reply, status, calls):
+    req = _requests(1)[0]
+    good = MockLlmBackend().complete(req.prompt_text, temperature=0, max_tokens=1)
+    backend = _Recording(["garbage", good if valid_reply else "still garbage"])
+    (record,) = generate([req], backend, RetryPolicy(max_retries=max_retries))
+    assert (record.status, len(backend.prompts)) == (status, calls)
+    assert record.input_tokens == len(backend.prompts[-1].split())
+    assert backend.prompts[-1].endswith(REPAIR_INSTRUCTION) == (calls > 1)
+
+
 def test_generate_transient_backend_errors_are_retried():
     reqs = _requests(1)
 
@@ -191,8 +286,7 @@ def test_generate_unreachable_backend_is_run_level():
 
 def test_fault_injection_accounting_is_exact():
     reqs = _requests(40) + _requests(10, strategy="cc")
-    for i, r in enumerate(reqs):
-        r.request_id = f"req-{i:03d}"
+    reqs = [replace(r, request_id=f"req-{i:03d}") for i, r in enumerate(reqs)]
     backend = FaultInjectingBackend(MockLlmBackend(), invalid_rate=0.2, transient_rate=0.1, seed=3)
     records = generate(reqs, backend, RetryPolicy(max_retries=2), concurrency=4)
     expected_rejected = {r.request_id for r in reqs if backend.roll(r.request_id) < 0.2}
@@ -234,8 +328,7 @@ def test_build_requests_covers_paths_and_pairs():
 
 def test_output_order_independent_of_concurrency():
     reqs = _requests(8) + _requests(3, strategy="cc")
-    for i, r in enumerate(reqs):
-        r.request_id = f"req-{i:02d}"
+    reqs = [replace(r, request_id=f"req-{i:02d}") for i, r in enumerate(reqs)]
     sequential = generate(reqs, MockLlmBackend(), concurrency=1)
     threaded = generate(reqs, MockLlmBackend(), concurrency=5)
     assert [(r.request_id, r.narrative) for r in sequential] == [
@@ -245,11 +338,13 @@ def test_output_order_independent_of_concurrency():
 
 def _tagged_requests(n):
     """Requests whose prompts end in their index, so that a server can tell them apart."""
-    reqs = _requests(n)
-    for i, r in enumerate(reqs):
-        r.request_id = f"req-{i:02d}"
-        r.prompt_text += f"\n\n#{i}"
-    return reqs
+    tagged = []
+    for i, r in enumerate(_requests(n)):
+        prompt = r.prompt_text + f"\n\n#{i}"
+        tagged.append(
+            replace(r, request_id=f"req-{i:02d}", prompt_text=prompt, prompt_tokens=len(prompt.split()))
+        )
+    return tagged
 
 
 def _chat_server(json_server, refuse_first):

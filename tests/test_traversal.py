@@ -450,6 +450,34 @@ def test_beam_bound_per_root_and_start():
         assert all(n <= cfg.beam_width**cfg.depth for n in per_start.values())
 
 
+@pytest.mark.parametrize("policy, depth", [("one_hop", 1), ("two_hop", 2)])
+def test_sampler_holds_the_pools_of_one_root_entity_at_most(policy, depth):
+    # Several starts per root, so a root's later starts reuse its pools.
+    rng = random.Random(11)
+    _, entity_chunks, vectors = _random_instance(rng, 8, 16)
+    cfg = TraversalConfig(
+        depth=depth, beam_width=2, hop_policy=policy, max_start_paragraphs=3, rng_seed=4
+    )
+    sampler = _toy_sampler(entity_chunks, vectors, cfg)
+    requested: dict[str, set[str]] = {}  # root entity -> the pools its expansions asked for
+    current = []
+    pool, expand_root = sampler._pool, sampler._expand_root
+
+    def recording_pool(entity):
+        requested.setdefault(current[-1], set()).add(entity)
+        return pool(entity)
+
+    def checked_expand_root(root, start_chunk):
+        current.append(root.entity_id)
+        paths = expand_root(root, start_chunk)
+        assert set(sampler._pools) <= requested[root.entity_id]
+        return paths
+
+    sampler._pool, sampler._expand_root = recording_pool, checked_expand_root
+    assert sampler.sample().paths
+    assert len(set(current)) > 1 and len(current) > len(set(current))
+
+
 def test_sampling_is_byte_deterministic(tmp_path):
     rng = random.Random(5)
     chunk_entities, entity_chunks, vectors = _random_instance(rng, 8, 14)
