@@ -13,7 +13,6 @@ from .balance import (
     CCPair,
     SubsetAllocation,
     UtilizationLedger,
-    balanced_sampling,
     secondary_sampling,
 )
 from .corpus import Chunk, ChunkStore, Document, chunk_document, ingest_corpus
@@ -24,7 +23,7 @@ from .extraction import (
     build_entity_map,
     normalize_mention,
 )
-from .graph import ContextGraph, build_graph, graph_stats, neighbors
+from .graph import ContextGraph, build_graph, graph_stats
 from .traversal import Path, PathSet, TraversalConfig, sample_paths
 from .synthesis import generate, render_cc_prompt, render_cot_prompt, write_synthetic_corpus
 from .analysis import DistributionReport, compare_reports, entity_distribution
@@ -46,7 +45,6 @@ __all__ = [
     "SubsetAllocation",
     "TraversalConfig",
     "UtilizationLedger",
-    "balanced_sampling",
     "build_entity_map",
     "build_graph",
     "chunk_document",
@@ -56,7 +54,6 @@ __all__ = [
     "generate",
     "graph_stats",
     "ingest_corpus",
-    "neighbors",
     "normalize_mention",
     "render_cc_prompt",
     "render_cot_prompt",

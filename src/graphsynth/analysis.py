@@ -65,10 +65,6 @@ class DistributionReport:
     coverage: float
     top_decile_share: float
 
-    @property
-    def total_occurrences(self) -> int:
-        return sum(self.counts.values())
-
 
 def build_report(counts: Mapping[str, int], buckets: int = DEFAULT_BUCKETS) -> DistributionReport:
     values = list(counts.values())

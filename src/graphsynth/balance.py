@@ -53,10 +53,6 @@ class UtilizationLedger:
         self._covered = 0
 
     @property
-    def covered_chunks(self) -> set[str]:
-        return {c for c, n in self._witness.items() if n > 0}
-
-    @property
     def coverage(self) -> float:
         if self.total_chunks == 0:
             return 0.0
@@ -110,11 +106,6 @@ def resolve_standard_length(cfg: BalanceConfig, total_chunks: int, hop: float) -
     return int(cfg.standard_length)
 
 
-def path_utilization(path: Path, ledger: UtilizationLedger) -> int:
-    """Sum of the ledger counts of every entity on the path."""
-    return sum(ledger.counts[e] for e, _ in path.steps)
-
-
 @dataclass
 class CCPair:
     pair_id: str
@@ -142,17 +133,6 @@ class SubsetAllocation:
     cc_pairs: list[CCPair]
     achieved_coverage: float
     trace: BalanceTrace | None = None
-
-
-def _stable_order(paths: Sequence[Path]) -> dict[str, int]:
-    order: dict[str, int] = {}
-    for i, p in enumerate(paths):
-        if p.path_id is None:
-            raise ValueError("paths must carry a path_id before balancing")
-        if p.path_id in order:
-            raise ValueError(f"duplicate path_id '{p.path_id}'")
-        order[p.path_id] = i
-    return order
 
 
 # Utilization of a path already taken: far above any reachable sum, far
@@ -188,7 +168,7 @@ class _RankedPaths:
         self._bounds = np.searchsorted(pairs // n, np.arange(len(self._codes) + 1)).tolist()
 
     def utilization(self, counts: Mapping[str, int]) -> np.ndarray:
-        """Every path's summed entity counts (``path_utilization``), as int64."""
+        """Every path's utilization, the sum of its steps' entity counts, as int64."""
         per_entity = np.array([counts[e] for e in self._codes], dtype=np.int64)
         out = np.zeros(len(self.paths), dtype=np.int64)
         np.add.at(out, self._step_path, per_entity[self._step_entity])
@@ -255,10 +235,9 @@ def _build_subset(
             trace.delta_r = delta_r
             trace.k = k
             trace.cut = cut
-            sparse = ranking[:k]
-            trace.sparse_entities = list(sparse)
+            trace.sparse_entities = ranking[:k]
 
-            shuffled = list(sparse)
+            shuffled = list(trace.sparse_entities)
             rng.shuffle(shuffled)
             for i in range(0, len(shuffled) - 1, 2):
                 ex, ey = shuffled[i], shuffled[i + 1]
@@ -285,62 +264,18 @@ def _build_subset(
     )
 
 
-def balanced_sampling(
-    remaining: Sequence[Path],
-    cfg: BalanceConfig,
-    ledger: UtilizationLedger,
-    rng: random.Random,
-    *,
-    entity_to_chunks: Mapping[str, Sequence[str]],
-    subset_index: int = 0,
-    order: Mapping[str, int] | None = None,
-) -> tuple[SubsetAllocation, list[Path], UtilizationLedger]:
-    """Build one subset; returns (allocation, remaining', ledger).
-
-    ``order`` fixes the stable tie-break rank of each path (its position in
-    the original path set); by default the rank is the position in
-    ``remaining``. The ledger is mutated in place and also returned.
-    """
-    remaining = list(remaining)
-    if not remaining:
-        raise ValueError("remaining path set is empty")
-    if order is None:
-        order = _stable_order(remaining)
-    if cfg.standard_length == "auto":
-        hop = max(p.hop_count for p in remaining)
-        length = resolve_standard_length(cfg, ledger.total_chunks, hop)
-    else:
-        length = int(cfg.standard_length)
-
-    ranked = _RankedPaths(sorted(remaining, key=lambda p: order[p.path_id]))
-    allocation = _build_subset(
-        ranked,
-        np.ones(len(remaining), dtype=bool),
-        length,
-        cfg.target_coverage,
-        ledger,
-        rng,
-        entity_to_chunks,
-        subset_index,
-    )
-    retained_ids = {p.path_id for p in allocation.cot_paths}
-    remaining_after = [p for p in remaining if p.path_id not in retained_ids]
-    return allocation, remaining_after, ledger
-
-
 def secondary_sampling(
     path_set: PathSet | Sequence[Path],
     cfg: BalanceConfig,
     *,
     entity_to_chunks: Mapping[str, Sequence[str]],
     total_chunks: int,
-    rng: random.Random | None = None,
 ) -> list[SubsetAllocation]:
     """Partition the whole path set into subsets, carrying the ledger.
 
-    The result equals calling ``balanced_sampling`` on what is left until
-    nothing is, with each path's rank its position in ``path_set``; the
-    path index is built once for all subsets.
+    A path's rank, which breaks utilization ties, is its position in
+    ``path_set``; a path without an id is given ``p`` and its six-digit
+    position. The CC draws use ``random.Random(cfg.rng_seed)``.
     """
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
@@ -348,12 +283,11 @@ def secondary_sampling(
     for i, p in enumerate(paths):
         if p.path_id is None:
             p.path_id = f"p{i:06d}"
-    _stable_order(paths)  # rejects duplicate path ids
-    if cfg.standard_length == "auto":
-        length = resolve_standard_length(cfg, total_chunks, max(p.hop_count for p in paths))
-    else:
-        length = int(cfg.standard_length)
-    rng = rng if rng is not None else random.Random(cfg.rng_seed)
+    repeated = [pid for pid, n in Counter(p.path_id for p in paths).items() if n > 1]
+    if repeated:
+        raise ValueError(f"duplicate path_id '{repeated[0]}'")
+    length = resolve_standard_length(cfg, total_chunks, max(p.hop_count for p in paths))
+    rng = random.Random(cfg.rng_seed)
     ledger = UtilizationLedger(total_chunks)
 
     ranked = _RankedPaths(paths)

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import yaml
 
@@ -191,11 +191,24 @@ _SECTION_TYPES = {
 _SEEDED_FIELDS = {"balance": {"rng_seed"}}
 
 
+def _fits(value, types: tuple[type, ...]) -> bool:
+    """Whether ``value`` is one of ``types``; a bool is no int, an int is a float."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (isinstance(value, int) and float in types)
+
+
 def _build_section(name: str, cls, data: dict):
     known = {f.name for f in fields(cls)} - _SEEDED_FIELDS.get(name, set())
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown key(s) in '{name}': {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        types = get_args(hints[key]) or (hints[key],)
+        if not _fits(value, types):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigurationError(f"{name}.{key} must be {expected}, not {value!r}")
     return cls(**data)
 
 

@@ -41,10 +41,6 @@ def chunk_id_for(doc_id: str, ordinal: int) -> str:
     return f"{doc_id}#{ordinal:04d}"
 
 
-def normalize_whitespace(text: str) -> str:
-    return " ".join(text.split())
-
-
 def ingest_corpus(source: Iterable[str] | TextIO) -> list[Document]:
     """Parse a stream of JSONL document records, preserving stream order.
 
@@ -149,13 +145,12 @@ def _pack_fixed(sentences: list[str], max_chars: int) -> list[str]:
 def _split_semantic(sentences: list[str], policy: SemanticChunking) -> list[str]:
     import numpy as np
 
+    from .embedding import similarity
+
     if len(sentences) < 2:
         return [" ".join(sentences)]
     vectors = [policy.embed(s) for s in sentences]
-    sims = [
-        float(sum(a * b for a, b in zip(vectors[i], vectors[i + 1])))
-        for i in range(len(vectors) - 1)
-    ]
+    sims = [similarity(vectors[i], vectors[i + 1]) for i in range(len(vectors) - 1)]
     threshold = float(np.percentile(sims, policy.breakpoint_percentile))
     texts: list[str] = []
     current = [sentences[0]]

@@ -5,6 +5,7 @@ ranking during traversal depends on nothing else. The hash backend gives
 deterministic unit-norm vectors so the whole pipeline can run offline; the
 remote backend posts to an HTTP embedding service through the shared
 keep-alive ``remote.JsonClient``, which owns retries and connections.
+Vectors are 1-d float64 arrays; the cache hands out read-only ones.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import BackendError, IntegrityError
 from .jsonl import write_json
 
-Vector = tuple[float, ...]
+Vector = np.ndarray
 
 DEFAULT_HASH_DIM = 64
 
@@ -55,8 +56,7 @@ class HashEmbeddingBackend:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.dim)
-        v = v / np.linalg.norm(v)
-        return tuple(float(x) for x in v)
+        return v / np.linalg.norm(v)
 
 
 class RemoteEmbeddingBackend:
@@ -84,7 +84,14 @@ class RemoteEmbeddingBackend:
 
     def embed(self, text: str) -> Vector:
         reply = self.client.post({"model": self.model, "input": [text]})
-        return tuple(float(x) for x in reply["data"][0]["embedding"])
+        values = reply["data"][0]["embedding"]
+        try:
+            vector = np.array(values, dtype=np.float64)
+            if vector.ndim == 1 and vector.size:
+                return vector
+        except (TypeError, ValueError):  # a ragged list, or an element no number
+            pass
+        raise BackendError(f"embedding service returned no flat list of numbers: {values!r:.80}")
 
     def close(self) -> None:
         self.client.close()
@@ -93,8 +100,9 @@ class RemoteEmbeddingBackend:
 class EmbeddingCache:
     """(backend id, content hash) -> vector, persisted as a single JSON file.
 
-    ``save`` writes only the entries this cache looked up or added since it
-    was made, so entries loaded for texts a run no longer has are dropped.
+    The file at ``path``, if there is one, is loaded when the cache is made.
+    ``save`` writes back only the entries this cache looked up or added
+    since, so entries loaded for texts a run no longer has are dropped.
     Reads are lock-free on the snapshot dict; writes are serialized.
     """
 
@@ -105,7 +113,10 @@ class EmbeddingCache:
         self._used: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         if self.path and self.path.exists():
-            self.load(self.path)
+            with open(self.path, "r", encoding="utf-8") as f:
+                payload = json.load(f)
+            for rec in payload.get("entries", []):
+                self._store(rec["backend"], rec["hash"], rec["values"])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -120,7 +131,9 @@ class EmbeddingCache:
         self._store(backend_id, key, vector)
         self._used.add((backend_id, key))
 
-    def _store(self, backend_id: str, key: str, vector: Vector) -> None:
+    def _store(self, backend_id: str, key: str, values) -> None:
+        vector = np.array(values, dtype=np.float64)
+        vector.flags.writeable = False
         with self._lock:
             dim = self._dims.get(backend_id)
             if dim is not None and dim != len(vector):
@@ -128,35 +141,32 @@ class EmbeddingCache:
                     f"backend '{backend_id}' returned dim {len(vector)}, cache holds dim {dim}"
                 )
             self._dims[backend_id] = len(vector)
-            self._entries[(backend_id, key)] = tuple(vector)
+            self._entries[(backend_id, key)] = vector
 
-    def load(self, path: str | Path) -> None:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        for rec in payload.get("entries", []):
-            self._store(rec["backend"], rec["hash"], tuple(float(x) for x in rec["values"]))
-
-    def save(self, path: str | Path | None = None) -> None:
-        target = Path(path) if path else self.path
-        if target is None:
+    def save(self) -> None:
+        if self.path is None:
             raise ValueError("no cache path configured")
         entries = [
-            {"backend": backend, "hash": key, "values": list(self._entries[backend, key])}
+            {"backend": backend, "hash": key, "values": self._entries[backend, key].tolist()}
             for backend, key in sorted(self._used)
         ]
-        write_json(target, {"entries": entries})
+        write_json(self.path, {"entries": entries})
 
 
 def embed_text(text: str, backend: EmbeddingBackend, cache: EmbeddingCache | None = None) -> Vector:
-    """Embed with cache-first lookup; identical text yields identical vectors."""
+    """Embed with cache-first lookup; identical text yields identical vectors.
+
+    An empty vector from the backend is an ``IntegrityError``.
+    """
     if not text:
         raise ValueError("cannot embed empty text")
-    if cache is None:
-        return tuple(backend.embed(text))
     key = content_hash(text)
-    hit = cache.get(backend.backend_id, key)
+    hit = cache.get(backend.backend_id, key) if cache is not None else None
     if hit is not None:
         return hit
-    vector = tuple(backend.embed(text))
-    cache.put(backend.backend_id, key, vector)
+    vector = backend.embed(text)
+    if len(vector) == 0:
+        raise IntegrityError(f"backend '{backend.backend_id}' returned an empty vector")
+    if cache is not None:
+        cache.put(backend.backend_id, key, vector)
     return vector

@@ -46,7 +46,6 @@ class EntityRecord:
 class ExtractionReport:
     chunk_id: str
     raw_mentions: list[str]
-    resolved_entity_ids: list[str] = field(default_factory=list)
 
 
 class ChatBackend(Protocol):
@@ -167,13 +166,11 @@ def build_entity_map(
 ) -> list[EntityRecord]:
     """Merge mentions with the same canonical form into EntityRecords.
 
-    Entity ids are assigned in order of first appearance; each report's
-    resolved_entity_ids is filled in place as a side effect.
+    Entity ids are assigned in order of first appearance.
     """
     by_canonical: dict[str, EntityRecord] = {}
     order: list[EntityRecord] = []
     for report in reports:
-        resolved: list[str] = []
         for mention in report.raw_mentions:
             canonical = normalize_mention(mention, alias_table)
             if not canonical:
@@ -188,9 +185,6 @@ def build_entity_map(
             rec.aliases.add(mention)
             if report.chunk_id not in rec.chunk_ids:
                 rec.chunk_ids.append(report.chunk_id)
-            if rec.entity_id not in resolved:
-                resolved.append(rec.entity_id)
-        report.resolved_entity_ids = resolved
     return order
 
 

@@ -32,10 +32,6 @@ class ContextGraph:
     adjacency: dict[str, list[str]] = field(default_factory=dict)
     provenance: dict[tuple[str, str], list[str]] = field(default_factory=dict)
 
-    @property
-    def edges(self) -> set[tuple[str, str]]:
-        return set(self.provenance)
-
     def degree(self, entity_id: str) -> int:
         return len(self.adjacency.get(entity_id, []))
 
@@ -74,12 +70,6 @@ def build_graph(entity_map: Iterable[EntityRecord]) -> ContextGraph:
         neighbor_sets[b].add(a)
     adjacency = {e: sorted(neighbor_sets[e]) for e in neighbor_sets}
     return ContextGraph(nodes=nodes, adjacency=adjacency, provenance=provenance)
-
-
-def neighbors(g: ContextGraph, entity_id: str) -> list[str]:
-    if entity_id not in g.nodes:
-        raise KeyError(f"unknown entity '{entity_id}'")
-    return list(g.adjacency.get(entity_id, []))
 
 
 def graph_stats(g: ContextGraph) -> GraphStats:

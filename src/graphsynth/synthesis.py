@@ -21,11 +21,12 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .balance import CCPair, SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
+from .extraction import ChatBackend
 from .jsonl import write_jsonl
 from .traversal import Path
 
@@ -288,17 +289,6 @@ def _validate_payload(strategy: str, raw: str) -> tuple[dict | None, str | None]
     return {"narrative": narrative, "comparison": comparison}, None
 
 
-class LlmBackend(Protocol):
-    def complete(
-        self,
-        prompt: str,
-        *,
-        temperature: float,
-        max_tokens: int,
-        request_id: str | None = None,
-    ) -> str: ...
-
-
 _ENTITY_LINE = re.compile(r"entity:\s*([^\n(]+?)(?:\s*\(article:[^)]*\))?\n")
 
 
@@ -359,7 +349,7 @@ class FaultInjectingBackend:
     call raises a retryable error and later calls pass through.
     """
 
-    def __init__(self, inner: LlmBackend, invalid_rate: float = 0.2,
+    def __init__(self, inner: ChatBackend, invalid_rate: float = 0.2,
                  transient_rate: float = 0.1, seed: int = 0):
         self.inner = inner
         self.invalid_rate = invalid_rate
@@ -427,7 +417,7 @@ def _token_count(text: str) -> int:
 
 
 def _generate_one(
-    request: GenerationRequest, backend: LlmBackend, policy: RetryPolicy
+    request: GenerationRequest, backend: ChatBackend, policy: RetryPolicy
 ) -> SynthRecord:
     prompt = request.prompt_text
     input_tokens = request.prompt_tokens
@@ -487,7 +477,7 @@ def _generate_one(
 
 def generate(
     requests: Sequence[GenerationRequest],
-    backend: LlmBackend,
+    backend: ChatBackend,
     policy: RetryPolicy = RetryPolicy(),
     *,
     concurrency: int = 1,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import ChunkStore
 from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
-from .errors import BackendError, IntegrityError
+from .errors import BackendError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
@@ -102,12 +102,6 @@ class PathSet:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def by_root(self) -> dict[str, list[Path]]:
-        grouped: dict[str, list[Path]] = {}
-        for p in self.paths:
-            grouped.setdefault(p.root_entity, []).append(p)
-        return grouped
 
 
 @dataclass(frozen=True)
@@ -275,8 +269,6 @@ class PathSampler:
         vector = embed_text(
             self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
         )
-        if not vector:
-            raise IntegrityError(f"backend '{self.backend.backend_id}' returned an empty vector")
         if self._matrix_t is None:
             # The cache rejects a vector whose dimension differs from earlier ones.
             # Zeros, not np.empty: _approximate multiplies unfilled columns too.

@@ -8,10 +8,9 @@ import pytest
 from graphsynth.balance import (
     BalanceConfig,
     UtilizationLedger,
+    _RankedPaths,
     auto_standard_length,
-    balanced_sampling,
     load_subsets,
-    path_utilization,
     resolve_standard_length,
     save_subsets,
     secondary_sampling,
@@ -45,7 +44,6 @@ def impl_transcript(plain_paths, entity_to_chunks, total_chunks, r, l, seed):
         cfg,
         entity_to_chunks=entity_to_chunks,
         total_chunks=total_chunks,
-        rng=random.Random(seed),
     )
     return transcript_of(plain_paths, subsets), subsets
 
@@ -74,7 +72,12 @@ def transcript_of(plain_paths, subsets):
     return transcript
 
 
-# --- path_utilization -----------------------------------------------------------
+# --- path utilization -----------------------------------------------------------
+
+
+def path_utilization(path, ledger):
+    """The utilization the selection loop gives ``path``: its entities' ledger counts, summed."""
+    return int(_RankedPaths([path]).utilization(ledger.counts)[0])
 
 
 def test_utilization_zero_on_fresh_ledger():
@@ -98,7 +101,7 @@ def test_utilization_defaults_missing_entities_to_zero():
     assert path_utilization(p, ledger) == 2
 
 
-# --- balanced_sampling trivial cases ---------------------------------------------
+# --- secondary_sampling trivial cases --------------------------------------------
 
 
 def test_coverage_reached_before_length():
@@ -123,22 +126,23 @@ def test_delta_r_formula_example():
 
 def test_empty_remaining_rejected():
     with pytest.raises(ValueError):
-        balanced_sampling(
-            [], BalanceConfig(), UtilizationLedger(4), random.Random(0), entity_to_chunks={}
-        )
+        secondary_sampling([], BalanceConfig(), entity_to_chunks={}, total_chunks=4)
+
+
+def test_duplicate_path_ids_rejected():
+    paths = _paths([("P1", [("a", "c1")]), ("P2", [("b", "c2")]), ("P1", [("c", "c3")])])
+    with pytest.raises(ValueError, match="duplicate path_id 'P1'"):
+        secondary_sampling(paths, BalanceConfig(), entity_to_chunks={}, total_chunks=4)
 
 
 def test_length_below_two_at_trigger_is_config_error():
     plain = [("P1", [("a", "c1")]), ("P2", [("b", "c2")])]
-    paths = _paths(plain)
-    ledger = UtilizationLedger(total_chunks=10)
     with pytest.raises(ConfigurationError):
-        balanced_sampling(
-            paths,
+        secondary_sampling(
+            _paths(plain),
             BalanceConfig(target_coverage=1.0, standard_length=1),
-            ledger,
-            random.Random(0),
             entity_to_chunks={"a": ["c1"], "b": ["c2"]},
+            total_chunks=10,
         )
 
 
@@ -215,15 +219,16 @@ def test_ledger_reversal_is_exact():
     other = [("b", "c2"), ("c", "c3")]
     ledger.add_steps(shared)
     ledger.add_steps(other)
-    assert ledger.covered_chunks == {"c1", "c2", "c3"}
+    covered = lambda: {c for c, n in ledger._witness.items() if n > 0}
+    assert covered() == {"c1", "c2", "c3"}
     assert ledger.coverage == 0.3
     # removing one witness of c2 keeps it covered; the second removal clears it
     ledger.remove_steps(other)
-    assert ledger.covered_chunks == {"c1", "c2"}
+    assert covered() == {"c1", "c2"}
     assert ledger.coverage == 0.2
     assert ledger.counts["b"] == 1
     ledger.remove_steps(shared)
-    assert ledger.covered_chunks == set()
+    assert covered() == set()
     assert ledger.coverage == 0.0
     assert +ledger.counts == Counter()
 
@@ -304,63 +309,14 @@ def test_entity_repeated_on_a_path_counts_per_step():
     assert transcript["subsets"][0]["selection_order"] == ["P0", "R", "S", "Q"]
 
 
-def test_conservation_and_ledger_consistency():
+def test_conservation_every_path_retained_once():
     for seed in (3, 14, 27):
         rng = random.Random(seed)
         plain, e2c, total, r, l = random_balance_instance(rng)
-        paths = _paths(plain)
-        cfg = BalanceConfig(target_coverage=r, standard_length=l, rng_seed=seed)
-        ledger = UtilizationLedger(total)
-        order = {p.path_id: i for i, p in enumerate(paths)}
-        shared_rng = random.Random(seed)
-        remaining = paths
-        subsets = []
-        while remaining:
-            allocation, remaining, ledger = balanced_sampling(
-                remaining,
-                cfg,
-                ledger,
-                shared_rng,
-                entity_to_chunks=e2c,
-                subset_index=len(subsets),
-                order=order,
-            )
-            subsets.append(allocation)
-            # ledger consistency after every call
-            assert +_recount(subsets) == +ledger.counts
+        _, subsets = impl_transcript(plain, e2c, total, r, l, seed=seed)
         retained = [p.path_id for s in subsets for p in s.cot_paths]
         assert sorted(retained) == sorted(pid for pid, _ in plain)
         assert len(retained) == len(set(retained))
-
-
-def test_balanced_sampling_ranks_by_order_not_list_position():
-    # Ties go to the lowest rank in ``order``, wherever the path sits in
-    # the list handed over.
-    for seed in range(12):
-        rng = random.Random(2000 + seed)
-        plain, e2c, total, r, l = random_balance_instance(rng)
-        paths = _paths(plain)
-        order = {p.path_id: i for i, p in enumerate(paths)}
-        remaining = list(paths)
-        random.Random(seed).shuffle(remaining)
-        remaining.reverse()  # never the original order, even for two paths
-        cfg = BalanceConfig(target_coverage=r, standard_length=l, rng_seed=seed)
-        ledger = UtilizationLedger(total)
-        shared_rng = random.Random(seed)
-        subsets = []
-        while remaining:
-            allocation, remaining, ledger = balanced_sampling(
-                remaining,
-                cfg,
-                ledger,
-                shared_rng,
-                entity_to_chunks=e2c,
-                subset_index=len(subsets),
-                order=order,
-            )
-            subsets.append(allocation)
-        want = secondary_sampling_oracle(plain, e2c, total, r, l, seed=seed)
-        assert transcript_of(plain, subsets) == want, f"divergence at seed {seed}"
 
 
 def test_minimum_selection_property():

@@ -485,6 +485,36 @@ def test_cli_rejects_a_boolean_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("chunking", "max_chars", "300"),
+        ("traversal", "beam_width", 2.5),
+        ("balance", "standard_length", True),
+        ("traversal", "same_document_only", "yes"),
+        ("generation", "endpoint", 8080),
+    ],
+)
+def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, section, key, value):
+    data = _config_dict(tmp_path)
+    data.setdefault(section, {})[key] = value
+    path = _write_config(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert f"{section}.{key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_types_accept_an_int_for_a_float_and_null_for_an_optional(tmp_path):
+    data = _config_dict(tmp_path)
+    data["balance"]["target_coverage"] = 1
+    data["generation"]["temperature"] = 0
+    data["extraction"] = {"aliases": None}
+    config = load_config(_write_config(tmp_path, data))
+    assert (config.balance.target_coverage, config.generation.temperature) == (1, 0)
+    assert validate_config(config) == []
+
+
 def test_cli_stagewise_chain(tmp_path):
     # the _config_dict run, one subcommand at a time
     config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))

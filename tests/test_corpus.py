@@ -16,7 +16,6 @@ from graphsynth.corpus import (
     chunk_document,
     ingest_corpus,
     load_chunks,
-    normalize_whitespace,
     save_chunks,
     split_sentences,
 )
@@ -100,8 +99,8 @@ def test_fixed_oversized_sentence_splits_at_whitespace():
     doc = Document(doc_id="d", title="", text=words + ".")
     chunks = chunk_document(doc, FixedChunking(max_chars=40))
     assert len(chunks) > 1
-    rebuilt = normalize_whitespace(" ".join(c.text for c in chunks))
-    assert rebuilt == normalize_whitespace(doc.text)
+    rebuilt = " ".join(" ".join(c.text for c in chunks).split())
+    assert rebuilt == " ".join(doc.text.split())
 
 
 def test_empty_document_rejected():
@@ -152,8 +151,8 @@ def test_reconstruction_property(fragments, max_chars):
     doc = Document(doc_id="d", title="", text=text)
     chunks = chunk_document(doc, FixedChunking(max_chars=max_chars))
     assert len(chunks) >= 1
-    rebuilt = normalize_whitespace(" ".join(c.text for c in chunks))
-    assert rebuilt == normalize_whitespace(text)
+    rebuilt = " ".join(" ".join(c.text for c in chunks).split())
+    assert rebuilt == " ".join(text.split())
     assert [c.ordinal for c in chunks] == list(range(len(chunks)))
 
 

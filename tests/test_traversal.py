@@ -311,16 +311,16 @@ def test_unique_two_hop_expansion():
     spec = {"a": ["qa"], "b": ["qa", "cb"], "c": ["cb", "cc"]}
     cfg = TraversalConfig(depth=2, beam_width=1, hop_policy="two_hop", max_start_paragraphs=3)
     sampler = _toy_sampler(spec, _uniform_embedder(["qa", "cb", "cc"]), cfg)
-    by_root = sampler.sample().by_root()
-    assert [p.steps for p in by_root["a"]] == [[("a", "qa"), ("b", "cb"), ("c", "cc")]]
-    assert by_root["a"][0].hop_count == 2
+    from_a = [p for p in sampler.sample().paths if p.root_entity == "a"]
+    assert [p.steps for p in from_a] == [[("a", "qa"), ("b", "cb"), ("c", "cc")]]
+    assert from_a[0].hop_count == 2
 
 
 def test_isolated_root_emits_nothing():
     spec = {"a": ["qa"], "z": ["cz"]}
     cfg = TraversalConfig(hop_policy="one_hop")
     sampler = _toy_sampler(spec, _uniform_embedder(["qa", "cz"]), cfg)
-    assert sampler.sample().by_root() == {}
+    assert sampler.sample().paths == []
 
 
 def test_one_hop_policy_limits_depth():
@@ -334,7 +334,7 @@ def test_mixed_policy_emits_prefixes_too():
     spec = {"a": ["qa"], "b": ["qa", "cb"], "c": ["cb", "cc"]}
     cfg = TraversalConfig(depth=2, beam_width=1, hop_policy="mixed", mixed_ratio=0.5)
     sampler = _toy_sampler(spec, _uniform_embedder(["qa", "cb", "cc"]), cfg)
-    hops = sorted(p.hop_count for p in sampler.sample().by_root().get("a", []))
+    hops = sorted(p.hop_count for p in sampler.sample().paths if p.root_entity == "a")
     assert hops == [1, 2]
 
 
@@ -421,7 +421,7 @@ def test_path_invariants_on_random_graphs():
         )
         sampler = _toy_sampler(entity_chunks, vectors, cfg)
         path_set = sampler.sample()
-        edges = sampler.graph.edges
+        edges = set(sampler.graph.provenance)
         for p in path_set.paths:
             assert p.steps[0][1] == p.root_chunk
             assert 1 <= p.hop_count <= cfg.depth
