@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
@@ -68,11 +68,11 @@ class ChunkingConfig:
     def validate(self) -> list[str]:
         problems = []
         if self.policy not in ("fixed", "semantic"):
-            problems.append("chunking.policy must be 'fixed' or 'semantic'")
+            problems.append("policy must be 'fixed' or 'semantic'")
         if self.max_chars < 1:
-            problems.append("chunking.max_chars must be >= 1")
+            problems.append("max_chars must be >= 1")
         if not (0.0 <= self.breakpoint_percentile <= 100.0):
-            problems.append("chunking.breakpoint_percentile must be in [0, 100]")
+            problems.append("breakpoint_percentile must be in [0, 100]")
         return problems
 
 
@@ -83,7 +83,7 @@ class ExtractionConfig:
 
     def validate(self) -> list[str]:
         if self.backend not in ("rule", "llm"):
-            return ["extraction.backend must be 'rule' or 'llm'"]
+            return ["backend must be 'rule' or 'llm'"]
         return []
 
 
@@ -97,33 +97,9 @@ class EmbeddingConfig:
     def validate(self) -> list[str]:
         problems = []
         if self.backend not in ("hash", "remote"):
-            problems.append("embedding.backend must be 'hash' or 'remote'")
+            problems.append("backend must be 'hash' or 'remote'")
         if self.dim < 1:
-            problems.append("embedding.dim must be >= 1")
-        return problems
-
-
-@dataclass
-class TraversalSettings:
-    max_start_paragraphs: int = 3
-    depth: int = 2
-    beam_width: int = 2
-    hop_policy: str = "auto"
-    same_document_only: bool = False
-
-    def validate(self) -> list[str]:
-        resolved = "one_hop" if self.hop_policy == "auto" else self.hop_policy
-        cfg = traversal_mod.TraversalConfig(
-            max_start_paragraphs=self.max_start_paragraphs,
-            depth=self.depth,
-            beam_width=self.beam_width,
-            hop_policy=resolved,
-            same_document_only=self.same_document_only,
-        )
-        problems = [f"traversal.{p}" for p in cfg.validate()]
-        if self.hop_policy == "auto" and self.depth < 2:
-            # the schedule may resolve to two_hop, which needs depth >= 2
-            problems.append("traversal.depth must be >= 2 for the auto hop schedule")
+            problems.append("dim must be >= 1")
         return problems
 
 
@@ -140,15 +116,15 @@ class GenerationConfig:
     def validate(self) -> list[str]:
         problems = []
         if self.backend not in ("mock", "remote"):
-            problems.append("generation.backend must be 'mock' or 'remote'")
+            problems.append("backend must be 'mock' or 'remote'")
         if not (0.0 <= self.temperature <= 2.0):
-            problems.append("generation.temperature must be in [0, 2]")
+            problems.append("temperature must be in [0, 2]")
         if self.max_tokens < 1:
-            problems.append("generation.max_tokens must be >= 1")
+            problems.append("max_tokens must be >= 1")
         if self.max_retries < 0:
-            problems.append("generation.max_retries must be >= 0")
+            problems.append("max_retries must be >= 0")
         if self.concurrency < 1:
-            problems.append("generation.concurrency must be >= 1")
+            problems.append("concurrency must be >= 1")
         return problems
 
 
@@ -158,7 +134,7 @@ class AnalysisConfig:
 
     def validate(self) -> list[str]:
         if self.buckets < 1:
-            return ["analysis.buckets must be >= 1"]
+            return ["buckets must be >= 1"]
         return []
 
 
@@ -170,25 +146,12 @@ class RunConfig:
     chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    traversal: TraversalSettings = field(default_factory=TraversalSettings)
+    traversal: traversal_mod.TraversalConfig = field(
+        default_factory=lambda: traversal_mod.TraversalConfig(hop_policy="auto")
+    )
     balance: balance_mod.BalanceConfig = field(default_factory=balance_mod.BalanceConfig)
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-
-
-_SECTION_TYPES = {
-    "chunking": ChunkingConfig,
-    "extraction": ExtractionConfig,
-    "embedding": EmbeddingConfig,
-    "traversal": TraversalSettings,
-    "balance": balance_mod.BalanceConfig,
-    "generation": GenerationConfig,
-    "analysis": AnalysisConfig,
-}
-
-# Section fields that the stages set from the top-level ``seed``; a config
-# file that sets them is rejected.
-_SEEDED_FIELDS = {"balance": {"rng_seed"}}
 
 
 def _fits(value, types: tuple[type, ...]) -> bool:
@@ -198,56 +161,61 @@ def _fits(value, types: tuple[type, ...]) -> bool:
     return isinstance(value, types) or (isinstance(value, int) and float in types)
 
 
-def _build_section(name: str, cls, data: dict):
-    known = {f.name for f in fields(cls)} - _SEEDED_FIELDS.get(name, set())
-    unknown = set(data) - known
+def _build(base, data, prefix: str = ""):
+    """``base`` with the values of the mapping ``data`` (a config file's tree
+    or a stage subcommand's flags) set. Unknown keys, ``rng_seed`` among them
+    (the stages seed it from ``seed``), and values that do not fit their
+    field's type are rejected. A dataclass field is set from its own mapping
+    the same way, so a key left out keeps ``base``'s value (``auto`` for the
+    run's ``hop_policy``, where ``TraversalConfig()`` says ``one_hop``)."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{prefix[:-1] or 'config root'} must be a mapping")
+    unknown = set(data) - ({f.name for f in fields(base)} - {"rng_seed"})
     if unknown:
-        raise ConfigurationError(f"unknown key(s) in '{name}': {sorted(unknown)}")
-    hints = get_type_hints(cls)
+        where = prefix[:-1] or "the top level"
+        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    hints = get_type_hints(type(base))
+    kwargs = {}
     for key, value in data.items():
         types = get_args(hints[key]) or (hints[key],)
-        if not _fits(value, types):
+        if is_dataclass(hints[key]):
+            value = _build(getattr(base, key), value, f"{prefix}{key}.")
+        elif not _fits(value, types):
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ConfigurationError(f"{name}.{key} must be {expected}, not {value!r}")
-    return cls(**data)
+            raise ConfigurationError(f"{prefix}{key} must be {expected}, not {value!r}")
+        kwargs[key] = value
+    return replace(base, **kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse the YAML config tree; unknown keys are rejected."""
+    """Parse the YAML config tree into a ``RunConfig``, checked as ``_build`` checks."""
     with open(path, "r", encoding="utf-8") as f:
-        data = yaml.safe_load(f) or {}
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a mapping")
-    top_known = {"input", "workdir", "seed"} | set(_SECTION_TYPES)
-    unknown = set(data) - top_known
-    if unknown:
-        raise ConfigurationError(f"unknown top-level key(s): {sorted(unknown)}")
-    kwargs: dict = {}
-    for key in ("input", "workdir", "seed"):
-        if key in data:
-            kwargs[key] = data[key]
-    for name, cls in _SECTION_TYPES.items():
-        section = data.get(name, {})
-        if section is None:
-            section = {}
-        if not isinstance(section, dict):
-            raise ConfigurationError(f"section '{name}' must be a mapping")
-        kwargs[name] = _build_section(name, cls, section)
-    return RunConfig(**kwargs)
+        return _build(RunConfig(), yaml.safe_load(f))
+
+
+def _traversal_problems(cfg: traversal_mod.TraversalConfig) -> list[str]:
+    """The library's checks, plus the run's ``auto`` schedule: it resolves to
+    one_hop or two_hop, so it needs the depth two_hop needs."""
+    if cfg.hop_policy in traversal_mod.HOP_POLICIES:
+        return cfg.validate()
+    problems = replace(cfg, hop_policy="one_hop").validate()
+    if cfg.hop_policy != "auto":
+        problems.append(f"hop_policy must be one of {('auto', *traversal_mod.HOP_POLICIES)}")
+    elif cfg.depth < 2:
+        problems.append("depth must be >= 2 for the auto hop schedule")
+    return problems
 
 
 def validate_config(config: RunConfig) -> list[str]:
-    """Empty list iff every stage precondition holds."""
+    """Empty list iff every stage precondition holds; each problem starts
+    with its section's name."""
     problems: list[str] = []
-    if not isinstance(config.seed, int) or isinstance(config.seed, bool):
-        problems.append("seed must be an integer")
-    problems += config.chunking.validate()
-    problems += config.extraction.validate()
-    problems += config.embedding.validate()
-    problems += config.traversal.validate()
-    problems += [f"balance.{p}" for p in config.balance.validate()]
-    problems += config.generation.validate()
-    problems += config.analysis.validate()
+    for f in fields(RunConfig):
+        section = getattr(config, f.name)
+        if is_dataclass(section):
+            check = _traversal_problems if f.name == "traversal" else type(section).validate
+            problems += [f"{f.name}.{p}" for p in check(section)]
     return problems
 
 
@@ -494,14 +462,7 @@ def _sample(ctx: StageContext) -> dict:
     store = ctx.load("chunks")
     g = ctx.load("graph")
     hop_policy = _resolve_hop_policy(ctx, store)
-    cfg = traversal_mod.TraversalConfig(
-        max_start_paragraphs=config.traversal.max_start_paragraphs,
-        depth=config.traversal.depth,
-        beam_width=config.traversal.beam_width,
-        hop_policy=hop_policy,
-        same_document_only=config.traversal.same_document_only,
-        rng_seed=config.seed,
-    )
+    cfg = replace(config.traversal, hop_policy=hop_policy, rng_seed=config.seed)
     # entries are keyed by backend and text, so an earlier run's are reused
     cache = embedding_mod.EmbeddingCache(ctx.paths.get("embeddings"))
     with embedding_backend(config.embedding) as backend:
@@ -701,7 +662,8 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
 #
 # A stage subcommand's flags name their targets in ``dest``: ``section.field``
 # sets that field of the run config, ``seed`` the seed, and ``@key`` binds an
-# artifact key to the file given. Unset flags keep the config defaults.
+# artifact key to the file given. The set fields go through the builder that
+# reads a config file; unset flags keep the config defaults.
 
 
 def _stage_parser(sub, name: str, help: str, stage: str | None = None):
@@ -826,16 +788,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_stage(args) -> int:
     """One stage over the files its flags name, validated as ``run`` validates."""
-    config = RunConfig()
+    data: dict = {}
     paths: dict[str, Path] = {}
     for dest, value in vars(args).items():
         if dest.startswith("@"):
             paths[dest[1:].format_map(vars(args))] = Path(value)
         elif dest == "seed":
-            config.seed = value
+            data["seed"] = value
         elif "." in dest:
             section, name = dest.split(".")
-            setattr(config, section, replace(getattr(config, section), **{name: value}))
+            data.setdefault(section, {})[name] = value
+    config = _build(RunConfig(), data)
     _check_config(config)
     stage = next(s for s in STAGES if s.name == args.stage)
     [entry] = _run_stages([stage], StageContext(config, paths, force=True))

@@ -110,7 +110,6 @@ class TraversalConfig:
     depth: int = 2
     beam_width: int = 2
     hop_policy: str = "one_hop"
-    mixed_ratio: float = 0.5
     same_document_only: bool = False
     rng_seed: int = 0
 
@@ -126,8 +125,6 @@ class TraversalConfig:
             problems.append(f"hop_policy must be one of {HOP_POLICIES}")
         if self.hop_policy in ("two_hop", "mixed") and self.depth < 2:
             problems.append(f"hop_policy {self.hop_policy} requires depth >= 2")
-        if self.hop_policy == "mixed" and not (0.0 < self.mixed_ratio < 1.0):
-            problems.append("mixed_ratio must be in (0, 1)")
         return problems
 
     def expansion_depth(self) -> int:

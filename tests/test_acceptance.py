@@ -325,7 +325,7 @@ def test_criterion_9_same_document_mode(tmp_path):
     graph = build_graph(entity_map)
     cfg = TraversalConfig(
         max_start_paragraphs=3, depth=2, beam_width=2, hop_policy="mixed",
-        mixed_ratio=0.5, same_document_only=True, rng_seed=SEED,
+        same_document_only=True, rng_seed=SEED,
     )
     path_set = sample_paths(graph, entity_map, store, cfg, HashEmbeddingBackend(dim=32),
                             EmbeddingCache())

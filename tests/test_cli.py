@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import logging
 import warnings
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 import yaml
@@ -14,8 +17,10 @@ from graphsynth.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_STAGE,
+    STAGES,
     RunConfig,
     StageError,
+    build_parser,
     load_config,
     main,
     run_pipeline,
@@ -25,6 +30,7 @@ from graphsynth.corpus import Chunk
 from graphsynth.errors import ConfigurationError
 from graphsynth.extraction import RuleBasedExtractor
 from graphsynth.synthesis import MockLlmBackend
+from graphsynth.traversal import TraversalConfig
 from graphsynth.jsonl import sha256_file
 
 from fixture_corpus import longtail_corpus_jsonl, two_document_corpus
@@ -59,8 +65,7 @@ def _write_config(tmp_path: Path, data: dict, name: str = "config.yaml") -> Path
 
 
 def test_validate_names_beam_width():
-    config = RunConfig()
-    config.traversal.beam_width = 0
+    config = RunConfig(traversal=TraversalConfig(beam_width=0))
     assert any("beam_width" in p for p in validate_config(config))
 
 
@@ -75,6 +80,37 @@ def test_validate_defaults_clean():
     assert validate_config(RunConfig()) == []
 
 
+@pytest.mark.parametrize(
+    "hop_policy, depth, problem",
+    [
+        (
+            "three", 2,
+            "traversal.hop_policy must be one of ('auto', 'one_hop', 'two_hop', 'mixed')",
+        ),
+        ("auto", 1, "traversal.depth must be >= 2 for the auto hop schedule"),
+        ("two_hop", 1, "traversal.hop_policy two_hop requires depth >= 2"),
+    ],
+)
+def test_validate_checks_the_hop_policy_with_auto(hop_policy, depth, problem):
+    config = RunConfig(traversal=TraversalConfig(hop_policy=hop_policy, depth=depth))
+    assert validate_config(config) == [problem]
+
+
+def test_config_example_is_the_defaults():
+    # the run's hop policy is auto while the library's TraversalConfig() says one_hop
+    config = load_config(Path(__file__).parent.parent / "config.example.yaml")
+    assert validate_config(config) == []
+    assert config == RunConfig()
+    assert config.traversal.hop_policy == "auto"
+
+
+def test_a_partial_section_keeps_the_run_defaults(tmp_path):
+    data = {"traversal": {"same_document_only": True}, "balance": None}
+    config = load_config(_write_config(tmp_path, data))
+    assert config.traversal == TraversalConfig(hop_policy="auto", same_document_only=True)
+    assert config == RunConfig(traversal=config.traversal)
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = _write_config(tmp_path, {"inputt": "x.jsonl"})
     with pytest.raises(ConfigurationError, match="inputt"):
@@ -84,10 +120,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("section, key", [("balance", "rng_seed"), ("traversal", "mixed_ratio")])
+@pytest.mark.parametrize(
+    "section, key",
+    [("balance", "rng_seed"), ("traversal", "mixed_ratio"), ("traversal", "rng_seed")],
+)
 def test_load_config_rejects_removed_knobs(tmp_path, section, key):
     path = _write_config(tmp_path, {section: {key: 0.5}})
-    with pytest.raises(ConfigurationError, match=key):
+    with pytest.raises(ConfigurationError, match=f"unknown key.*{key}"):
         load_config(path)
 
 
@@ -100,6 +139,35 @@ def test_sample_subcommand_has_no_mixed_ratio_flag(tmp_path, capsys):
             ]
         )
     assert "--mixed-ratio" in capsys.readouterr().err
+
+
+def _parsers(parser: argparse.ArgumentParser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_stage_flags_name_config_fields_and_artifact_keys():
+    # A flag's dest is ``section.field`` of RunConfig, ``seed``, or ``@key``
+    # of an artifact some stage reads or writes (``{source}`` filled in).
+    schema = get_type_hints(RunConfig)
+    artifact_keys = {k for stage in STAGES for k in stage.inputs + stage.outputs}
+    settable = 0
+    for parser in _parsers(build_parser()):
+        sources = next((a.choices for a in parser._actions if a.dest == "source"), [None])
+        for action in parser._actions:
+            dest = action.dest
+            if dest.startswith("@"):
+                for source in sources:
+                    assert dest[1:].format(source=source) in artifact_keys, dest
+            elif "." in dest:
+                section, name = dest.split(".")
+                assert is_dataclass(schema.get(section)), dest
+                assert name in {f.name for f in fields(schema[section])} - {"rng_seed"}, dest
+                settable += 1
+    assert settable >= 20
 
 
 # --- run_pipeline --------------------------------------------------------------------
@@ -475,13 +543,29 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(missing_path)]) == EXIT_STAGE
 
 
+@pytest.mark.parametrize("key, value", [("workdir", 5), ("input", ["a"])])
+def test_cli_rejects_a_top_level_value_of_the_wrong_type(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    data = _config_dict(tmp_path)
+    data[key] = value
+    path = _write_config(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {key} must be str, not {value!r}") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
+
+
 def test_cli_rejects_a_boolean_seed(tmp_path, capsys):
     data = _config_dict(tmp_path)
     data["seed"] = True
     path = _write_config(tmp_path, data)
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
-    assert "seed must be an integer" in capsys.readouterr().err
+    assert "seed must be int, not True" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -332,7 +332,7 @@ def test_one_hop_policy_limits_depth():
 
 def test_mixed_policy_emits_prefixes_too():
     spec = {"a": ["qa"], "b": ["qa", "cb"], "c": ["cb", "cc"]}
-    cfg = TraversalConfig(depth=2, beam_width=1, hop_policy="mixed", mixed_ratio=0.5)
+    cfg = TraversalConfig(depth=2, beam_width=1, hop_policy="mixed")
     sampler = _toy_sampler(spec, _uniform_embedder(["qa", "cb", "cc"]), cfg)
     hops = sorted(p.hop_count for p in sampler.sample().paths if p.root_entity == "a")
     assert hops == [1, 2]
@@ -496,7 +496,7 @@ def test_cross_document_reach():
     # Roots connect only to other-document entities, so every multi-hop
     # path must span >= 2 doc ids.
     spec = {"a": ["d1#0"], "b": ["d1#0", "d2#0"], "c": ["d2#0", "d3#0"]}
-    cfg = TraversalConfig(depth=2, beam_width=2, hop_policy="mixed", mixed_ratio=0.5)
+    cfg = TraversalConfig(depth=2, beam_width=2, hop_policy="mixed")
     sampler = _toy_sampler(spec, _uniform_embedder(["d1#0", "d2#0", "d3#0"]), cfg)
     paths = sampler.sample().paths
     assert paths
@@ -524,7 +524,6 @@ def test_same_document_only_restricts_candidates():
 def test_config_validation():
     assert TraversalConfig(beam_width=0).validate()
     assert TraversalConfig(hop_policy="two_hop", depth=1).validate()
-    assert TraversalConfig(hop_policy="mixed", mixed_ratio=1.5).validate()
     assert TraversalConfig().validate() == []
 
 
