@@ -27,10 +27,17 @@ DEFAULT_HASH_DIM = 64
 
 
 def similarity(q: Sequence[float], c: Sequence[float]) -> float:
-    """Dot product, summed left to right."""
+    """Dot product, summed left to right from 0.0.
+
+    An explicit loop, not ``sum()``: from Python 3.12 on, ``sum()`` of
+    floats is compensated, so its result would depend on the Python version.
+    """
     if len(q) != len(c):
         raise ValueError(f"dimension mismatch: {len(q)} vs {len(c)}")
-    return float(sum(a * b for a, b in zip(q, c)))
+    total = 0.0
+    for a, b in zip(q, c):
+        total += a * b
+    return float(total)
 
 
 def content_hash(text: str) -> str:

@@ -37,7 +37,11 @@ def brute_force_graph(chunk_entities: dict[str, set[str]], all_entities: set[str
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    # Left to right from 0.0; sum() is compensated from Python 3.12 on.
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def enumerate_paths(

@@ -199,6 +199,8 @@ def test_sample_counts_candidates_and_exact_rescores(tmp_path):
     counts = next(s["counts"] for s in manifest["stages"] if s["name"] == "sample")
     assert 0 < counts["rescored"] <= counts["candidates"]
     assert counts["rescored"] * 20 < counts["candidates"]
+    # The scan walks fewer columns than the pools hold candidates.
+    assert 0 < counts["scanned"] < counts["candidates"]
 
 
 def test_rerun_identical_digests(tmp_path):

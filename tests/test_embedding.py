@@ -22,6 +22,13 @@ def test_similarity_examples():
     assert similarity((2.0, 3.0), (4.0, 5.0)) == 23.0
 
 
+def test_similarity_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the ordered sum is 0.0; a
+    # compensated sum (the built-in sum() from Python 3.12 on) gives 1.0.
+    assert similarity((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    assert math.copysign(1.0, similarity((-1.0,), (0.0,))) == 1.0  # 0.0 + -0.0 is 0.0
+
+
 def test_similarity_dimension_mismatch():
     with pytest.raises(ValueError):
         similarity((1.0,), (1.0, 2.0))

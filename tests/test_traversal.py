@@ -7,13 +7,13 @@ import random
 import numpy as np
 import pytest
 
+from graphsynth import traversal
 from graphsynth.embedding import EmbeddingCache, similarity
 from graphsynth.graph import build_graph
 from graphsynth.traversal import (
     PathSampler,
     TraversalConfig,
     load_paths,
-    sample_paths,
     save_paths,
     select_start_paragraphs,
 )
@@ -26,15 +26,38 @@ def _uniform_embedder(chunk_ids, vec=(1.0, 0.0)):
     return FakeEmbedder({c: vec for c in chunk_ids})
 
 
-def _toy_sampler(spec, vectors, cfg):
+def _toy_sampler(spec, vectors, cfg, step_path=None, sampler_class=None):
     """spec: entity -> chunk ids. Chunk text equals its id; doc id is the
-    part before '#', or the whole id when there is no '#'."""
+    part before '#', or the whole id when there is no '#'. ``step_path``
+    makes the steps take one path, see ``_on_path``."""
     entity_map = make_entity_map(spec)
     chunk_ids = sorted({c for chunks in spec.values() for c in chunks})
     store = make_store({c: c for c in chunk_ids})
     graph = build_graph(entity_map)
     backend = FakeEmbedder(vectors) if isinstance(vectors, dict) else vectors
-    return PathSampler(graph, entity_map, store, cfg, backend, EmbeddingCache())
+    sampler_class = _on_path(sampler_class or PathSampler, step_path)
+    sampler = sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache())
+    if step_path == "scan":
+        # A step scans only once its neighbors' chunks are all embedded.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in range(len(sampler._chunk_ids)):
+                sampler._fill(row)
+    return sampler
+
+
+STEP_PATHS = ("scan", "pool")
+
+
+def _on_path(sampler_class, step_path):
+    """The class whose steps find their contenders from the pool where
+    ``step_path`` is "pool", else ``sampler_class`` itself."""
+    if step_path != "pool":
+        return sampler_class
+    return type(f"Pool{sampler_class.__name__}", (sampler_class,), {"_neighbors_filled": _never})
+
+
+def _never(self, *args):
+    return False
 
 
 # --- select_start_paragraphs ----------------------------------------------------
@@ -121,14 +144,15 @@ def test_expand_scores_equal_scalar_similarity(dim):
     vectors = {
         c: tuple(rng.gauss(0.0, 1.0) for _ in range(dim)) for c in ["qa"] + chunks
     }
-    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100))
     q = vectors["qa"]
-    cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
     expected = sorted(
         ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )
-    assert cands == expected
+    for step_path in STEP_PATHS:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100), step_path)
+        assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, step_path
+        assert (sampler.scanned > 0) == (step_path == "scan")
 
 
 @pytest.mark.parametrize("dim", [4, 64, 768])
@@ -149,22 +173,28 @@ def test_expand_scores_equal_scalar_similarity_under_cancellation(dim, width):
         v[big[0]], v[big[1]] = sign * (1.0 + rng.random()), -sign * (1.0 + rng.random())
         vectors[c] = tuple(v)
     vectors[chunks[3]] = vectors[chunks[20]]  # an exact tie
-    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
-    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
     expected = sorted(
         ((e, c, similarity(vectors["qa"], vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )[:width]
-    assert json.dumps(cands) == json.dumps(expected)
+    for step_path in STEP_PATHS:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+        cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+        assert json.dumps(cands) == json.dumps(expected), step_path
+        assert (sampler.scanned > 0) == (step_path == "scan")
 
 
 def test_expand_scores_a_sum_of_negative_zeros_as_zero():
     # similarity() adds to 0, so a sum of -0.0 products is 0.0, as paths.jsonl writes it.
     spec = {"a": ["qa"], "b": ["qa", "z", "y", "x"]}
     vectors = {"qa": (-1.0, -2.0), "z": (0.0, 0.0), "y": (0.0, 0.0), "x": (-1.0, 0.0)}
-    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=3))
-    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
-    assert json.dumps(cands) == json.dumps([["b", "x", 1.0], ["b", "y", 0.0], ["b", "z", 0.0]])
+    expected = [["b", "x", 1.0], ["b", "y", 0.0], ["b", "z", 0.0]]
+    for step_path in STEP_PATHS:
+        for width in (2, 3):
+            sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+            cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+            assert json.dumps(cands) == json.dumps(expected[:width]), (step_path, width)
+            assert (sampler.scanned > 0) == (step_path == "scan")
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -181,13 +211,18 @@ def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extr
         "t": (1e-160, -1e-170),
     }
     q = vectors[query] if isinstance(query, str) else query
-    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
     scored = [(e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]]
     ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
     expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
-    assert json.dumps(cands) == json.dumps(expected)
+    for step_path in STEP_PATHS:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+        assert json.dumps(cands) == json.dumps(expected), step_path
+        # Only a query and a largest chunk norm in range let a step scan; a
+        # tiny chunk norm beside larger ones does not matter.
+        in_range = query == "qa" and extra in ([], ["t"])
+        assert (sampler.scanned > 0) == (step_path == "scan" and in_range)
 
 
 def _allowed_error(q, c):
@@ -197,19 +232,28 @@ def _allowed_error(q, c):
 
 
 class AdversarialSampler(PathSampler):
-    """Approximate scores off by 3/4 of the allowed error: the expected top W
-    are pushed down and every other candidate up, so near ties flip."""
+    """Approximate scores off by 3/4 of the allowed error, for a block of
+    queries at a time. With ``winners`` set, the expected top W are pushed
+    down and every other candidate up, so near ties flip; without, each
+    (query, column) is pushed by a sign fixed by its hash."""
 
-    winners: set[str] = set()
+    winners: set[str] | None = None
+    most_queries = 0  # the most queries scored in one call
 
-    def _approximate(self, q, columns):
-        out = []
-        for j in np.arange(self._matrix_t.shape[1])[columns].tolist():
-            c = tuple(self._matrix_t[:, j].tolist())
-            push = 0.75 * _allowed_error(tuple(q.tolist()), c)
-            exact = similarity(tuple(q.tolist()), c)
-            out.append(exact - push if self._chunk_ids[j] in self.winners else exact + push)
-        return np.array(out, dtype=np.float64)
+    def _approximate(self, queries, columns):
+        self.most_queries = max(self.most_queries, len(queries))
+        columns = np.arange(self._matrix_t.shape[1])[columns].tolist()
+        out = np.empty((len(queries), len(columns)), dtype=np.float64)
+        for i, q in enumerate(map(tuple, queries.tolist())):
+            for k, j in enumerate(columns):
+                c = tuple(self._matrix_t[:, j].tolist())
+                push = 0.75 * _allowed_error(q, c)
+                if self.winners is None:
+                    down = hash((q, j)) % 2 == 0
+                else:
+                    down = self._chunk_ids[j] in self.winners
+                out[i, k] = similarity(q, c) + (-push if down else push)
+        return out
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
@@ -231,21 +275,22 @@ def test_expand_is_exact_under_an_approximate_scorer_that_errs_by_the_bound(widt
     for near, original in zip(chunks[1::4], chunks[0::4]):
         vectors[near] = tuple(np.nextafter(vectors[original], math.inf).tolist())
     spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
-    entity_map = make_entity_map(spec)
-    store = make_store({c: c for c in vectors})
-    sampler = AdversarialSampler(
-        build_graph(entity_map), entity_map, store, TraversalConfig(beam_width=width),
-        FakeEmbedder(vectors), EmbeddingCache(),
-    )
-    for query in ["qa"] + chunks[:8]:
-        for scale in (1.0, 2.0**-570):
-            q = tuple(x * scale for x in vectors[query])
-            expected = sorted(
-                ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
-                key=lambda cand: (-cand[2], cand[0], cand[1]),
-            )[:width]
-            sampler.winners = {c for _, c, _ in expected}
-            assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, (query, scale)
+    cfg = TraversalConfig(beam_width=width)
+    for step_path in STEP_PATHS:
+        sampler = _toy_sampler(spec, vectors, cfg, step_path, AdversarialSampler)
+        for query in ["qa"] + chunks[:8]:
+            for scale in (1.0, 2.0**-570):
+                q = tuple(x * scale for x in vectors[query])
+                expected = sorted(
+                    ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
+                    key=lambda cand: (-cand[2], cand[0], cand[1]),
+                )[:width]
+                sampler.winners = {c for _, c, _ in expected}
+                scanned = sampler.scanned
+                cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+                assert cands == expected, (step_path, query, scale)
+                # At the small scale the query's squares underflow: no bound, no scan.
+                assert (sampler.scanned > scanned) == (step_path == "scan" and scale == 1.0)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +347,27 @@ def test_expand_embeds_only_unmasked_candidates():
     # A second step over the same pool reuses the embedded chunk.
     sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d1")
     assert sorted(backend.calls) == ["d1#1", "d1#2", "d1#3"]
+
+
+def test_a_step_with_unembedded_neighbor_chunks_builds_the_pool():
+    # The scan walks embedded columns only, so while a chunk of an
+    # unvisited neighbor waits to be embedded the step takes the pool,
+    # which embeds it; once all are embedded the step scans.
+    spec = {"a": ["qa"], "b": ["qa", "x", "y"], "c": ["qa", "z"], "d": ["w"]}
+    vectors = {
+        "qa": (1.0, 0.0), "x": (0.5, 0.0), "y": (0.25, 0.0), "z": (0.75, 0.0), "w": (2.0, 0.0),
+    }
+    backend = CountingEmbedder(vectors)
+    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=1))
+    for chunk in ("qa", "x", "z", "w"):
+        sampler._embed_chunk(chunk)
+    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+    assert cands == [("c", "z", 0.75)]
+    assert set(sampler._pools) == {"a"} and sampler.scanned == 0
+    assert backend.calls[-1] == "y"
+    sampler._pools.clear()
+    assert sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"}) == cands
+    assert not sampler._pools and sampler.scanned > 0
 
 
 # --- sample_paths ----------------------------------------------------------------
@@ -388,9 +454,13 @@ def test_five_entity_toy_matches_exhaustive_enumeration():
 @pytest.mark.parametrize(
     "depth, width, policy", [(1, 1, "one_hop"), (2, 2, "two_hop"), (3, 2, "mixed")]
 )
-def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, policy):
+def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, policy, monkeypatch):
     # Vectors from a five-value grid tie often, so the tie-break decides
-    # many beams; paths and scores must follow similarity() exactly.
+    # many beams; paths and scores must follow similarity() exactly, on
+    # either step path, also when the blocks of start paragraphs are scored
+    # with errors up to the bound. Blocks of four queries make several
+    # blocks per sample.
+    monkeypatch.setattr(traversal, "_BLOCK_QUERIES", 4)
     for seed in range(10):
         rng = random.Random(900 + seed)
         chunk_entities, entity_chunks, _ = _random_instance(rng, 7, 16)
@@ -404,12 +474,21 @@ def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, po
         entity_map = make_entity_map(entity_chunks)
         store = make_store({c: c for c in vectors})
         graph = build_graph(entity_map)
-        paths = sample_paths(graph, entity_map, store, cfg, FakeEmbedder(vectors)).paths
-        got = sorted(tuple(p.steps) for p in paths)
-        assert got == _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg), seed
-        for p in paths:
-            q = vectors[p.root_chunk]
-            assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]]
+        expected = _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
+        for sampler_class in (PathSampler, AdversarialSampler):
+            for step_path in STEP_PATHS:
+                sampler = _on_path(sampler_class, step_path)(
+                    graph, entity_map, store, cfg, FakeEmbedder(vectors)
+                )
+                paths = sampler.sample().paths
+                where = (seed, sampler_class.__name__, step_path)
+                assert sorted(tuple(p.steps) for p in paths) == expected, where
+                for p in paths:
+                    q = vectors[p.root_chunk]
+                    assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]], where
+                assert (sampler.scanned > 0) == (step_path == "scan"), where
+                if sampler_class is AdversarialSampler and step_path == "scan":
+                    assert sampler.most_queries > 1, where  # a block scored together
 
 
 def test_path_invariants_on_random_graphs():
@@ -470,7 +549,7 @@ def test_sampler_holds_the_pools_of_one_root_entity_at_most(policy, depth):
     def checked_expand_root(root, start_chunk):
         current.append(root.entity_id)
         paths = expand_root(root, start_chunk)
-        assert set(sampler._pools) <= requested[root.entity_id]
+        assert set(sampler._pools) <= requested.get(root.entity_id, set())
         return paths
 
     sampler._pool, sampler._expand_root = recording_pool, checked_expand_root
