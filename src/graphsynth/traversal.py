@@ -7,36 +7,33 @@ not yet on the path, scored by dot-product similarity against the root
 paragraph, and the top W candidates are kept. Leaves of the retained beam
 become paths.
 
-The sampler holds chunk embeddings as the columns of one matrix, filled
-the first time a candidate needs them, and every entity's chunk rows and
-neighbors in CSR arrays. Each root query gets an approximate BLAS score
-for every column, with a proven bound on its distance from the exact one
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-section 3.1); the start paragraphs of a block of roots are scored
-together, in one tiled matrix product. A step ranks its pool in two
-passes. The first finds the contenders: the candidates whose upper bound
-reaches the W-th largest lower bound, since no other can be in the top W.
-It takes them from a scan of the columns in descending approximate score,
-keeping each column that an unvisited neighbor holds and that is not on
-the path, and stopping once W candidates are held and the next score lies
-below the W-th one by more than twice the bound: the threshold algorithm
-of Fagin, Lotem and Naor ("Optimal aggregation algorithms for middleware",
-PODS 2001), with the query's scores as the sorted list. Where the scan
-cannot stand in for the pool (a neighbor's chunks are not all embedded
-yet, a norm lies outside the range the bound covers, or the step is pinned
-to one document), the step materializes the pool instead: its neighbors'
-slices in (entity_id, chunk_id) order, built when a root's expansion first
-needs it and dropped when the next root entity starts, masked, and pruned
-by the same rule. The second pass scores the contenders exactly, with the
-left-to-right summation of ``similarity()``, and keeps the head of a
-stable sort over them in pool order. So the ranking, tie-breaks and scores
-equal those of the scalar definition, and the chunks embedded are those
-the pools would embed.
+The sampler holds chunk embeddings as the columns of one matrix, and every
+entity's chunk rows and neighbors in CSR arrays. Each root query gets an
+approximate BLAS score for every column, with a proven bound on its
+distance from the exact one (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., section 3.1); the start paragraphs of a block of
+roots are scored together, in one tiled matrix product. A step never
+builds its pool. It first embeds the pool's chunks that are not embedded
+yet, then ranks the pool in two passes. The first finds the contenders:
+the candidates whose upper bound reaches the W-th largest lower bound,
+since no other can be in the top W. It walks one list of columns in
+descending approximate score, the query's order over every column or,
+when the step is pinned to a document, that document's rows, keeping each
+column that an unvisited neighbor holds and that is not on the path, and
+stopping once W candidates are held and the next score lies below the
+W-th one by more than twice the bound: the threshold algorithm of Fagin,
+Lotem and Naor ("Optimal aggregation algorithms for middleware", PODS
+2001), with the query's scores as the sorted list. Where a norm lies
+outside the range the bound covers, the walk takes the columns in index
+order and every candidate is a contender. The second pass scores the
+contenders exactly, with the left-to-right summation of ``similarity()``,
+and keeps the head of a stable sort over them in (entity_id, chunk_id)
+order. So the ranking, tie-breaks and scores equal those of the scalar
+definition, and the chunks embedded are exactly those of the pools.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import random
@@ -108,7 +105,7 @@ class Path:
 class PathSet:
     paths: list[Path] = field(default_factory=list)
     # What the sampler did: candidates left after masking, columns its
-    # scans walked, and how many candidates it scored exactly.
+    # walks took, and how many candidates it scored exactly.
     counts: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -161,34 +158,6 @@ class _BeamNode:
     scores: list[float]
     visited: set[str]
     chunks_on_path: set[str]
-
-
-@dataclass(frozen=True)
-class _CandidatePool:
-    """One entity's (neighbor, chunk) candidates, sorted by (entity_id, chunk_id).
-
-    ``neighbors`` lists the neighbors' entity indices, ascending; candidates
-    ``bounds[i]:bounds[i + 1]`` are the chunks of ``neighbors[i]``, and
-    ``rows`` holds their matrix rows.
-    """
-
-    neighbors: list[int]
-    bounds: np.ndarray
-    rows: np.ndarray
-
-    def span(self, entity: int) -> tuple[int, int]:
-        """The candidates of the entity with index ``entity``: empty if it is no neighbor."""
-        i = bisect.bisect_left(self.neighbors, entity)
-        if i < len(self.neighbors) and self.neighbors[i] == entity:
-            return self.bounds[i], self.bounds[i + 1]
-        return 0, 0
-
-    def holders(self, candidates: np.ndarray) -> list[int]:
-        """The neighbor index of each candidate."""
-        # The last neighbor starting at or before the candidate; a neighbor
-        # without chunks starts where the next one does, so it never is.
-        at = self.bounds.searchsorted(candidates, side="right") - 1
-        return [self.neighbors[i] for i in at.tolist()]
 
 
 @dataclass
@@ -253,23 +222,18 @@ class PathSampler:
         # transposed matrix is row j's embedding once _filled[j] is set.
         self._chunk_ids = sorted({c for chunks in entity_chunks.values() for c in chunks})
         self._row = {c: i for i, c in enumerate(self._chunk_ids)}
-        self._doc_codes: dict[str, int] = {}
-        self._row_doc = np.array(
-            [
-                self._doc_codes.setdefault(chunk_store.get(c).doc_id, len(self._doc_codes))
-                for c in self._chunk_ids
-            ],
-            dtype=np.int64,
-        )
+        self._doc_rows: dict[str, list[int]] = {}  # each document's rows, ascending
+        for row, c in enumerate(self._chunk_ids):
+            self._doc_rows.setdefault(chunk_store.get(c).doc_id, []).append(row)
         # Entities in id order, so that sorting indices sorts ids; the graph
         # may name entities without chunks.
         self._entities = sorted(
             set(entity_chunks).union(graph.adjacency, *graph.adjacency.values())
         )
         self._index = {e: i for i, e in enumerate(self._entities)}
-        # Entity i's rows, ascending, are the next sizes[i] entries of
-        # _entity_rows; _holders[row] lists the indices of the entities that
-        # hold that chunk.
+        # Entity i's rows, ascending, are the sizes[i] entries of _entity_rows
+        # from _entity_starts[i] on; _holders[row] lists the indices of the
+        # entities that hold that chunk.
         sizes = np.zeros(len(self._entities), dtype=np.int64)
         owners = []
         self._holders: list[list[int]] = [[] for _ in self._chunk_ids]
@@ -283,22 +247,18 @@ class PathSampler:
             [self._row[c] for chunks in entity_chunks.values() for c in chunks], dtype=np.int32
         )
         self._entity_rows = rows[np.lexsort((rows, np.array(owners, dtype=np.int64)))]
+        self._entity_starts = (np.cumsum(sizes) - sizes).tolist()
         self._sizes = sizes.tolist()
         # CSR over the graph: entity i's neighbors, ascending, fill the slots
-        # _adjacent_starts[i] to _adjacent_starts[i + 1] of _adjacent. With
-        # every pool laid end to end, slot k's candidates take the positions
-        # _slot_starts[k] to _slot_starts[k + 1], and position p holds entity
-        # row p + _slot_shift[k]; entity i's pool holds _pool_sizes[i].
+        # _adjacent_starts[i] to _adjacent_starts[i + 1] of _adjacent; entity
+        # i's pool holds _pool_sizes[i] candidates.
         adjacency = [
             sorted(self._index[nb] for nb in graph.adjacency.get(e, ())) for e in self._entities
         ]
         self._adjacent = np.array([i for nbs in adjacency for i in nbs], dtype=np.int64)
         self._adjacent_starts = np.cumsum([0] + [len(nbs) for nbs in adjacency]).tolist()
-        self._slot_sizes = sizes[self._adjacent]
-        self._slot_starts = np.zeros(len(self._adjacent) + 1, dtype=np.int64)
-        np.cumsum(self._slot_sizes, out=self._slot_starts[1:])
-        self._slot_shift = (np.cumsum(sizes) - sizes)[self._adjacent] - self._slot_starts[:-1]
-        self._pool_sizes = np.diff(self._slot_starts[self._adjacent_starts]).tolist()
+        slots = np.concatenate(([0], np.cumsum(sizes[self._adjacent])))
+        self._pool_sizes = np.diff(slots[self._adjacent_starts]).tolist()
         self._matrix_t: np.ndarray | None = None
         self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
         self._fill_log: list[int] = []  # rows in the order they were filled
@@ -306,17 +266,14 @@ class PathSampler:
         # whose neighbors' rows are all filled.
         self._unfilled = sizes.copy()
         self._filled_around: set[int] = set()
-        # The pools of the current root entity's expansion, dropped when the
-        # next root entity starts: one_hop uses a pool only for one root's S
-        # starts, back to back, and keeping every pool costs memory that
-        # grows with the corpus.
-        self._pools: dict[str, _CandidatePool] = {}
+        # The neighbor masks of the current root entity's expansion, dropped
+        # when the next root entity starts: each costs a byte per entity.
         self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
-        self._pools_root: str | None = None
+        self._masks_root: str | None = None
         self._max_norm = 0.0
         self._block: _Block | None = None  # the queries being expanded
         self.candidates = 0  # candidates left after masking, over all steps
-        self.scanned = 0  # columns the scans walked
+        self.scanned = 0  # columns the walks took
         self.rescored = 0  # candidates scored exactly
 
     def _fill(self, row: int) -> None:
@@ -350,20 +307,6 @@ class PathSampler:
             return self._matrix_t[:, row]
         return embed_text(self.chunk_store.get(chunk_id).text, self.backend, self.cache)
 
-    def _pool(self, entity: str) -> _CandidatePool:
-        pool = self._pools.get(entity)
-        if pool is None:
-            i = self._index[entity]
-            first, last = self._adjacent_starts[i], self._adjacent_starts[i + 1]
-            bounds = self._slot_starts[first : last + 1]
-            rows = np.repeat(self._slot_shift[first:last], self._slot_sizes[first:last])
-            rows += np.arange(bounds[0], bounds[-1])
-            pool = _CandidatePool(
-                self._adjacent[first:last].tolist(), bounds - bounds[0], self._entity_rows[rows]
-            )
-            self._pools[entity] = pool
-        return pool
-
     def _neighbor_mask(self, entity: int) -> bytes:
         """Byte i is 1 where the entity with index i neighbors ``entity``."""
         mask = self._masks.get(entity)
@@ -374,16 +317,22 @@ class PathSampler:
             mask = self._masks[entity] = flags.tobytes()
         return mask
 
-    def _neighbors_filled(self, entity: int, adjacent: bytes, visited: set[int]) -> bool:
-        """Whether every row of the entity's unvisited neighbors is filled."""
+    def _fill_neighbors(self, entity: int, visited: set[int], on_path: set[int]) -> None:
+        """Embed the rows of the entity's unvisited neighbors that are not on the path."""
         if entity in self._filled_around:
-            return True
+            return
         first, last = self._adjacent_starts[entity], self._adjacent_starts[entity + 1]
-        unfilled = int(self._unfilled[self._adjacent[first:last]].sum())
-        if unfilled == 0:
+        neighbors = self._adjacent[first:last]
+        waiting = neighbors[self._unfilled[neighbors] > 0].tolist()
+        if not waiting:
             self._filled_around.add(entity)  # rows never unfill
-            return True
-        return unfilled == sum(int(self._unfilled[v]) for v in visited if adjacent[v])
+            return
+        for v in waiting:
+            if v not in visited:
+                start = self._entity_starts[v]
+                for row in self._entity_rows[start : start + self._sizes[v]].tolist():
+                    if not self._filled[row] and row not in on_path:
+                        self._fill(row)
 
     def _approximate(self, queries: np.ndarray, columns) -> np.ndarray:
         """BLAS scores ``q . c`` of each query row and each matrix column in ``columns``.
@@ -475,31 +424,63 @@ class PathSampler:
         if q.shape != (self._matrix_t.shape[0],):
             raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
 
-    def _scan(
-        self, entity: int, adjacent: bytes, q: np.ndarray, visited: set[int], on_path: set[int]
-    ) -> tuple[list[int], list[int]] | None:
-        """The contenders of a step whose neighbors' rows are all filled, as
-        (holder indices, rows) in pool order; None where no bound holds."""
+    def _contenders(
+        self,
+        entity: int,
+        adjacent: bytes,
+        q: np.ndarray,
+        visited: set[int],
+        on_path: set[int],
+        doc: str | None,
+    ) -> tuple[list[int], list[int]]:
+        """The contenders of a step, as (holder indices, rows) in pool order.
+
+        The step's candidate rows are embedded first. The walk then takes
+        the query's columns in descending score or, with ``doc``, the
+        candidate rows of that document sorted by score; where no bound
+        holds, it takes the candidate columns in index order and keeps all.
+        """
         holders = self._holders
-        candidates = self._pool_sizes[entity]
-        for v in visited:
-            if adjacent[v]:
-                candidates -= self._sizes[v]
-        for row in on_path:
-            for h in holders[row]:
-                if adjacent[h] and h not in visited:
-                    candidates -= 1
+        if doc is None:
+            self._fill_neighbors(entity, visited, on_path)
+            columns = None
+            candidates = self._pool_sizes[entity]
+            for v in visited:
+                if adjacent[v]:
+                    candidates -= self._sizes[v]
+            for row in on_path:
+                for h in holders[row]:
+                    if adjacent[h] and h not in visited:
+                        candidates -= 1
+        else:
+            columns, candidates = [], 0
+            for row in self._doc_rows.get(doc, ()):
+                if row in on_path:
+                    continue
+                held = sum(1 for h in holders[row] if adjacent[h] and h not in visited)
+                if held:
+                    if not self._filled[row]:
+                        self._fill(row)
+                    columns.append(row)
+                    candidates += held
         if candidates == 0:
             return [], []
         self._check_dimension(q)
-        if not _bounded(self._max_norm):
-            return None
-        query = self._query(q)
-        if not _bounded(query.norm):
-            return None
         self.candidates += candidates
+        query = self._query(q) if _bounded(self._max_norm) else None
+        if query is not None and _bounded(query.norm):
+            margin = 2 * _error_bound(len(q), query.norm, self._max_norm)
+            if columns is None:
+                order, order_scores = query.order, query.order_scores  # extended in place
+            else:
+                scores = query.scores[columns]
+                ranked = np.argsort(-scores, kind="stable")
+                order, order_scores = np.take(columns, ranked).tolist(), scores[ranked].tolist()
+        else:
+            margin = math.inf
+            order = list(range(len(self._chunk_ids))) if columns is None else columns
+            order_scores = [0.0] * len(order)
         width = self.cfg.beam_width
-        margin = 2 * _error_bound(len(q), query.norm, self._max_norm)
         # A column's candidates share its score, and columns come in
         # descending score, so the score at which W are first held is the
         # W-th largest of the pool; a later column that falls below it by
@@ -507,10 +488,9 @@ class PathSampler:
         found: list[tuple[int, int]] = []
         floor = -math.inf
         walked = 0
-        order, order_scores = query.order, query.order_scores  # extended in place
         ordered = len(order)
         while len(found) < candidates:
-            if walked == ordered:
+            if walked == ordered:  # only the query's order runs out
                 self._extend_order(query)
                 ordered = len(order)
             score = order_scores[walked]
@@ -529,56 +509,6 @@ class PathSampler:
         found.sort()
         return [h for h, _ in found], [row for _, row in found]
 
-    def _prune_pool(
-        self,
-        current: str,
-        q: np.ndarray,
-        visited: set[str],
-        chunks_on_path: set[str],
-        doc_id: str | None,
-    ) -> tuple[list[int], np.ndarray]:
-        """The contenders of a step from its materialized pool, as (holder indices, rows)."""
-        pool = self._pool(current)
-        keep = np.ones(len(pool.rows), dtype=bool)
-        for nb in visited:
-            start, end = pool.span(self._index.get(nb, -1))
-            keep[start:end] = False
-        for chunk_id in chunks_on_path:
-            row = self._row.get(chunk_id)
-            if row is None:
-                continue
-            for holder in self._holders[row]:
-                start, end = pool.span(holder)
-                if start < end:
-                    first, stop = start + pool.rows[start:end].searchsorted((row, row + 1))
-                    keep[first:stop] = False
-        if doc_id is not None:
-            keep &= self._row_doc[pool.rows] == self._doc_codes.get(doc_id, -1)
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            return [], idx
-        rows = pool.rows[idx]
-        if len(self._fill_log) < len(self._chunk_ids):
-            for row in rows[~self._filled[rows]].tolist():
-                if not self._filled[row]:  # a chunk of two neighbors is listed twice
-                    self._fill(row)
-        self._check_dimension(q)
-        self.candidates += len(rows)
-        if len(rows) > self.cfg.beam_width:
-            q_norm = math.sqrt(float(q @ q))
-            if _bounded(q_norm) and _bounded(self._max_norm):
-                # Each exact score is within err of its approx, so the W-th
-                # largest exact score is at least the W-th largest approx
-                # minus err, and a candidate whose approx falls below that by
-                # more than err cannot be in the top W. The rest keep their
-                # pool order.
-                approx = self._approximate(q[None, :], rows)[0]
-                kth = len(rows) - self.cfg.beam_width
-                err = _error_bound(len(q), q_norm, self._max_norm)
-                contenders = np.flatnonzero(approx >= np.partition(approx, kth)[kth] - 2 * err)
-                idx, rows = idx[contenders], rows[contenders]
-        return pool.holders(idx), rows
-
     def expand_step(
         self,
         current: tuple[str, str],
@@ -591,28 +521,21 @@ class PathSampler:
 
         The pool spans all unvisited neighbors' paragraphs that are not on
         the path (and, with ``doc_id``, lie in that document); ties are
-        broken by (entity_id, chunk_id) ascending. Only those candidates'
-        chunks are embedded. Where every such chunk is embedded already and
-        the norms allow a bound, a scan of the columns in descending
-        approximate score finds the contenders without building the pool;
-        otherwise the pool is built, masked and pruned by the same bound.
-        Only the contenders are scored, by the left-to-right sum of
+        broken by (entity_id, chunk_id) ascending. The pool's chunks are
+        embedded, and no others. A walk of the columns in descending
+        approximate score finds the contenders without building the pool,
+        and only they are scored, by the left-to-right sum of
         ``similarity()``, so each returned score equals
         ``similarity(root_vec, v)`` bit for bit.
         """
         entity = self._index[current[0]]
         q = np.asarray(root_vec, dtype=np.float64)
         visited_at = {self._index[v] for v in visited if v in self._index}
-        found = None
-        if doc_id is None:
-            adjacent = self._neighbor_mask(entity)
-            if self._neighbors_filled(entity, adjacent, visited_at):
-                on_path = {self._row[c] for c in chunks_on_path if c in self._row}
-                found = self._scan(entity, adjacent, q, visited_at, on_path)
-        if found is None:
-            found = self._prune_pool(current[0], q, visited, chunks_on_path, doc_id)
-        holders, rows = found
-        if len(rows) == 0:
+        on_path = {self._row[c] for c in chunks_on_path if c in self._row}
+        holders, rows = self._contenders(
+            entity, self._neighbor_mask(entity), q, visited_at, on_path, doc_id
+        )
+        if not rows:
             return []
         self.rescored += len(rows)
         # Row by row from the first, as ``similarity()`` sums; a matrix product
@@ -627,10 +550,9 @@ class PathSampler:
 
     def _expand_root(self, root: EntityRecord, start_chunk: str) -> list[Path]:
         cfg = self.cfg
-        if root.entity_id != self._pools_root:
-            self._pools.clear()
+        if root.entity_id != self._masks_root:
             self._masks.clear()
-            self._pools_root = root.entity_id
+            self._masks_root = root.entity_id
         root_vec = self._embed_chunk(start_chunk)
         doc_id = self.chunk_store.get(start_chunk).doc_id if cfg.same_document_only else None
         depth = cfg.expansion_depth()
@@ -679,19 +601,16 @@ class PathSampler:
         roots = sorted(self.entity_map, key=lambda r: r.entity_id)
         every = -(-len(roots) // 10)  # about every tenth of the roots
         per_block = max(1, _BLOCK_QUERIES // self.cfg.max_start_paragraphs)
-        scans = not self.cfg.same_document_only  # a step pinned to one document takes the pool
         for first in range(0, len(roots), per_block):
             block, vectors = [], []
             for root in roots[first : first + per_block]:
                 # Per-root rng keeps results independent of root scheduling.
                 rng = random.Random(f"{self.cfg.rng_seed}:{root.entity_id}")
                 starts = sorted(select_start_paragraphs(root, self.cfg, rng))
-                if scans:
-                    with _naming(root):
-                        vectors += [self._vector(c) for c in starts]
+                with _naming(root):
+                    vectors += [self._vector(c) for c in starts]
                 block.append((root, starts))
-            if scans:
-                self._begin_block(vectors)
+            self._begin_block(vectors)
             for done, (root, starts) in enumerate(block, first + 1):
                 with _naming(root):
                     for start_chunk in starts:

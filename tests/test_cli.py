@@ -203,6 +203,43 @@ def test_sample_counts_candidates_and_exact_rescores(tmp_path):
     assert 0 < counts["scanned"] < counts["candidates"]
 
 
+# sha256 of paths.jsonl and embeddings.json on the long-tail corpus, per
+# traversal config; a change to how sample ranks or embeds must keep them.
+TRAVERSAL_DIGESTS = {
+    "one_hop": (
+        {"hop_policy": "one_hop"},
+        "ec5f074f1464234559cc02e52b59b31e25d9ac2fa233f92c9ef183d6df7c4bd7",
+    ),
+    "two_hop": (
+        {"hop_policy": "two_hop"},
+        "56253329e8cb078a2fa6474f8e36c891c564e6d7fdf8f41093f49e349b57a2f0",
+    ),
+    "mixed_depth_3": (
+        {"hop_policy": "mixed", "depth": 3},
+        "b436626fd833f83175767bf002c5d94915178974f908826a53134e7a61012cb6",
+    ),
+    "same_document_only": (
+        {"hop_policy": "two_hop", "same_document_only": True},
+        "81d83d795a5480a6f2e1ab64418bc4ab91c8fd52b0f7be309361dc8c3a56f72a",
+    ),
+}
+LONGTAIL_EMBEDDINGS_DIGEST = "b38a286fb5a9b1c3da0ee5174262339b890963179545766193d6ee5fa9853dda"
+
+
+@pytest.mark.parametrize("name", list(TRAVERSAL_DIGESTS))
+def test_sample_artifacts_match_their_golden_digests(tmp_path, name):
+    traversal, paths_digest = TRAVERSAL_DIGESTS[name]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(longtail_corpus_jsonl()) + "\n", encoding="utf-8")
+    config = RunConfig(
+        input=str(corpus), workdir=str(tmp_path / "out"), traversal=TraversalConfig(**traversal)
+    )
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    assert sha256_file(workdir / "paths.jsonl") == paths_digest
+    assert sha256_file(workdir / "embeddings.json") == LONGTAIL_EMBEDDINGS_DIGEST
+
+
 def test_rerun_identical_digests(tmp_path):
     a = load_config(_write_config(tmp_path, _config_dict(tmp_path, "out_a"), "a.yaml"))
     b = load_config(_write_config(tmp_path, _config_dict(tmp_path, "out_b"), "b.yaml"))

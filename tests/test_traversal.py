@@ -26,38 +26,29 @@ def _uniform_embedder(chunk_ids, vec=(1.0, 0.0)):
     return FakeEmbedder({c: vec for c in chunk_ids})
 
 
-def _toy_sampler(spec, vectors, cfg, step_path=None, sampler_class=None):
+def _toy_sampler(spec, vectors, cfg, prefilled=False, sampler_class=PathSampler):
     """spec: entity -> chunk ids. Chunk text equals its id; doc id is the
-    part before '#', or the whole id when there is no '#'. ``step_path``
-    makes the steps take one path, see ``_on_path``."""
+    part before '#', or the whole id when there is no '#'. ``prefilled``
+    embeds every chunk up front, see ``_prefill``."""
     entity_map = make_entity_map(spec)
     chunk_ids = sorted({c for chunks in spec.values() for c in chunks})
     store = make_store({c: c for c in chunk_ids})
     graph = build_graph(entity_map)
     backend = FakeEmbedder(vectors) if isinstance(vectors, dict) else vectors
-    sampler_class = _on_path(sampler_class or PathSampler, step_path)
     sampler = sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache())
-    if step_path == "scan":
-        # A step scans only once its neighbors' chunks are all embedded.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in range(len(sampler._chunk_ids)):
-                sampler._fill(row)
+    return _prefill(sampler) if prefilled else sampler
+
+
+# A sampler embeds chunks as its steps first need them; one whose chunks
+# are all embedded up front must rank every step the same.
+PREFILLED = (False, True)
+
+
+def _prefill(sampler):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in range(len(sampler._chunk_ids)):
+            sampler._fill(row)
     return sampler
-
-
-STEP_PATHS = ("scan", "pool")
-
-
-def _on_path(sampler_class, step_path):
-    """The class whose steps find their contenders from the pool where
-    ``step_path`` is "pool", else ``sampler_class`` itself."""
-    if step_path != "pool":
-        return sampler_class
-    return type(f"Pool{sampler_class.__name__}", (sampler_class,), {"_neighbors_filled": _never})
-
-
-def _never(self, *args):
-    return False
 
 
 # --- select_start_paragraphs ----------------------------------------------------
@@ -149,10 +140,9 @@ def test_expand_scores_equal_scalar_similarity(dim):
         ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )
-    for step_path in STEP_PATHS:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100), step_path)
-        assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, step_path
-        assert (sampler.scanned > 0) == (step_path == "scan")
+    for prefilled in PREFILLED:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100), prefilled)
+        assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, prefilled
 
 
 @pytest.mark.parametrize("dim", [4, 64, 768])
@@ -177,11 +167,10 @@ def test_expand_scores_equal_scalar_similarity_under_cancellation(dim, width):
         ((e, c, similarity(vectors["qa"], vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )[:width]
-    for step_path in STEP_PATHS:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+    for prefilled in PREFILLED:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
         cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
-        assert json.dumps(cands) == json.dumps(expected), step_path
-        assert (sampler.scanned > 0) == (step_path == "scan")
+        assert json.dumps(cands) == json.dumps(expected), prefilled
 
 
 def test_expand_scores_a_sum_of_negative_zeros_as_zero():
@@ -189,12 +178,11 @@ def test_expand_scores_a_sum_of_negative_zeros_as_zero():
     spec = {"a": ["qa"], "b": ["qa", "z", "y", "x"]}
     vectors = {"qa": (-1.0, -2.0), "z": (0.0, 0.0), "y": (0.0, 0.0), "x": (-1.0, 0.0)}
     expected = [["b", "x", 1.0], ["b", "y", 0.0], ["b", "z", 0.0]]
-    for step_path in STEP_PATHS:
+    for prefilled in PREFILLED:
         for width in (2, 3):
-            sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+            sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
             cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
-            assert json.dumps(cands) == json.dumps(expected[:width]), (step_path, width)
-            assert (sampler.scanned > 0) == (step_path == "scan")
+            assert json.dumps(cands) == json.dumps(expected[:width]), (prefilled, width)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -203,7 +191,8 @@ def test_expand_scores_a_sum_of_negative_zeros_as_zero():
 def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extra):
     # Norms past the range the error bound covers, or a nan, in a chunk or
     # in the query make the step score every candidate exactly; nan scores
-    # sort last, in pool order.
+    # sort last, in pool order. A tiny chunk norm beside larger ones keeps
+    # the bound.
     spec = {"a": ["qa"], "b": ["qa", "f1", "f2", *extra], "c": ["qa", "f3"]}
     vectors = {
         "qa": (1.0, 1.0), "f1": (0.5, 0.25), "f2": (-1.0, 2.0), "f3": (0.75, 0.0),
@@ -214,15 +203,13 @@ def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extr
     scored = [(e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]]
     ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
     expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
-    for step_path in STEP_PATHS:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), step_path)
+    for prefilled in PREFILLED:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
         with np.errstate(over="ignore", invalid="ignore"):
             cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
-        assert json.dumps(cands) == json.dumps(expected), step_path
-        # Only a query and a largest chunk norm in range let a step scan; a
-        # tiny chunk norm beside larger ones does not matter.
-        in_range = query == "qa" and extra in ([], ["t"])
-        assert (sampler.scanned > 0) == (step_path == "scan" and in_range)
+        assert json.dumps(cands) == json.dumps(expected), prefilled
+        if not (query == "qa" and extra in ([], ["t"])):
+            assert sampler.rescored == sampler.candidates, prefilled
 
 
 def _allowed_error(q, c):
@@ -276,8 +263,8 @@ def test_expand_is_exact_under_an_approximate_scorer_that_errs_by_the_bound(widt
         vectors[near] = tuple(np.nextafter(vectors[original], math.inf).tolist())
     spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
     cfg = TraversalConfig(beam_width=width)
-    for step_path in STEP_PATHS:
-        sampler = _toy_sampler(spec, vectors, cfg, step_path, AdversarialSampler)
+    for prefilled in PREFILLED:
+        sampler = _toy_sampler(spec, vectors, cfg, prefilled, AdversarialSampler)
         for query in ["qa"] + chunks[:8]:
             for scale in (1.0, 2.0**-570):
                 q = tuple(x * scale for x in vectors[query])
@@ -286,11 +273,12 @@ def test_expand_is_exact_under_an_approximate_scorer_that_errs_by_the_bound(widt
                     key=lambda cand: (-cand[2], cand[0], cand[1]),
                 )[:width]
                 sampler.winners = {c for _, c, _ in expected}
-                scanned = sampler.scanned
+                candidates, rescored = sampler.candidates, sampler.rescored
                 cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
-                assert cands == expected, (step_path, query, scale)
-                # At the small scale the query's squares underflow: no bound, no scan.
-                assert (sampler.scanned > scanned) == (step_path == "scan" and scale == 1.0)
+                assert cands == expected, (prefilled, query, scale)
+                if scale < 1.0:
+                    # The query's squares underflow: no bound, so no candidate is pruned.
+                    assert sampler.rescored - rescored == sampler.candidates - candidates
 
 
 @pytest.mark.parametrize(
@@ -349,25 +337,31 @@ def test_expand_embeds_only_unmasked_candidates():
     assert sorted(backend.calls) == ["d1#1", "d1#2", "d1#3"]
 
 
-def test_a_step_with_unembedded_neighbor_chunks_builds_the_pool():
-    # The scan walks embedded columns only, so while a chunk of an
-    # unvisited neighbor waits to be embedded the step takes the pool,
-    # which embeds it; once all are embedded the step scans.
+def test_a_step_embeds_its_unembedded_candidates_first():
+    # y, a chunk of an unvisited neighbor, waits to be embedded; the step
+    # embeds it before it walks, and leaves w, no neighbor's chunk, as it is.
     spec = {"a": ["qa"], "b": ["qa", "x", "y"], "c": ["qa", "z"], "d": ["w"]}
     vectors = {
         "qa": (1.0, 0.0), "x": (0.5, 0.0), "y": (0.25, 0.0), "z": (0.75, 0.0), "w": (2.0, 0.0),
     }
     backend = CountingEmbedder(vectors)
     sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=1))
-    for chunk in ("qa", "x", "z", "w"):
+    for chunk in ("qa", "x", "z"):
         sampler._embed_chunk(chunk)
+    embedded = len(backend.calls)
     cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
     assert cands == [("c", "z", 0.75)]
-    assert set(sampler._pools) == {"a"} and sampler.scanned == 0
-    assert backend.calls[-1] == "y"
-    sampler._pools.clear()
+    assert backend.calls[embedded:] == ["y"]
     assert sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"}) == cands
-    assert not sampler._pools and sampler.scanned > 0
+    assert backend.calls[embedded:] == ["y"]
+
+
+def test_a_step_pinned_to_an_unknown_document_finds_nothing():
+    spec = {"a": ["d1#0"], "b": ["d1#0", "d1#1"], "c": ["d1#0", "d2#0"]}
+    backend = CountingEmbedder({c: (1.0, 0.0) for c in ["d1#0", "d1#1", "d2#0"]})
+    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=5))
+    assert sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d9") == []
+    assert backend.calls == [] and sampler.candidates == 0
 
 
 # --- sample_paths ----------------------------------------------------------------
@@ -456,9 +450,9 @@ def test_five_entity_toy_matches_exhaustive_enumeration():
 )
 def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, policy, monkeypatch):
     # Vectors from a five-value grid tie often, so the tie-break decides
-    # many beams; paths and scores must follow similarity() exactly, on
-    # either step path, also when the blocks of start paragraphs are scored
-    # with errors up to the bound. Blocks of four queries make several
+    # many beams; paths and scores must follow similarity() exactly, with
+    # chunks embedded up front or as the steps need them, also when the
+    # blocks of start paragraphs are scored with errors up to the bound. Blocks of four queries make several
     # blocks per sample.
     monkeypatch.setattr(traversal, "_BLOCK_QUERIES", 4)
     for seed in range(10):
@@ -476,18 +470,17 @@ def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, po
         graph = build_graph(entity_map)
         expected = _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
         for sampler_class in (PathSampler, AdversarialSampler):
-            for step_path in STEP_PATHS:
-                sampler = _on_path(sampler_class, step_path)(
-                    graph, entity_map, store, cfg, FakeEmbedder(vectors)
-                )
+            for prefilled in PREFILLED:
+                sampler = sampler_class(graph, entity_map, store, cfg, FakeEmbedder(vectors))
+                if prefilled:
+                    _prefill(sampler)
                 paths = sampler.sample().paths
-                where = (seed, sampler_class.__name__, step_path)
+                where = (seed, sampler_class.__name__, prefilled)
                 assert sorted(tuple(p.steps) for p in paths) == expected, where
                 for p in paths:
                     q = vectors[p.root_chunk]
                     assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]], where
-                assert (sampler.scanned > 0) == (step_path == "scan"), where
-                if sampler_class is AdversarialSampler and step_path == "scan":
+                if sampler_class is AdversarialSampler:
                     assert sampler.most_queries > 1, where  # a block scored together
 
 
@@ -530,31 +523,33 @@ def test_beam_bound_per_root_and_start():
 
 
 @pytest.mark.parametrize("policy, depth", [("one_hop", 1), ("two_hop", 2)])
-def test_sampler_holds_the_pools_of_one_root_entity_at_most(policy, depth):
-    # Several starts per root, so a root's later starts reuse its pools.
+def test_sampler_holds_the_masks_of_one_root_entity_at_most(policy, depth):
+    # Several starts per root, so a root's later starts reuse its masks.
     rng = random.Random(11)
     _, entity_chunks, vectors = _random_instance(rng, 8, 16)
     cfg = TraversalConfig(
         depth=depth, beam_width=2, hop_policy=policy, max_start_paragraphs=3, rng_seed=4
     )
     sampler = _toy_sampler(entity_chunks, vectors, cfg)
-    requested: dict[str, set[str]] = {}  # root entity -> the pools its expansions asked for
+    built: dict[str, set[int]] = {}  # root entity -> the masks its expansions built
     current = []
-    pool, expand_root = sampler._pool, sampler._expand_root
+    neighbor_mask, expand_root = sampler._neighbor_mask, sampler._expand_root
 
-    def recording_pool(entity):
-        requested.setdefault(current[-1], set()).add(entity)
-        return pool(entity)
+    def recording_mask(entity):
+        if entity not in sampler._masks:
+            built.setdefault(current[-1], set()).add(entity)
+        return neighbor_mask(entity)
 
     def checked_expand_root(root, start_chunk):
         current.append(root.entity_id)
         paths = expand_root(root, start_chunk)
-        assert set(sampler._pools) <= requested.get(root.entity_id, set())
+        assert set(sampler._masks) <= built.get(root.entity_id, set())
         return paths
 
-    sampler._pool, sampler._expand_root = recording_pool, checked_expand_root
+    sampler._neighbor_mask, sampler._expand_root = recording_mask, checked_expand_root
     assert sampler.sample().paths
     assert len(set(current)) > 1 and len(current) > len(set(current))
+    assert len(built) > 1
 
 
 def test_sampling_is_byte_deterministic(tmp_path):
