@@ -25,7 +25,7 @@ from .extraction import (
 )
 from .graph import ContextGraph, build_graph, graph_stats
 from .traversal import Path, PathSet, TraversalConfig, sample_paths
-from .synthesis import generate, render_cc_prompt, render_cot_prompt, write_synthetic_corpus
+from .synthesis import generate, write_synthetic_corpus
 from .analysis import DistributionReport, compare_reports, entity_distribution
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
     "graph_stats",
     "ingest_corpus",
     "normalize_mention",
-    "render_cc_prompt",
-    "render_cot_prompt",
     "sample_paths",
     "secondary_sampling",
     "similarity",

@@ -83,7 +83,6 @@ class UtilizationLedger:
 class BalanceConfig:
     target_coverage: float = 1.0
     standard_length: int | str = "auto"
-    rng_seed: int = 0
 
     def validate(self) -> list[str]:
         problems = []
@@ -270,12 +269,13 @@ def secondary_sampling(
     *,
     entity_to_chunks: Mapping[str, Sequence[str]],
     total_chunks: int,
+    seed: int = 0,
 ) -> list[SubsetAllocation]:
     """Partition the whole path set into subsets, carrying the ledger.
 
     A path's rank, which breaks utilization ties, is its position in
     ``path_set``; a path without an id is given ``p`` and its six-digit
-    position. The CC draws use ``random.Random(cfg.rng_seed)``.
+    position. The CC draws use ``random.Random(seed)``.
     """
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
@@ -287,7 +287,7 @@ def secondary_sampling(
     if repeated:
         raise ValueError(f"duplicate path_id '{repeated[0]}'")
     length = resolve_standard_length(cfg, total_chunks, max(p.hop_count for p in paths))
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(seed)
     ledger = UtilizationLedger(total_chunks)
 
     ranked = _RankedPaths(paths)

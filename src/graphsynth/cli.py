@@ -163,15 +163,15 @@ def _fits(value, types: tuple[type, ...]) -> bool:
 
 def _build(base, data, prefix: str = ""):
     """``base`` with the values of the mapping ``data`` (a config file's tree
-    or a stage subcommand's flags) set. Unknown keys, ``rng_seed`` among them
-    (the stages seed it from ``seed``), and values that do not fit their
-    field's type are rejected. A dataclass field is set from its own mapping
-    the same way, so a key left out keeps ``base``'s value (``auto`` for the
-    run's ``hop_policy``, where ``TraversalConfig()`` says ``one_hop``)."""
+    or a stage subcommand's flags) set. Unknown keys and values that do not
+    fit their field's type are rejected. A dataclass field is set from its
+    own mapping the same way, so a key left out keeps ``base``'s value
+    (``auto`` for the run's ``hop_policy``, where ``TraversalConfig()`` says
+    ``one_hop``)."""
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigurationError(f"{prefix[:-1] or 'config root'} must be a mapping")
-    unknown = set(data) - ({f.name for f in fields(base)} - {"rng_seed"})
+    unknown = set(data) - {f.name for f in fields(base)}
     if unknown:
         where = prefix[:-1] or "the top level"
         raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -462,11 +462,13 @@ def _sample(ctx: StageContext) -> dict:
     store = ctx.load("chunks")
     g = ctx.load("graph")
     hop_policy = _resolve_hop_policy(ctx, store)
-    cfg = replace(config.traversal, hop_policy=hop_policy, rng_seed=config.seed)
+    cfg = replace(config.traversal, hop_policy=hop_policy)
     # entries are keyed by backend and text, so an earlier run's are reused
     cache = embedding_mod.EmbeddingCache(ctx.paths.get("embeddings"))
     with embedding_backend(config.embedding) as backend:
-        paths = traversal_mod.sample_paths(g, ctx.load("entities"), store, cfg, backend, cache)
+        paths = traversal_mod.sample_paths(
+            g, ctx.load("entities"), store, cfg, backend, cache, seed=config.seed
+        )
     traversal_mod.save_paths(ctx.path("paths"), paths)
     ctx.put("paths", paths)
     if cache.path:
@@ -477,9 +479,10 @@ def _sample(ctx: StageContext) -> dict:
 def _balance(ctx: StageContext) -> dict:
     allocations = balance_mod.secondary_sampling(
         ctx.load("paths"),
-        replace(ctx.config.balance, rng_seed=ctx.config.seed),
+        ctx.config.balance,
         entity_to_chunks=extraction_mod.entity_chunk_index(ctx.load("entities")),
         total_chunks=len(ctx.load("chunks")),
+        seed=ctx.config.seed,
     )
     balance_mod.save_subsets(ctx.path("subsets"), allocations)
     ctx.put("subsets", allocations)
@@ -503,7 +506,7 @@ def _generate(ctx: StageContext) -> dict:
         records = synthesis_mod.generate(
             requests,
             backend,
-            synthesis_mod.RetryPolicy(max_retries=config.generation.max_retries),
+            max_retries=config.generation.max_retries,
             concurrency=config.generation.concurrency,
         )
     manifest = synthesis_mod.write_synthetic_corpus(records, ctx.path("synth"))

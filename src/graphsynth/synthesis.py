@@ -1,9 +1,13 @@
 """Generation requests, LLM backends, output validation, and corpus writing.
 
-Two strategies: a chained narrative with chain-of-thought QA over a path's
-fragments, and a contrastive comparison over a sparse-entity pair. Prompt
-text renders deterministically from (strategy, fragments); backend output
-must match the strategy schema or the record is rejected after retries.
+``build_requests`` makes a chained-narrative request with chain-of-thought
+QA (CoT) from each path of a subset and a contrastive request (CC) from each
+sparse-entity pair. A prompt quotes one fragment per (entity, chunk) step:
+the entity's name, its document's title under ``same_document``, and the
+chunk text. ``generate`` keeps a reply that matches its strategy's schema;
+otherwise it asks again, appending a repair instruction once, and after
+``max_retries`` the record is ``rejected``. ``synth.jsonl`` holds one
+``SynthRecord`` per line, keyed by its field names.
 ``RemoteChatBackend`` posts to a chat-completion service through the shared
 keep-alive ``remote.JsonClient``, which retries transport faults and 5xx
 replies; schema retries and repair prompts stay here. With concurrency N
@@ -27,7 +31,7 @@ from .balance import CCPair, SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .extraction import ChatBackend
-from .jsonl import write_jsonl
+from .jsonl import iter_jsonl, write_jsonl
 from .traversal import Path
 
 log = logging.getLogger(__name__)
@@ -78,18 +82,10 @@ REPAIR_INSTRUCTION = (
 
 
 @dataclass(frozen=True)
-class Fragment:
-    entity_name: str
-    chunk_text: str
-    doc_title: str | None = None
-
-
-@dataclass(frozen=True)
 class GenerationRequest:
     request_id: str
     strategy: str  # "cot" | "cc"
     source_id: str
-    fragments: tuple[Fragment, ...]
     prompt_text: str
     prompt_tokens: int  # len(prompt_text.split())
     temperature: float = DEFAULT_TEMPERATURE
@@ -109,11 +105,6 @@ class SynthRecord:
     status: str = "ok"  # "ok" | "rejected"
     reject_reason: str | None = None
     retries: int = 0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_retries: int = 2
 
 
 # Each template splits at ``{fragments}`` into a head and a tail. A prompt is
@@ -157,20 +148,17 @@ class _Renderer:
         self.same_document = same_document
         self.temperature = temperature
         self.max_tokens = max_tokens
-        # (entity_id, chunk_id) -> (fragment, piece, the piece's token count)
-        self._pieces: dict[tuple[str, str], tuple[Fragment, str, int]] = {}
+        # (entity_id, chunk_id) -> (piece, the piece's token count)
+        self._pieces: dict[tuple[str, str], tuple[str, int]] = {}
 
-    def _piece(self, entity_id: str, chunk_id: str, owner: str) -> tuple[Fragment, str, int]:
+    def _piece(self, entity_id: str, chunk_id: str, owner: str) -> tuple[str, int]:
         if chunk_id not in self.chunk_store:
             raise IntegrityError(f"{owner} references unknown chunk '{chunk_id}'")
-        fragment = Fragment(
-            entity_name=self.entity_names.get(entity_id, entity_id),
-            chunk_text=self.chunk_store.get(chunk_id).text,
-            doc_title=self.chunk_store.title_for(chunk_id) if self.same_document else None,
-        )
-        title = f" (article: {fragment.doc_title})" if fragment.doc_title else ""
-        piece = f"{fragment.entity_name}{title}\n{fragment.chunk_text}"
-        entry = self._pieces[entity_id, chunk_id] = (fragment, piece, len(piece.split()))
+        name = self.entity_names.get(entity_id, entity_id)
+        title = self.chunk_store.title_for(chunk_id) if self.same_document else None
+        article = f" (article: {title})" if title else ""
+        piece = f"{name}{article}\n{self.chunk_store.get(chunk_id).text}"
+        entry = self._pieces[entity_id, chunk_id] = (piece, len(piece.split()))
         return entry
 
     def _request(
@@ -178,19 +166,17 @@ class _Renderer:
         steps: Sequence[tuple[str, str]], owner: str,
     ) -> GenerationRequest:
         head, tail, tokens = _TEMPLATES[strategy]
-        fragments = []
         parts = [head]
         for i, (entity_id, chunk_id) in enumerate(steps, start=1):
-            fragment, piece, count = (
+            piece, count = (
                 self._pieces.get((entity_id, chunk_id)) or self._piece(entity_id, chunk_id, owner)
             )
-            fragments.append(fragment)
             parts += (f"Fragment {i} — entity: ", piece, "\n\n")
             tokens += _BLOCK_TOKENS + count
         parts[-1] = tail  # in place of the blank line after the last block
         return GenerationRequest(
-            request_id, strategy, source_id, tuple(fragments), "".join(parts),
-            tokens, self.temperature, self.max_tokens,
+            request_id, strategy, source_id, "".join(parts), tokens, self.temperature,
+            self.max_tokens,
         )
 
     def cot(self, path: Path) -> GenerationRequest:
@@ -207,32 +193,6 @@ class _Renderer:
             "cc", pair.pair_id, f"cc:{pair.pair_id}", (pair.left, pair.right),
             f"pair {pair.pair_id}",
         )
-
-
-def render_cot_prompt(
-    path: Path,
-    chunk_store: ChunkStore,
-    entity_names: Mapping[str, str],
-    *,
-    same_document: bool = False,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> GenerationRequest:
-    """One chained-narrative request per path, fragments in path order."""
-    return _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens).cot(path)
-
-
-def render_cc_prompt(
-    pair: CCPair,
-    chunk_store: ChunkStore,
-    entity_names: Mapping[str, str],
-    *,
-    same_document: bool = False,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> GenerationRequest:
-    """One contrastive request per sparse-entity pair."""
-    return _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens).cc(pair)
 
 
 def build_requests(
@@ -293,7 +253,9 @@ _ENTITY_LINE = re.compile(r"entity:\s*([^\n(]+?)(?:\s*\(article:[^)]*\))?\n")
 
 
 class MockLlmBackend:
-    """Deterministic offline backend producing schema-valid payloads.
+    """Deterministic offline backend producing schema-valid payloads: a CoT
+    payload for a prompt that starts with the CoT template's head, a CC
+    payload for any other.
 
     ``scripted`` overrides the response for specific request ids, which is
     how tests drive invalid/edge payloads.
@@ -308,7 +270,7 @@ class MockLlmBackend:
         if request_id is not None and request_id in self.scripted:
             return self.scripted[request_id]
         names = [m.strip() for m in _ENTITY_LINE.findall(prompt)] or ["the subject"]
-        if '"qa"' in prompt:
+        if prompt.startswith(_TEMPLATES["cot"][0]):
             chain = " which in turn involves ".join(names)
             payload = {
                 "narrative": (
@@ -412,12 +374,8 @@ class RemoteChatBackend:
         self.client.close()
 
 
-def _token_count(text: str) -> int:
-    return len(text.split())
-
-
 def _generate_one(
-    request: GenerationRequest, backend: ChatBackend, policy: RetryPolicy
+    request: GenerationRequest, backend: ChatBackend, max_retries: int
 ) -> SynthRecord:
     prompt = request.prompt_text
     input_tokens = request.prompt_tokens
@@ -435,66 +393,60 @@ def _generate_one(
             if not e.retryable:
                 raise
             attempts += 1
-            if attempts > policy.max_retries:
+            if attempts > max_retries:
                 raise BackendError(
                     f"backend unreachable for {request.request_id} after "
-                    f"{policy.max_retries} retries: {e}"
+                    f"{max_retries} retries: {e}"
                 ) from e
             continue
         payload, problem = _validate_payload(request.strategy, raw)
-        if payload is not None:
-            return SynthRecord(
-                request_id=request.request_id,
-                strategy=request.strategy,
-                source_id=request.source_id,
-                narrative=payload["narrative"],
-                qa=payload.get("qa"),
-                comparison=payload.get("comparison"),
-                input_tokens=input_tokens,
-                output_tokens=_token_count(raw),
-                retries=attempts,
-            )
+        if problem is None:
+            break
         attempts += 1
-        if attempts > policy.max_retries:
-            return SynthRecord(
-                request_id=request.request_id,
-                strategy=request.strategy,
-                source_id=request.source_id,
-                narrative="",
-                qa=None,
-                comparison=None,
-                input_tokens=input_tokens,
-                output_tokens=_token_count(raw),
-                status="rejected",
-                reject_reason=f"schema: {problem}",
-                retries=attempts,
-            )
+        if attempts > max_retries:
+            payload = {"narrative": ""}  # rejected: the record keeps no reply
+            break
         if not repaired:
             prompt = prompt + "\n\n" + REPAIR_INSTRUCTION
             input_tokens += _REPAIR_TOKENS
             repaired = True
+    return SynthRecord(
+        request_id=request.request_id,
+        strategy=request.strategy,
+        source_id=request.source_id,
+        narrative=payload["narrative"],
+        qa=payload.get("qa"),
+        comparison=payload.get("comparison"),
+        input_tokens=input_tokens,
+        output_tokens=len(raw.split()),
+        status="ok" if problem is None else "rejected",
+        reject_reason=None if problem is None else f"schema: {problem}",
+        retries=attempts,
+    )
 
 
 def generate(
     requests: Sequence[GenerationRequest],
     backend: ChatBackend,
-    policy: RetryPolicy = RetryPolicy(),
     *,
+    max_retries: int = 2,
     concurrency: int = 1,
 ) -> list[SynthRecord]:
     """Run all requests; output order always equals request order.
 
-    ``concurrency`` bounds the requests in flight, which the backend
-    enforces (a remote backend pools that many connections). Twice as many
-    workers run, so up to ``concurrency`` of them can wait out a retry
-    back-off while every slot stays busy.
+    ``max_retries`` bounds, per request, both the schema retries (the first
+    of them appends the repair instruction) and the retries after a
+    retryable backend error. ``concurrency`` bounds the requests in flight,
+    which the backend enforces (a remote backend pools that many
+    connections). Twice as many workers run, so up to ``concurrency`` of
+    them can wait out a retry back-off while every slot stays busy.
     """
     if not requests:
         return []
     if concurrency <= 1:
-        return _collect((_generate_one(r, backend, policy) for r in requests), len(requests))
+        return _collect((_generate_one(r, backend, max_retries) for r in requests), len(requests))
     with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-        return _collect(pool.map(lambda r: _generate_one(r, backend, policy), requests),
+        return _collect(pool.map(lambda r: _generate_one(r, backend, max_retries), requests),
                         len(requests))
 
 
@@ -511,25 +463,9 @@ def _collect(results: Iterable[SynthRecord], total: int) -> list[SynthRecord]:
     return records
 
 
-def record_to_dict(rec: SynthRecord) -> dict:
-    return {
-        "request_id": rec.request_id,
-        "strategy": rec.strategy,
-        "source_id": rec.source_id,
-        "narrative": rec.narrative,
-        "qa": rec.qa,
-        "comparison": rec.comparison,
-        "input_tokens": rec.input_tokens,
-        "output_tokens": rec.output_tokens,
-        "status": rec.status,
-        "reject_reason": rec.reject_reason,
-        "retries": rec.retries,
-    }
-
-
 def write_synthetic_corpus(records: Sequence[SynthRecord], sink) -> dict:
     """Write records as JSONL; returns the accounting manifest."""
-    write_jsonl(sink, (record_to_dict(r) for r in records))
+    write_jsonl(sink, map(vars, records))  # not asdict, which deep-copies each qa list
     manifest = {
         "records": len(records),
         "cot": sum(1 for r in records if r.strategy == "cot" and r.status == "ok"),
@@ -542,21 +478,4 @@ def write_synthetic_corpus(records: Sequence[SynthRecord], sink) -> dict:
 
 
 def load_synthetic_corpus(path) -> list[SynthRecord]:
-    from .jsonl import iter_jsonl
-
-    return [
-        SynthRecord(
-            request_id=rec["request_id"],
-            strategy=rec["strategy"],
-            source_id=rec["source_id"],
-            narrative=rec["narrative"],
-            qa=rec.get("qa"),
-            comparison=rec.get("comparison"),
-            input_tokens=int(rec["input_tokens"]),
-            output_tokens=int(rec["output_tokens"]),
-            status=rec.get("status", "ok"),
-            reject_reason=rec.get("reject_reason"),
-            retries=int(rec.get("retries", 0)),
-        )
-        for rec in iter_jsonl(path)
-    ]
+    return [SynthRecord(**rec) for rec in iter_jsonl(path)]

@@ -119,7 +119,6 @@ class TraversalConfig:
     beam_width: int = 2
     hop_policy: str = "one_hop"
     same_document_only: bool = False
-    rng_seed: int = 0
 
     def validate(self) -> list[str]:
         problems = []
@@ -210,11 +209,14 @@ class PathSampler:
         cfg: TraversalConfig,
         backend: EmbeddingBackend,
         cache: EmbeddingCache | None = None,
+        *,
+        seed: int = 0,
     ):
         self.graph = graph
         self.entity_map = list(entity_map)
         self.chunk_store = chunk_store
         self.cfg = cfg
+        self.seed = seed
         self.backend = backend
         self.cache = cache if cache is not None else EmbeddingCache()
         entity_chunks = {rec.entity_id: rec.chunk_ids for rec in entity_map}
@@ -605,7 +607,7 @@ class PathSampler:
             block, vectors = [], []
             for root in roots[first : first + per_block]:
                 # Per-root rng keeps results independent of root scheduling.
-                rng = random.Random(f"{self.cfg.rng_seed}:{root.entity_id}")
+                rng = random.Random(f"{self.seed}:{root.entity_id}")
                 starts = sorted(select_start_paragraphs(root, self.cfg, rng))
                 with _naming(root):
                     vectors += [self._vector(c) for c in starts]
@@ -643,8 +645,10 @@ def sample_paths(
     cfg: TraversalConfig,
     backend: EmbeddingBackend,
     cache: EmbeddingCache | None = None,
+    *,
+    seed: int = 0,
 ) -> PathSet:
-    return PathSampler(graph, entity_map, chunk_store, cfg, backend, cache).sample()
+    return PathSampler(graph, entity_map, chunk_store, cfg, backend, cache, seed=seed).sample()
 
 
 def save_paths(path, path_set: PathSet | Iterable[Path]) -> int:

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from graphsynth.analysis import counts_from_chunks, counts_from_subsets, gini
-from graphsynth.balance import BalanceConfig, secondary_sampling
+from graphsynth.balance import BalanceConfig, SubsetAllocation, secondary_sampling
 from graphsynth.cli import load_config, run_pipeline
 from graphsynth.embedding import EmbeddingCache, HashEmbeddingBackend
 from graphsynth.extraction import (
@@ -27,10 +27,8 @@ from graphsynth.graph import build_graph
 from graphsynth.synthesis import (
     FaultInjectingBackend,
     MockLlmBackend,
-    RetryPolicy,
     build_requests,
     generate,
-    render_cot_prompt,
 )
 from graphsynth.traversal import TraversalConfig, sample_paths
 from oracles import brute_force_graph, enumerate_paths, secondary_sampling_oracle
@@ -53,10 +51,10 @@ def _longtail_pipeline_state():
     entity_map = build_entity_map(reports)
     graph = build_graph(entity_map)
     cfg = TraversalConfig(
-        max_start_paragraphs=4, depth=2, beam_width=2, hop_policy="one_hop", rng_seed=SEED
+        max_start_paragraphs=4, depth=2, beam_width=2, hop_policy="one_hop"
     )
     path_set = sample_paths(graph, entity_map, store, cfg, HashEmbeddingBackend(dim=32),
-                            EmbeddingCache())
+                            EmbeddingCache(), seed=SEED)
     return store, entity_map, path_set
 
 
@@ -163,9 +161,10 @@ def test_criterion_4_coverage_guarantee():
     assert supply >= 0.9, f"fixture path supply only covers {supply:.3f}"
     subsets = secondary_sampling(
         path_set,
-        BalanceConfig(target_coverage=0.9, standard_length=len(path_set.paths), rng_seed=SEED),
+        BalanceConfig(target_coverage=0.9, standard_length=len(path_set.paths)),
         entity_to_chunks=entity_chunk_index(entity_map),
         total_chunks=len(store),
+        seed=SEED,
     )
     # independent recount, not the ledger's number
     covered = {c for p in subsets[0].cot_paths for c in p.chunks()}
@@ -181,14 +180,15 @@ def test_criterion_5_longtail_mitigation():
     store, entity_map, path_set = _longtail_pipeline_state()
     subsets = secondary_sampling(
         path_set,
-        BalanceConfig(target_coverage=1.0, standard_length="auto", rng_seed=SEED),
+        BalanceConfig(target_coverage=1.0, standard_length="auto"),
         entity_to_chunks=entity_chunk_index(entity_map),
         total_chunks=len(store),
+        seed=SEED,
     )
     records = generate(
         build_requests(subsets, store, canonical_names(entity_map)),
         MockLlmBackend(),
-        RetryPolicy(max_retries=1),
+        max_retries=1,
         concurrency=4,
     )
     assert all(r.status == "ok" for r in records)
@@ -288,15 +288,16 @@ def test_criterion_8_generation_robustness():
     store, entity_map, path_set = _longtail_pipeline_state()
     subsets = secondary_sampling(
         path_set,
-        BalanceConfig(target_coverage=1.0, standard_length="auto", rng_seed=SEED),
+        BalanceConfig(target_coverage=1.0, standard_length="auto"),
         entity_to_chunks=entity_chunk_index(entity_map),
         total_chunks=len(store),
+        seed=SEED,
     )
     requests = build_requests(subsets[:1], store, canonical_names(entity_map))
     backend = FaultInjectingBackend(
         MockLlmBackend(), invalid_rate=0.2, transient_rate=0.1, seed=SEED
     )
-    records = generate(requests, backend, RetryPolicy(max_retries=2), concurrency=4)
+    records = generate(requests, backend, max_retries=2, concurrency=4)
     expected_rejected = {
         r.request_id for r in requests if backend.roll(r.request_id) < backend.invalid_rate
     }
@@ -325,19 +326,21 @@ def test_criterion_9_same_document_mode(tmp_path):
     graph = build_graph(entity_map)
     cfg = TraversalConfig(
         max_start_paragraphs=3, depth=2, beam_width=2, hop_policy="mixed",
-        same_document_only=True, rng_seed=SEED,
+        same_document_only=True,
     )
     path_set = sample_paths(graph, entity_map, store, cfg, HashEmbeddingBackend(dim=32),
-                            EmbeddingCache())
+                            EmbeddingCache(), seed=SEED)
     assert len(path_set) > 0
     single_doc = all(
         len({store.get(c).doc_id for c in p.chunks()}) == 1 for p in path_set.paths
     )
     names = canonical_names(entity_map)
+    requests = build_requests(
+        [SubsetAllocation(0, path_set.paths, [], 1.0)], store, names, same_document=True
+    )
     titled = all(
-        store.title_for(p.root_chunk)
-        in render_cot_prompt(p, store, names, same_document=True).prompt_text
-        for p in path_set.paths
+        store.title_for(p.root_chunk) in req.prompt_text
+        for p, req in zip(path_set.paths, requests, strict=True)
     )
     _report(
         9, single_doc and titled,

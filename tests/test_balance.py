@@ -38,12 +38,13 @@ def _recount(subsets):
 
 def impl_transcript(plain_paths, entity_to_chunks, total_chunks, r, l, seed):
     paths = _paths(plain_paths)
-    cfg = BalanceConfig(target_coverage=r, standard_length=l, rng_seed=seed)
+    cfg = BalanceConfig(target_coverage=r, standard_length=l)
     subsets = secondary_sampling(
         PathSet(paths=paths),
         cfg,
         entity_to_chunks=entity_to_chunks,
         total_chunks=total_chunks,
+        seed=seed,
     )
     return transcript_of(plain_paths, subsets), subsets
 

@@ -165,7 +165,7 @@ def test_stage_flags_name_config_fields_and_artifact_keys():
             elif "." in dest:
                 section, name = dest.split(".")
                 assert is_dataclass(schema.get(section)), dest
-                assert name in {f.name for f in fields(schema[section])} - {"rng_seed"}, dest
+                assert name in {f.name for f in fields(schema[section])}, dest
                 settable += 1
     assert settable >= 20
 
@@ -238,6 +238,44 @@ def test_sample_artifacts_match_their_golden_digests(tmp_path, name):
     workdir = Path(config.workdir)
     assert sha256_file(workdir / "paths.jsonl") == paths_digest
     assert sha256_file(workdir / "embeddings.json") == LONGTAIL_EMBEDDINGS_DIGEST
+
+
+# sha256 of the balance and generation artifacts on the long-tail corpus at
+# seed 7, per traversal setting of the run's default config; a change to how
+# requests are rendered, records built or written, or the seed passed down
+# must keep them.
+GENERATION_DIGESTS = {
+    "default": (
+        {},
+        {
+            "subsets.jsonl": "81250ee739adf881a7d4b078cfb44ef6fe846b1fc72cb060266f71ffe1d7fc07",
+            "synth.jsonl": "da8580cdded759545cdb8b55d78e7e6562b9801e820dea552963ffd8c7623364",
+            "synth_manifest.json": "757d6067c887641f6d9e4a444aa37896f742c0a62213d9583adae884ff536be6",
+        },
+    ),
+    "same_document_only": (
+        {"same_document_only": True},
+        {
+            "subsets.jsonl": "4543d48d0288ad48cb23b5f1a1bdc07974e57a7c8425b285937f3ef7279bd6fd",
+            "synth.jsonl": "b96732ab52c72925e31d6154cd5b122c3ae99857da1d8e4ffa52b6f8503db5c5",
+            "synth_manifest.json": "49f12bca716487d5ecbb8d9dd5b10e7b5846e22359b17819cea57c90ddd451fd",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATION_DIGESTS))
+def test_generation_artifacts_match_their_golden_digests(tmp_path, name):
+    traversal, digests = GENERATION_DIGESTS[name]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(longtail_corpus_jsonl()) + "\n", encoding="utf-8")
+    config = RunConfig(
+        input=str(corpus), workdir=str(tmp_path / "out"), seed=7,
+        traversal=TraversalConfig(hop_policy="auto", **traversal),
+    )
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    assert {name: sha256_file(workdir / name) for name in digests} == digests
 
 
 def test_rerun_identical_digests(tmp_path):

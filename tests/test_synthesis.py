@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from dataclasses import replace
@@ -16,15 +17,12 @@ from graphsynth.synthesis import (
     COT_PROMPT_TEMPLATE,
     REPAIR_INSTRUCTION,
     FaultInjectingBackend,
-    GenerationRequest,
     MockLlmBackend,
     RemoteChatBackend,
-    RetryPolicy,
+    SynthRecord,
     build_requests,
     generate,
     load_synthetic_corpus,
-    render_cc_prompt,
-    render_cot_prompt,
     write_synthetic_corpus,
 )
 from graphsynth.traversal import Path
@@ -46,54 +44,75 @@ def _path(steps, pid="p000001"):
     return Path(steps=steps, path_id=pid)
 
 
+def _render(paths=(), pairs=(), store=None, names=NAMES, same_document=False):
+    """The requests ``build_requests`` makes from one subset of ``paths`` and ``pairs``."""
+    subset = SubsetAllocation(0, list(paths), list(pairs), 1.0)
+    store = _store() if store is None else store
+    return build_requests([subset], store, names, same_document=same_document)
+
+
+def _cot(path, **kwargs):
+    (request,) = _render(paths=[path], **kwargs)
+    return request
+
+
+def _cc(pair, **kwargs):
+    (request,) = _render(pairs=[pair], **kwargs)
+    return request
+
+
+def _quoted(prompt):
+    """The (number, entity name) of each fragment block of ``prompt``, in order."""
+    return re.findall(r"^Fragment (\d+) — entity: ([^\n]*)$", prompt, flags=re.M)
+
+
 # --- rendering -------------------------------------------------------------------
 
 
 def test_cot_prompt_two_fragments_in_order():
-    req = render_cot_prompt(_path([("e1", "d1#0"), ("e2", "d2#0")]), _store(), NAMES)
+    req = _cot(_path([("e1", "d1#0"), ("e2", "d2#0")]))
     assert req.strategy == "cot"
-    assert len(req.fragments) == 2
-    assert req.fragments[0].entity_name == "amber analytics"
+    assert _quoted(req.prompt_text) == [("1", "amber analytics"), ("2", "basalt biologics")]
     assert req.prompt_text.index("Amber text one.") < req.prompt_text.index("Basalt text two.")
 
 
 def test_cot_prompt_three_fragments_for_two_hops():
     path = _path([("e1", "d1#0"), ("e2", "d2#0"), ("e3", "d3#0")])
-    req = render_cot_prompt(path, _store(), NAMES)
-    assert len(req.fragments) == 3
+    req = _cot(path)
+    assert [i for i, _ in _quoted(req.prompt_text)] == ["1", "2", "3"]
 
 
 def test_cot_prompt_deterministic():
     path = _path([("e1", "d1#0"), ("e2", "d2#0")])
-    a = render_cot_prompt(path, _store(), NAMES)
-    b = render_cot_prompt(path, _store(), NAMES)
+    a = _cot(path)
+    b = _cot(path)
     assert a.prompt_text == b.prompt_text
 
 
 def test_cot_prompt_requires_two_steps():
     with pytest.raises(ValueError):
-        render_cot_prompt(_path([("e1", "d1#0")]), _store(), NAMES)
+        _cot(_path([("e1", "d1#0")]))
 
 
 def test_cot_prompt_unresolvable_chunk():
     with pytest.raises(IntegrityError):
-        render_cot_prompt(_path([("e1", "d1#0"), ("e2", "missing")]), _store(), NAMES)
+        _cot(_path([("e1", "d1#0"), ("e2", "missing")]))
 
 
 def test_cot_prompt_same_document_injects_titles():
     path = _path([("e1", "d1#0"), ("e2", "d2#0")])
-    req = render_cot_prompt(path, _store(), NAMES, same_document=True)
+    req = _cot(path, same_document=True)
     assert "Doc One" in req.prompt_text
     assert "Doc Two" in req.prompt_text
-    plain = render_cot_prompt(path, _store(), NAMES)
+    plain = _cot(path)
     assert "Doc One" not in plain.prompt_text
 
 
 def test_cc_prompt_exactly_two_fragments():
     pair = CCPair(pair_id="cc-0-0", left=("e1", "d1#0"), right=("e2", "d2#0"))
-    req = render_cc_prompt(pair, _store(), NAMES)
+    req = _cc(pair)
     assert req.strategy == "cc"
-    assert len(req.fragments) == 2
+    assert [i for i, _ in _quoted(req.prompt_text)] == ["1", "2"]
     assert "amber analytics" in req.prompt_text
     assert "basalt biologics" in req.prompt_text
 
@@ -101,12 +120,12 @@ def test_cc_prompt_exactly_two_fragments():
 def test_cc_prompt_rejects_same_entity():
     pair = CCPair(pair_id="cc-0-0", left=("e1", "d1#0"), right=("e1", "d2#0"))
     with pytest.raises(ValueError):
-        render_cc_prompt(pair, _store(), NAMES)
+        _cc(pair)
 
 
 def test_cc_prompt_permits_no_connection_outcome():
     pair = CCPair(pair_id="cc-0-0", left=("e1", "d1#0"), right=("e2", "d2#0"))
-    req = render_cc_prompt(pair, _store(), NAMES)
+    req = _cc(pair)
     assert "no direct connection" in req.prompt_text
 
 
@@ -164,8 +183,8 @@ def test_prompts_and_token_counts_equal_the_format_reference(case, same_document
     expected += [reference(CC_PROMPT_TEMPLATE, (pair.left, pair.right)) for pair in pairs]
     subset = SubsetAllocation(0, paths, pairs, 1.0)
     built = build_requests([subset], store, names, same_document=same_document)
-    single = [render_cot_prompt(p, store, names, same_document=same_document) for p in paths]
-    single += [render_cc_prompt(pair, store, names, same_document=same_document) for pair in pairs]
+    one = dict(store=store, names=names, same_document=same_document)
+    single = [_cot(p, **one) for p in paths] + [_cc(pair, **one) for pair in pairs]
     for requests in (built, single):
         assert [(r.prompt_text.encode(), r.prompt_tokens) for r in requests] == [
             (prompt.encode(), tokens) for prompt, tokens in expected
@@ -180,10 +199,10 @@ def _requests(n=3, strategy="cot"):
     for i in range(n):
         if strategy == "cot":
             path = _path([("e1", "d1#0"), ("e2", "d2#0")], pid=f"p{i:06d}")
-            reqs.append(render_cot_prompt(path, _store(), NAMES))
+            reqs.append(_cot(path))
         else:
             pair = CCPair(pair_id=f"cc-0-{i}", left=("e1", "d1#0"), right=("e2", "d2#0"))
-            reqs.append(render_cc_prompt(pair, _store(), NAMES))
+            reqs.append(_cc(pair))
     return reqs
 
 
@@ -212,7 +231,7 @@ def test_generate_retries_once_with_repair():
             return good
 
     backend = FlakyOnce()
-    records = generate(reqs, backend, RetryPolicy(max_retries=2))
+    records = generate(reqs, backend, max_retries=2)
     assert records[0].status == "ok"
     assert records[0].retries == 1
     assert backend.calls == 2
@@ -223,7 +242,7 @@ def test_generate_rejects_after_exhausted_retries():
     reqs = _requests(2)
     scripted = {reqs[0].request_id: "never valid"}
     backend = MockLlmBackend(scripted=scripted)
-    records = generate(reqs, backend, RetryPolicy(max_retries=1))
+    records = generate(reqs, backend, max_retries=1)
     assert records[0].status == "rejected"
     assert "schema" in records[0].reject_reason
     assert records[1].status == "ok"
@@ -249,7 +268,7 @@ def test_input_tokens_count_the_last_prompt_sent(max_retries, valid_reply, statu
     req = _requests(1)[0]
     good = MockLlmBackend().complete(req.prompt_text, temperature=0, max_tokens=1)
     backend = _Recording(["garbage", good if valid_reply else "still garbage"])
-    (record,) = generate([req], backend, RetryPolicy(max_retries=max_retries))
+    (record,) = generate([req], backend, max_retries=max_retries)
     assert (record.status, len(backend.prompts)) == (status, calls)
     assert record.input_tokens == len(backend.prompts[-1].split())
     assert backend.prompts[-1].endswith(REPAIR_INSTRUCTION) == (calls > 1)
@@ -269,7 +288,7 @@ def test_generate_transient_backend_errors_are_retried():
                 raise BackendError("blip", retryable=True)
             return self.inner.complete(prompt, **kwargs)
 
-    records = generate(reqs, TransientOnce(), RetryPolicy(max_retries=2))
+    records = generate(reqs, TransientOnce(), max_retries=2)
     assert records[0].status == "ok"
 
 
@@ -281,14 +300,14 @@ def test_generate_unreachable_backend_is_run_level():
             raise BackendError("down", retryable=True)
 
     with pytest.raises(BackendError):
-        generate(reqs, Down(), RetryPolicy(max_retries=1))
+        generate(reqs, Down(), max_retries=1)
 
 
 def test_fault_injection_accounting_is_exact():
     reqs = _requests(40) + _requests(10, strategy="cc")
     reqs = [replace(r, request_id=f"req-{i:03d}") for i, r in enumerate(reqs)]
     backend = FaultInjectingBackend(MockLlmBackend(), invalid_rate=0.2, transient_rate=0.1, seed=3)
-    records = generate(reqs, backend, RetryPolicy(max_retries=2), concurrency=4)
+    records = generate(reqs, backend, max_retries=2, concurrency=4)
     expected_rejected = {r.request_id for r in reqs if backend.roll(r.request_id) < 0.2}
     assert {r.request_id for r in records if r.status == "rejected"} == expected_rejected
     assert [r.request_id for r in records] == [q.request_id for q in reqs]
@@ -301,8 +320,19 @@ def test_cc_schema_validation():
     assert records[0].qa is None
 
     bad = {reqs[0].request_id: json.dumps({"narrative": "x"})}  # comparison missing
-    records = generate(reqs, MockLlmBackend(scripted=bad), RetryPolicy(max_retries=0))
+    records = generate(reqs, MockLlmBackend(scripted=bad), max_retries=0)
     assert records[0].status == "rejected"
+
+
+def test_mock_answers_a_cc_prompt_quoting_qa_with_a_comparison():
+    # The mock picks its reply shape by the prompt's template, not by
+    # whether the fragments happen to contain the CoT schema's "qa" key.
+    store = make_store({"d1#0": 'The "qa" team met.', "d2#0": "Basalt text two."},
+                       {"d1": "Doc One", "d2": "Doc Two"})
+    pair = CCPair(pair_id="cc-0-0", left=("e1", "d1#0"), right=("e2", "d2#0"))
+    (record,) = generate([_cc(pair, store=store)], MockLlmBackend())
+    assert (record.status, record.retries, record.qa) == ("ok", 0, None)
+    assert record.comparison
 
 
 # --- build_requests / corpus writing ------------------------------------------------
@@ -322,8 +352,8 @@ def test_build_requests_covers_paths_and_pairs():
     assert reqs[0].source_id == "p000001"
     assert reqs[1].source_id == "cc-0-0"
     # fragment count equals path length for cot, exactly 2 for cc
-    assert len(reqs[0].fragments) == len(subset.cot_paths[0].steps)
-    assert len(reqs[1].fragments) == 2
+    assert len(_quoted(reqs[0].prompt_text)) == len(subset.cot_paths[0].steps)
+    assert len(_quoted(reqs[1].prompt_text)) == 2
 
 
 def test_output_order_independent_of_concurrency():
@@ -410,6 +440,22 @@ def test_write_corpus_manifest_accounting(tmp_path):
     loaded = load_synthetic_corpus(out)
     assert manifest["input_tokens"] == sum(r.input_tokens for r in loaded)
     assert manifest["output_tokens"] == sum(r.output_tokens for r in loaded)
+
+
+def test_synthetic_corpus_round_trips_every_kind_of_record(tmp_path):
+    records = [
+        SynthRecord(
+            "cot:p000001", "cot", "p000001", "A narrative.",
+            [{"question": "Why?", "answer": "Step 1: because."}], None, 120, 9,
+        ),
+        SynthRecord("cc:cc-0-0", "cc", "cc-0-0", "Two sides.", None, "They differ.", 80, 6,
+                    retries=1),
+        SynthRecord("cot:p000002", "cot", "p000002", "", None, None, 140, 4, status="rejected",
+                    reject_reason="schema: not valid JSON", retries=2),
+    ]
+    out = tmp_path / "synth.jsonl"
+    write_synthetic_corpus(records, out)
+    assert load_synthetic_corpus(out) == records
 
 
 def test_write_corpus_empty(tmp_path):

@@ -26,7 +26,7 @@ def _uniform_embedder(chunk_ids, vec=(1.0, 0.0)):
     return FakeEmbedder({c: vec for c in chunk_ids})
 
 
-def _toy_sampler(spec, vectors, cfg, prefilled=False, sampler_class=PathSampler):
+def _toy_sampler(spec, vectors, cfg, prefilled=False, sampler_class=PathSampler, seed=0):
     """spec: entity -> chunk ids. Chunk text equals its id; doc id is the
     part before '#', or the whole id when there is no '#'. ``prefilled``
     embeds every chunk up front, see ``_prefill``."""
@@ -35,7 +35,7 @@ def _toy_sampler(spec, vectors, cfg, prefilled=False, sampler_class=PathSampler)
     store = make_store({c: c for c in chunk_ids})
     graph = build_graph(entity_map)
     backend = FakeEmbedder(vectors) if isinstance(vectors, dict) else vectors
-    sampler = sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache())
+    sampler = sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache(), seed=seed)
     return _prefill(sampler) if prefilled else sampler
 
 
@@ -489,9 +489,9 @@ def test_path_invariants_on_random_graphs():
         rng = random.Random(seed)
         chunk_entities, entity_chunks, vectors = _random_instance(rng, 6, 10)
         cfg = TraversalConfig(
-            depth=2, beam_width=2, hop_policy="two_hop", max_start_paragraphs=2, rng_seed=seed
+            depth=2, beam_width=2, hop_policy="two_hop", max_start_paragraphs=2
         )
-        sampler = _toy_sampler(entity_chunks, vectors, cfg)
+        sampler = _toy_sampler(entity_chunks, vectors, cfg, seed=seed)
         path_set = sampler.sample()
         edges = set(sampler.graph.provenance)
         for p in path_set.paths:
@@ -528,9 +528,9 @@ def test_sampler_holds_the_masks_of_one_root_entity_at_most(policy, depth):
     rng = random.Random(11)
     _, entity_chunks, vectors = _random_instance(rng, 8, 16)
     cfg = TraversalConfig(
-        depth=depth, beam_width=2, hop_policy=policy, max_start_paragraphs=3, rng_seed=4
+        depth=depth, beam_width=2, hop_policy=policy, max_start_paragraphs=3
     )
-    sampler = _toy_sampler(entity_chunks, vectors, cfg)
+    sampler = _toy_sampler(entity_chunks, vectors, cfg, seed=4)
     built: dict[str, set[int]] = {}  # root entity -> the masks its expansions built
     current = []
     neighbor_mask, expand_root = sampler._neighbor_mask, sampler._expand_root
@@ -556,11 +556,11 @@ def test_sampling_is_byte_deterministic(tmp_path):
     rng = random.Random(5)
     chunk_entities, entity_chunks, vectors = _random_instance(rng, 8, 14)
     cfg = TraversalConfig(
-        depth=2, beam_width=2, hop_policy="two_hop", max_start_paragraphs=2, rng_seed=77
+        depth=2, beam_width=2, hop_policy="two_hop", max_start_paragraphs=2
     )
     out = []
     for name in ("a.jsonl", "b.jsonl"):
-        sampler = _toy_sampler(entity_chunks, vectors, cfg)
+        sampler = _toy_sampler(entity_chunks, vectors, cfg, seed=77)
         save_paths(tmp_path / name, sampler.sample())
         out.append((tmp_path / name).read_bytes())
     assert out[0] == out[1]
