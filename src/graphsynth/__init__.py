@@ -15,7 +15,7 @@ from .balance import (
     UtilizationLedger,
     secondary_sampling,
 )
-from .corpus import Chunk, ChunkStore, Document, chunk_document, ingest_corpus
+from .corpus import Chunk, ChunkingConfig, ChunkStore, Document, chunk_document, ingest_corpus
 from .embedding import EmbeddingCache, HashEmbeddingBackend, embed_text, similarity
 from .extraction import (
     EntityRecord,
@@ -33,6 +33,7 @@ __all__ = [
     "CCPair",
     "Chunk",
     "ChunkStore",
+    "ChunkingConfig",
     "ContextGraph",
     "DistributionReport",
     "Document",

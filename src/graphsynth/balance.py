@@ -277,6 +277,9 @@ def secondary_sampling(
     ``path_set``; a path without an id is given ``p`` and its six-digit
     position. The CC draws use ``random.Random(seed)``.
     """
+    problems = cfg.validate()
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
         raise ValueError("path set is empty")

@@ -60,23 +60,6 @@ class StageError(GraphSynthError):
 
 
 @dataclass
-class ChunkingConfig:
-    policy: str = "fixed"
-    max_chars: int = corpus_mod.DEFAULT_MAX_CHARS
-    breakpoint_percentile: float = corpus_mod.DEFAULT_BREAKPOINT_PERCENTILE
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.policy not in ("fixed", "semantic"):
-            problems.append("policy must be 'fixed' or 'semantic'")
-        if self.max_chars < 1:
-            problems.append("max_chars must be >= 1")
-        if not (0.0 <= self.breakpoint_percentile <= 100.0):
-            problems.append("breakpoint_percentile must be in [0, 100]")
-        return problems
-
-
-@dataclass
 class ExtractionConfig:
     backend: str = "rule"
     aliases: str | None = None
@@ -143,7 +126,7 @@ class RunConfig:
     input: str = "corpus.jsonl"
     workdir: str = "out"
     seed: int = 0
-    chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
+    chunking: corpus_mod.ChunkingConfig = field(default_factory=corpus_mod.ChunkingConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     traversal: traversal_mod.TraversalConfig = field(
@@ -359,19 +342,16 @@ def _ingest(ctx: StageContext) -> dict:
     titles: dict[str, str] = {}
     cache = None
     with contextlib.ExitStack() as stack:
-        if config.chunking.policy == "fixed":
-            policy: corpus_mod.ChunkPolicy = corpus_mod.FixedChunking(
-                max_chars=config.chunking.max_chars
-            )
-        else:
+        embed = None
+        if config.chunking.policy == "semantic":
             backend = stack.enter_context(embedding_backend(config.embedding))
             cache = embedding_mod.EmbeddingCache(ctx.paths.get("ingest_cache"))
-            policy = corpus_mod.SemanticChunking(
-                embed=lambda text: embedding_mod.embed_text(text, backend, cache),
-                breakpoint_percentile=config.chunking.breakpoint_percentile,
-            )
+
+            def embed(text: str):
+                return embedding_mod.embed_text(text, backend, cache)
+
         for doc in docs:
-            chunks.extend(corpus_mod.chunk_document(doc, policy))
+            chunks.extend(corpus_mod.chunk_document(doc, config.chunking, embed))
             titles[doc.doc_id] = doc.title
     corpus_mod.save_chunks(ctx.path("chunks"), chunks, titles)
     ctx.put("chunks", corpus_mod.ChunkStore(chunks, titles))
@@ -540,17 +520,13 @@ def _analyze(ctx: StageContext) -> dict:
             analysis_mod.emit_histogram_svg(report, hist_path)
     if wanted:
         raw, sub = reports["raw"], reports["subsets"]
-        delta = analysis_mod.compare_reports(raw, sub)
         write_json(
             ctx.paths["comparison"],
             {
                 "raw_gini": raw.gini,
                 "subsets_gini": sub.gini,
                 "synth_gini": reports["synth"].gini,
-                "gini_delta": delta.gini_delta,
-                "cv_delta": delta.cv_delta,
-                "coverage_delta": delta.coverage_delta,
-                "top_decile_delta": delta.top_decile_delta,
+                **asdict(analysis_mod.compare_reports(raw, sub)),
             },
             indent=2,
         )

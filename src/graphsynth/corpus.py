@@ -10,16 +10,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path as FsPath
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .errors import DuplicateIdError, IngestError
+from .errors import ConfigurationError, DuplicateIdError, IngestError
 
 # Terminal punctuation followed by whitespace and an uppercase letter or digit.
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9“\"(])")
-
-DEFAULT_MAX_CHARS = 1200
-DEFAULT_BREAKPOINT_PERCENTILE = 5.0
 
 
 @dataclass(frozen=True)
@@ -79,79 +77,68 @@ def split_sentences(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class FixedChunking:
-    """Greedy sentence packing capped at max_chars per chunk."""
+class ChunkingConfig:
+    """How ``chunk_document`` splits a document: ``fixed`` packs whole
+    sentences greedily into chunks of at most ``max_chars``; ``semantic``
+    places a boundary wherever adjacent-sentence similarity drops below the
+    ``breakpoint_percentile`` of the document's own similarity distribution."""
 
-    max_chars: int = DEFAULT_MAX_CHARS
+    policy: str = "fixed"
+    max_chars: int = 1200
+    breakpoint_percentile: float = 5.0
 
-
-@dataclass(frozen=True)
-class SemanticChunking:
-    """Boundary wherever adjacent-sentence similarity drops below the
-    breakpoint percentile of the document's own similarity distribution."""
-
-    embed: Callable[[str], Sequence[float]]
-    breakpoint_percentile: float = DEFAULT_BREAKPOINT_PERCENTILE
-
-
-ChunkPolicy = FixedChunking | SemanticChunking
-
-
-def _wrap_long_sentence(sentence: str, max_chars: int) -> list[str]:
-    # Splitting only at whitespace keeps whitespace-normalized reconstruction exact.
-    words = sentence.split()
-    lines: list[str] = []
-    current: list[str] = []
-    length = 0
-    for w in words:
-        extra = len(w) + (1 if current else 0)
-        if current and length + extra > max_chars:
-            lines.append(" ".join(current))
-            current, length = [], 0
-            extra = len(w)
-        current.append(w)
-        length += extra
-    if current:
-        lines.append(" ".join(current))
-    return lines
+    def validate(self) -> list[str]:
+        problems = []
+        if self.policy not in ("fixed", "semantic"):
+            problems.append("policy must be 'fixed' or 'semantic'")
+        if self.max_chars < 1:
+            problems.append("max_chars must be >= 1")
+        if not (0.0 <= self.breakpoint_percentile <= 100.0):
+            problems.append("breakpoint_percentile must be in [0, 100]")
+        return problems
 
 
-def _pack_fixed(sentences: list[str], max_chars: int) -> list[str]:
+def _pack(pieces: Iterable[str], max_chars: int) -> list[str]:
+    """Join consecutive pieces with single spaces, greedily, into texts of at
+    most ``max_chars``; a piece longer than that is a text of its own."""
     texts: list[str] = []
     current: list[str] = []
     length = 0
-
-    def flush() -> None:
-        nonlocal current, length
-        if current:
+    for piece in pieces:
+        if current and length + 1 + len(piece) > max_chars:
             texts.append(" ".join(current))
-            current, length = [], 0
-
-    for s in sentences:
-        if len(s) > max_chars:
-            flush()
-            texts.extend(_wrap_long_sentence(s, max_chars))
-            continue
-        extra = len(s) + (1 if current else 0)
-        if current and length + extra > max_chars:
-            flush()
-            extra = len(s)
-        current.append(s)
-        length += extra
-    flush()
+            current = []
+        length = length + 1 + len(piece) if current else len(piece)
+        current.append(piece)
+    if current:
+        texts.append(" ".join(current))
     return texts
 
 
-def _split_semantic(sentences: list[str], policy: SemanticChunking) -> list[str]:
+def _split_fixed(sentences: list[str], max_chars: int) -> list[str]:
+    texts: list[str] = []
+    for oversized, run in groupby(sentences, key=lambda s: len(s) > max_chars):
+        if oversized:
+            # Splitting only at whitespace keeps whitespace-normalized reconstruction exact.
+            for sentence in run:
+                texts += _pack(sentence.split(), max_chars)
+        else:
+            texts += _pack(run, max_chars)
+    return texts
+
+
+def _split_semantic(
+    sentences: list[str], embed: Callable[[str], Sequence[float]], percentile: float
+) -> list[str]:
     import numpy as np
 
     from .embedding import similarity
 
     if len(sentences) < 2:
         return [" ".join(sentences)]
-    vectors = [policy.embed(s) for s in sentences]
+    vectors = [embed(s) for s in sentences]
     sims = [similarity(vectors[i], vectors[i + 1]) for i in range(len(vectors) - 1)]
-    threshold = float(np.percentile(sims, policy.breakpoint_percentile))
+    threshold = float(np.percentile(sims, percentile))
     texts: list[str] = []
     current = [sentences[0]]
     for i, sim in enumerate(sims):
@@ -163,19 +150,25 @@ def _split_semantic(sentences: list[str], policy: SemanticChunking) -> list[str]
     return texts
 
 
-def chunk_document(doc: Document, policy: ChunkPolicy) -> list[Chunk]:
-    """Split one document into >= 1 chunks under the given policy."""
+def chunk_document(
+    doc: Document,
+    cfg: ChunkingConfig,
+    embed: Callable[[str], Sequence[float]] | None = None,
+) -> list[Chunk]:
+    """Split one document into >= 1 chunks; the ``semantic`` policy embeds
+    each sentence with ``embed``."""
+    problems = cfg.validate()
+    if cfg.policy == "semantic" and embed is None:
+        problems.append("policy 'semantic' needs an embed function")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     if not doc.text.strip():
         raise ValueError("document text is empty")
     sentences = split_sentences(doc.text)
-    if isinstance(policy, FixedChunking):
-        if policy.max_chars < 1:
-            raise ValueError("max_chars must be >= 1")
-        texts = _pack_fixed(sentences, policy.max_chars)
-    elif isinstance(policy, SemanticChunking):
-        texts = _split_semantic(sentences, policy)
+    if cfg.policy == "fixed":
+        texts = _split_fixed(sentences, cfg.max_chars)
     else:
-        raise ValueError(f"unknown chunk policy: {policy!r}")
+        texts = _split_semantic(sentences, embed, cfg.breakpoint_percentile)
     return [
         Chunk(chunk_id=chunk_id_for(doc.doc_id, i), doc_id=doc.doc_id, ordinal=i, text=t)
         for i, t in enumerate(texts)

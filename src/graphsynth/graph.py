@@ -64,11 +64,16 @@ def build_graph(entity_map: Iterable[EntityRecord]) -> ContextGraph:
         for a, b in combinations(ents, 2):
             provenance.setdefault((a, b), []).append(chunk_id)
 
+    return _graph(nodes, provenance)
+
+
+def _graph(nodes: set[str], provenance: dict[tuple[str, str], list[str]]) -> ContextGraph:
+    """The graph of these edges, each entity's neighbors in id order."""
     neighbor_sets: dict[str, set[str]] = defaultdict(set)
     for a, b in provenance:
         neighbor_sets[a].add(b)
         neighbor_sets[b].add(a)
-    adjacency = {e: sorted(neighbor_sets[e]) for e in neighbor_sets}
+    adjacency = {e: sorted(nbs) for e, nbs in neighbor_sets.items()}
     return ContextGraph(nodes=nodes, adjacency=adjacency, provenance=provenance)
 
 
@@ -112,15 +117,11 @@ def save_graph(path, g: ContextGraph) -> int:
 
 
 def load_graph(path) -> ContextGraph:
-    g = ContextGraph()
-    neighbor_sets: dict[str, set[str]] = defaultdict(set)
+    nodes: set[str] = set()
+    provenance: dict[tuple[str, str], list[str]] = {}
     for rec in iter_jsonl(path):
         if rec["kind"] == "node":
-            g.nodes.add(rec["entity_id"])
+            nodes.add(rec["entity_id"])
         elif rec["kind"] == "edge":
-            a, b = rec["source"], rec["target"]
-            g.provenance[edge_key(a, b)] = list(rec["provenance"])
-            neighbor_sets[a].add(b)
-            neighbor_sets[b].add(a)
-    g.adjacency = {e: sorted(nbs) for e, nbs in neighbor_sets.items()}
-    return g
+            provenance[edge_key(rec["source"], rec["target"])] = list(rec["provenance"])
+    return _graph(nodes, provenance)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus import ChunkStore
 from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
-from .errors import BackendError
+from .errors import BackendError, ConfigurationError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
@@ -212,6 +212,9 @@ class PathSampler:
         *,
         seed: int = 0,
     ):
+        problems = cfg.validate()
+        if problems:
+            raise ConfigurationError("; ".join(problems))
         self.graph = graph
         self.entity_map = list(entity_map)
         self.chunk_store = chunk_store

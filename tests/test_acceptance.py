@@ -312,13 +312,13 @@ def test_criterion_8_generation_robustness():
 
 
 def test_criterion_9_same_document_mode(tmp_path):
-    from graphsynth.corpus import FixedChunking, chunk_document, ingest_corpus, ChunkStore
+    from graphsynth.corpus import ChunkingConfig, chunk_document, ingest_corpus, ChunkStore
 
     lines, max_chars = two_document_corpus()
     docs = ingest_corpus(lines)
     chunks, titles = [], {}
     for doc in docs:
-        chunks.extend(chunk_document(doc, FixedChunking(max_chars=max_chars)))
+        chunks.extend(chunk_document(doc, ChunkingConfig(max_chars=max_chars)))
         titles[doc.doc_id] = doc.title
     store = ChunkStore(chunks, titles)
     reports = [RuleBasedExtractor().extract(c) for c in store.chunks()]

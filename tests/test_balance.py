@@ -147,6 +147,20 @@ def test_length_below_two_at_trigger_is_config_error():
         )
 
 
+@pytest.mark.parametrize(
+    "cfg, problem",
+    [
+        (BalanceConfig(target_coverage=0.0), "target_coverage"),
+        (BalanceConfig(target_coverage=1.5), "target_coverage"),
+        (BalanceConfig(standard_length="x"), "standard_length"),
+    ],
+)
+def test_secondary_sampling_rejects_an_invalid_config(cfg, problem):
+    paths = _paths([("P1", [("a", "c1"), ("b", "c2")])])
+    with pytest.raises(ConfigurationError, match=problem):
+        secondary_sampling(paths, cfg, entity_to_chunks={"a": ["c1"], "b": ["c2"]}, total_chunks=2)
+
+
 def test_first_selection_breaks_ties_by_stable_order():
     plain = [
         ("P1", [("a", "c1"), ("b", "c2")]),

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from graphsynth.corpus import (
     Chunk,
     ChunkStore,
+    ChunkingConfig,
     Document,
-    FixedChunking,
-    SemanticChunking,
     chunk_document,
     ingest_corpus,
     load_chunks,
     save_chunks,
     split_sentences,
 )
-from graphsynth.errors import DuplicateIdError, IngestError
+from graphsynth.errors import ConfigurationError, DuplicateIdError, IngestError
 
 
 def _lines(*records):
@@ -82,7 +81,7 @@ def test_split_sentences_does_not_break_before_lowercase():
 
 def test_fixed_single_sentence_single_chunk():
     doc = Document(doc_id="d", title="", text="Just one sentence here.")
-    chunks = chunk_document(doc, FixedChunking(max_chars=4096))
+    chunks = chunk_document(doc, ChunkingConfig(max_chars=4096))
     assert len(chunks) == 1
     assert chunks[0].text == "Just one sentence here."
     assert chunks[0].ordinal == 0
@@ -90,22 +89,42 @@ def test_fixed_single_sentence_single_chunk():
 
 def test_fixed_never_splits_inside_sentence():
     doc = Document(doc_id="d", title="", text="Alpha beta gamma. Delta epsilon zeta.")
-    chunks = chunk_document(doc, FixedChunking(max_chars=20))
+    chunks = chunk_document(doc, ChunkingConfig(max_chars=20))
     assert [c.text for c in chunks] == ["Alpha beta gamma.", "Delta epsilon zeta."]
 
 
 def test_fixed_oversized_sentence_splits_at_whitespace():
-    words = " ".join(f"w{i}" for i in range(50))
-    doc = Document(doc_id="d", title="", text=words + ".")
-    chunks = chunk_document(doc, FixedChunking(max_chars=40))
-    assert len(chunks) > 1
-    rebuilt = " ".join(" ".join(c.text for c in chunks).split())
+    words = " ".join(f"W{i}" for i in range(50))
+    doc = Document(doc_id="d", title="", text=f"Aa. Bb. {words}. Cc. Dd.")
+    chunks = chunk_document(doc, ChunkingConfig(max_chars=40))
+    texts = [c.text for c in chunks]
+    assert len(texts) > 3
+    rebuilt = " ".join(" ".join(texts).split())
     assert rebuilt == " ".join(doc.text.split())
+    # the short sentences on either side keep to chunks of their own
+    assert texts[0] == "Aa. Bb."
+    assert texts[-1] == "Cc. Dd."
+    assert all(len(t) <= 40 and t.startswith("W") for t in texts[1:-1])
 
 
 def test_empty_document_rejected():
     with pytest.raises(ValueError):
-        chunk_document(Document(doc_id="d", title="", text="   "), FixedChunking())
+        chunk_document(Document(doc_id="d", title="", text="   "), ChunkingConfig())
+
+
+@pytest.mark.parametrize(
+    "cfg, problem",
+    [
+        (ChunkingConfig(max_chars=0), "max_chars must be >= 1"),
+        (ChunkingConfig(policy="sentences"), "policy must be 'fixed' or 'semantic'"),
+        (ChunkingConfig(breakpoint_percentile=101.0), "breakpoint_percentile"),
+        (ChunkingConfig(policy="semantic"), "needs an embed function"),
+    ],
+)
+def test_chunk_document_rejects_an_invalid_config(cfg, problem):
+    doc = Document(doc_id="d", title="", text="One. Two.")
+    with pytest.raises(ConfigurationError, match=problem):
+        chunk_document(doc, cfg)
 
 
 def test_semantic_split_at_derived_boundary(fake_embedder_factory):
@@ -120,8 +139,8 @@ def test_semantic_split_at_derived_boundary(fake_embedder_factory):
     }
     embedder = fake_embedder_factory(vecs)
     doc = Document(doc_id="d", title="", text=f"{s1} {s2} {s3}")
-    policy = SemanticChunking(embed=lambda t: embedder.embed(t), breakpoint_percentile=25.0)
-    chunks = chunk_document(doc, policy)
+    cfg = ChunkingConfig(policy="semantic", breakpoint_percentile=25.0)
+    chunks = chunk_document(doc, cfg, embed=embedder.embed)
     assert [c.text for c in chunks] == [f"{s1} {s2}", s3]
 
 
@@ -129,8 +148,8 @@ def test_semantic_no_boundary_when_similarity_uniform(fake_embedder_factory):
     s1, s2 = "Alpha beta.", "Gamma delta."
     embedder = fake_embedder_factory({s1: (1.0, 0.0), s2: (1.0, 0.0)})
     doc = Document(doc_id="d", title="", text=f"{s1} {s2}")
-    policy = SemanticChunking(embed=embedder.embed, breakpoint_percentile=25.0)
-    assert len(chunk_document(doc, policy)) == 1
+    cfg = ChunkingConfig(policy="semantic", breakpoint_percentile=25.0)
+    assert len(chunk_document(doc, cfg, embed=embedder.embed)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,17 +168,19 @@ def test_semantic_no_boundary_when_similarity_uniform(fake_embedder_factory):
 def test_reconstruction_property(fragments, max_chars):
     text = ". ".join(fragments) + "."
     doc = Document(doc_id="d", title="", text=text)
-    chunks = chunk_document(doc, FixedChunking(max_chars=max_chars))
+    chunks = chunk_document(doc, ChunkingConfig(max_chars=max_chars))
     assert len(chunks) >= 1
     rebuilt = " ".join(" ".join(c.text for c in chunks).split())
     assert rebuilt == " ".join(text.split())
     assert [c.ordinal for c in chunks] == list(range(len(chunks)))
+    # the packer's cap: only a single word may exceed max_chars
+    assert all(len(c.text) <= max_chars or len(c.text.split()) == 1 for c in chunks)
 
 
 def test_chunking_deterministic():
     doc = Document(doc_id="d", title="", text="A first one. B second one. C third one.")
-    a = chunk_document(doc, FixedChunking(max_chars=25))
-    b = chunk_document(doc, FixedChunking(max_chars=25))
+    a = chunk_document(doc, ChunkingConfig(max_chars=25))
+    b = chunk_document(doc, ChunkingConfig(max_chars=25))
     assert a == b
 
 

@@ -601,6 +601,21 @@ def test_config_validation():
     assert TraversalConfig().validate() == []
 
 
+@pytest.mark.parametrize(
+    "cfg, problem",
+    [
+        (TraversalConfig(hop_policy="one-hop"), "hop_policy must be one of"),
+        (TraversalConfig(hop_policy="auto", depth=3), "hop_policy must be one of"),
+        (TraversalConfig(beam_width=0), "beam_width must be >= 1"),
+    ],
+)
+def test_sampler_rejects_an_invalid_config(cfg, problem):
+    from graphsynth.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=problem):
+        _toy_sampler({"a": ["qa"], "b": ["qa", "cb"]}, _uniform_embedder(["qa", "cb"]), cfg)
+
+
 def test_backend_errors_identify_the_root():
     from graphsynth.errors import BackendError
 
