@@ -11,9 +11,13 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
 
+# json.dumps with keyword arguments builds a new encoder for every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def dumps(obj: Any) -> str:
     """Serialize one record deterministically (sorted keys, no ASCII escaping)."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict]:

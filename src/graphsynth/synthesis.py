@@ -8,12 +8,17 @@ chunk text. ``generate`` keeps a reply that matches its strategy's schema;
 otherwise it asks again, appending a repair instruction once, and after
 ``max_retries`` the record is ``rejected``. ``synth.jsonl`` holds one
 ``SynthRecord`` per line, keyed by its field names.
+A request keeps its prompt as parts (the template's head and tail, and the
+shared block prefixes, fragment labels and chunk texts) and joins them only
+when it is sent, so the prompts held at once are those of the requests in
+flight.
 ``RemoteChatBackend`` posts to a chat-completion service through the shared
 keep-alive ``remote.JsonClient``, which retries transport faults and 5xx
 replies; schema retries and repair prompts stay here. With concurrency N
 the client pools N connections, which bound the requests in flight, and
-``generate`` runs 2N workers so that requests waiting out a back-off leave
-the connections to the others.
+``generate`` runs 2N workers, each pulling the next request when it is
+free, so that requests waiting out a back-off leave the connections to the
+others.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import logging
 import random
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .balance import CCPair, SubsetAllocation
@@ -83,13 +88,25 @@ REPAIR_INSTRUCTION = (
 
 @dataclass(frozen=True)
 class GenerationRequest:
+    """A prompt to send, kept as the parts that ``prompt_text`` joins.
+
+    Requests share their parts: a chunk's text is the chunk store's string
+    and each fragment's label one string, however many requests quote them.
+    Joined, a prompt would be a string of its own, at two bytes a
+    character, since the ``—`` of its block headers is outside Latin-1.
+    """
+
     request_id: str
     strategy: str  # "cot" | "cc"
     source_id: str
-    prompt_text: str
+    parts: tuple[str, ...]
     prompt_tokens: int  # len(prompt_text.split())
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
+
+    @property
+    def prompt_text(self) -> str:
+        return "".join(self.parts)
 
 
 @dataclass
@@ -110,12 +127,18 @@ class SynthRecord:
 # Each template splits at ``{fragments}`` into a head and a tail. A prompt is
 # the head, one block per fragment, blocks separated by a blank line, and the
 # tail. Block i reads ``"Fragment i — entity: "`` followed by the fragment's
-# piece: its entity name, the optional ``" (article: …)"``, a newline and the
-# chunk text. Every junction between those parts has whitespace on at least
-# one side (the head ends and the tail starts with a blank line, the block
-# prefix ends in a space), so no ``str.split`` token spans two parts and a
-# prompt's token count is the sum of its parts' counts.
+# label (its entity name, the optional ``" (article: …)"`` and a newline) and
+# the chunk text. Every junction between those parts has whitespace on at
+# least one side (the head ends and the tail starts with a blank line, the
+# block prefix ends in a space, the label in a newline), so no ``str.split``
+# token spans two parts and a prompt's token count is the sum of its parts'
+# counts.
 _BLOCK_TOKENS = len("Fragment 1 — entity: ".split())
+
+
+@cache
+def _block_prefix(i: int) -> str:
+    return f"Fragment {i} — entity: "
 
 
 def _split_template(template: str) -> tuple[str, str, int]:
@@ -132,7 +155,7 @@ _REPAIR_TOKENS = len(REPAIR_INSTRUCTION.split())
 
 class _Renderer:
     """Renders the requests of one call. Each distinct (entity, chunk)
-    fragment is looked up, rendered and counted once, then quoted by every
+    fragment is looked up, labelled and counted once, then quoted by every
     request that cites it."""
 
     def __init__(
@@ -148,17 +171,20 @@ class _Renderer:
         self.same_document = same_document
         self.temperature = temperature
         self.max_tokens = max_tokens
-        # (entity_id, chunk_id) -> (piece, the piece's token count)
-        self._pieces: dict[tuple[str, str], tuple[str, int]] = {}
+        # (entity_id, chunk_id) -> (label, chunk text, their token count)
+        self._fragments: dict[tuple[str, str], tuple[str, str, int]] = {}
 
-    def _piece(self, entity_id: str, chunk_id: str, owner: str) -> tuple[str, int]:
+    def _fragment(self, entity_id: str, chunk_id: str, owner: str) -> tuple[str, str, int]:
         if chunk_id not in self.chunk_store:
             raise IntegrityError(f"{owner} references unknown chunk '{chunk_id}'")
         name = self.entity_names.get(entity_id, entity_id)
         title = self.chunk_store.title_for(chunk_id) if self.same_document else None
         article = f" (article: {title})" if title else ""
-        piece = f"{name}{article}\n{self.chunk_store.get(chunk_id).text}"
-        entry = self._pieces[entity_id, chunk_id] = (piece, len(piece.split()))
+        label = f"{name}{article}\n"
+        text = self.chunk_store.get(chunk_id).text
+        entry = self._fragments[entity_id, chunk_id] = (
+            label, text, len(label.split()) + len(text.split())
+        )
         return entry
 
     def _request(
@@ -168,14 +194,15 @@ class _Renderer:
         head, tail, tokens = _TEMPLATES[strategy]
         parts = [head]
         for i, (entity_id, chunk_id) in enumerate(steps, start=1):
-            piece, count = (
-                self._pieces.get((entity_id, chunk_id)) or self._piece(entity_id, chunk_id, owner)
+            label, text, count = (
+                self._fragments.get((entity_id, chunk_id))
+                or self._fragment(entity_id, chunk_id, owner)
             )
-            parts += (f"Fragment {i} — entity: ", piece, "\n\n")
+            parts += (_block_prefix(i), label, text, "\n\n")
             tokens += _BLOCK_TOKENS + count
         parts[-1] = tail  # in place of the blank line after the last block
         return GenerationRequest(
-            request_id, strategy, source_id, "".join(parts), tokens, self.temperature,
+            request_id, strategy, source_id, tuple(parts), tokens, self.temperature,
             self.max_tokens,
         )
 
@@ -206,10 +233,13 @@ def build_requests(
 ) -> list[GenerationRequest]:
     """The requests of every subset: its paths' CoT requests, then its pairs' CC requests.
 
-    Prompts are assembled from per-fragment pieces, each (entity, chunk)
-    fragment rendered once per call however many requests quote it, and
-    each request's ``prompt_tokens`` is summed from its pieces' counts; it
-    equals ``len(prompt_text.split())`` exactly.
+    A request's parts are the template's head, then per fragment a block
+    prefix, the fragment's label, the chunk text and a blank line, and the
+    template's tail in place of the last blank line. Each (entity, chunk)
+    fragment is labelled and counted once per call however many requests
+    quote it, and each request's ``prompt_tokens`` is summed from its
+    fragments' counts; it equals ``len(prompt_text.split())`` exactly. No
+    prompt is joined here.
     """
     renderer = _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens)
     requests: list[GenerationRequest] = []
@@ -438,28 +468,59 @@ def generate(
     of them appends the repair instruction) and the retries after a
     retryable backend error. ``concurrency`` bounds the requests in flight,
     which the backend enforces (a remote backend pools that many
-    connections). Twice as many workers run, so up to ``concurrency`` of
-    them can wait out a retry back-off while every slot stays busy.
+    connections). Above 1, twice as many workers run, so up to
+    ``concurrency`` of them can wait out a retry back-off while every slot
+    stays busy. A free worker takes the next request in order and joins
+    its prompt only to send it, so only the prompts in flight are held. The
+    first error a request raises stops the workers from taking another,
+    and ``generate`` raises it. Progress is logged about every tenth of the
+    records, as they finish.
     """
-    if not requests:
-        return []
-    if concurrency <= 1:
-        return _collect((_generate_one(r, backend, max_retries) for r in requests), len(requests))
-    with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-        return _collect(pool.map(lambda r: _generate_one(r, backend, max_retries), requests),
-                        len(requests))
-
-
-def _collect(results: Iterable[SynthRecord], total: int) -> list[SynthRecord]:
-    """The records in request order, logging progress about every tenth of them."""
+    total = len(requests)
+    records: list[SynthRecord | None] = [None] * total
     every = -(-total // 10)
-    records: list[SynthRecord] = []
-    rejected = 0
-    for rec in results:
-        records.append(rec)
-        rejected += rec.status == "rejected"
-        if len(records) % every == 0 or len(records) == total:
-            log.info("generate: %d/%d records done, %d rejected", len(records), total, rejected)
+    lock = threading.Lock()
+    taken = done = rejected = 0
+    error: BaseException | None = None
+
+    def work() -> None:
+        nonlocal taken, done, rejected, error
+        while True:
+            with lock:
+                if error is not None or taken == total:
+                    return
+                i = taken
+                taken += 1
+            try:
+                record = _generate_one(requests[i], backend, max_retries)
+            except BaseException as e:
+                with lock:
+                    if error is None:
+                        error = e
+                return
+            with lock:
+                records[i] = record
+                done += 1
+                rejected += record.status == "rejected"
+                if done % every == 0 or done == total:
+                    log.info("generate: %d/%d records done, %d rejected", done, total, rejected)
+
+    if concurrency <= 1:
+        work()
+    else:
+        workers = [threading.Thread(target=work) for _ in range(min(2 * concurrency, total))]
+        for w in workers:
+            w.start()
+        try:
+            for w in workers:
+                w.join()
+        except BaseException as e:  # interrupted: the workers end with their current request
+            with lock:
+                if error is None:
+                    error = e
+            raise
+    if error is not None:
+        raise error
     return records
 
 

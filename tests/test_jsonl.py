@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graphsynth.jsonl import iter_jsonl, write_json, write_jsonl
+from graphsynth.jsonl import dumps, iter_jsonl, write_json, write_jsonl
 
 
 def test_write_that_raises_halfway_keeps_the_earlier_file(tmp_path):
@@ -36,3 +36,17 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, indent):
     target = tmp_path / "doc.json"
     write_json(target, obj, indent=indent)
     assert target.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=indent)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        "naïve — ünïcode ☃ \U0001f600 \u2028",
+        -0.0,
+        1e-300,
+        {"z": [1, [2.5, {"b": None, "a": True}], []], "é": {"y": -0.0, "x": "\u2014"}},
+        [{"k": 1e-300}, [[], {}], "tab\tquote\""],
+    ],
+)
+def test_dumps_equals_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, ensure_ascii=False)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
 import re
+import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -303,6 +306,71 @@ def test_generate_unreachable_backend_is_run_level():
         generate(reqs, Down(), max_retries=1)
 
 
+def test_generate_fatal_error_with_concurrency_is_run_level():
+    reqs = _requests(30)
+    fatal = reqs[0].request_id
+    refused = threading.Event()
+    calls = []
+
+    class RefusesOne:
+        inner = MockLlmBackend()
+
+        def complete(self, prompt, *, temperature, max_tokens, request_id=None):
+            calls.append(request_id)
+            if request_id == fatal:
+                refused.set()
+                raise BackendError("refused for good", retryable=False)
+            refused.wait(5)  # the others answer only after the refusal
+            time.sleep(0.01)
+            return self.inner.complete(prompt, temperature=temperature, max_tokens=max_tokens)
+
+    with pytest.raises(BackendError, match="refused for good"):
+        generate(reqs, RefusesOne(), concurrency=3)
+    assert len(calls) < len(reqs)
+
+
+def test_progress_is_logged_while_requests_run(caplog):
+    caplog.set_level(logging.INFO, logger="graphsynth.synthesis")
+    logged_at_call = []
+
+    class Counting:
+        inner = MockLlmBackend()
+
+        def complete(self, prompt, **kwargs):
+            logged_at_call.append(
+                sum(r.getMessage().startswith("generate:") for r in caplog.records)
+            )
+            return self.inner.complete(prompt, **kwargs)
+
+    generate(_requests(20), Counting(), concurrency=2)
+    assert logged_at_call[-1] >= 1
+
+
+def test_requests_hold_parts_and_generate_only_the_prompts_in_flight():
+    # 500 requests quoting the same two ~10 KB chunks: joined, their prompts
+    # would take about 20 MB (the block headers make them two bytes a char).
+    store = make_store({"d1#0": "amber " * 1700, "d2#0": "basalt " * 1500})
+    paths = [_path([("e1", "d1#0"), ("e2", "d2#0")], pid=f"p{i:06d}") for i in range(500)]
+    subset = SubsetAllocation(0, paths, [], 1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        requests = build_requests([subset], store, NAMES)
+        held = tracemalloc.get_traced_memory()[0] - before
+        prompt_bytes = sys.getsizeof(requests[0].prompt_text)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        records = generate(requests, MockLlmBackend(), concurrency=1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prompt_bytes > 40_000
+    assert held < 1_000_000
+    # the peak above what the records keep: the prompt in flight and its reply
+    assert peak - current < 3 * prompt_bytes
+    assert len(records) == 500 and all(r.status == "ok" for r in records)
+
+
 def test_fault_injection_accounting_is_exact():
     reqs = _requests(40) + _requests(10, strategy="cc")
     reqs = [replace(r, request_id=f"req-{i:03d}") for i, r in enumerate(reqs)]
@@ -372,7 +440,7 @@ def _tagged_requests(n):
     for i, r in enumerate(_requests(n)):
         prompt = r.prompt_text + f"\n\n#{i}"
         tagged.append(
-            replace(r, request_id=f"req-{i:02d}", prompt_text=prompt, prompt_tokens=len(prompt.split()))
+            replace(r, request_id=f"req-{i:02d}", parts=(prompt,), prompt_tokens=len(prompt.split()))
         )
     return tagged
 
