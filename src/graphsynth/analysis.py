@@ -147,7 +147,6 @@ def entity_distribution(
     *,
     subsets: Sequence[SubsetAllocation] | None = None,
     records: Sequence[SynthRecord] | None = None,
-    include_cc: bool = True,
     buckets: int = DEFAULT_BUCKETS,
 ) -> DistributionReport:
     if mode == "raw":
@@ -155,7 +154,7 @@ def entity_distribution(
     elif mode == "subsets":
         if subsets is None:
             raise ValueError("subset mode needs subsets")
-        counts = counts_from_subsets(subsets, entity_map, include_cc=include_cc)
+        counts = counts_from_subsets(subsets, entity_map)
     elif mode == "synth":
         if subsets is None or records is None:
             raise ValueError("synth mode needs subsets and records")
@@ -193,9 +192,9 @@ def emit_report_csv(report: DistributionReport, path) -> None:
             writer.writerow([entity_id, report.counts[entity_id]])
 
 
-def emit_histogram_svg(report: DistributionReport, path, width: int = 640, height: int = 360) -> None:
-    """Standalone SVG bar chart; one <rect class="bar"> per bucket."""
-    margin = 40
+def emit_histogram_svg(report: DistributionReport, path) -> None:
+    """Standalone 640x360 SVG bar chart; one <rect class="bar"> per bucket."""
+    width, height, margin = 640, 360, 40
     buckets = len(report.histogram)
     peak = max(report.histogram) or 1
     bar_span = (width - 2 * margin) / buckets

@@ -405,8 +405,8 @@ def _synthetic_char_volume(records) -> int:
 
 
 def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
-    """Volume schedule: one-hop until accumulated synthetic characters pass
-    HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
+    """Volume schedule: one-hop until the previous run's synth.jsonl holds more
+    than HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
 
     The decision is snapshotted to the bound hop_decision file so rebuilding
     the sample stage alone cannot be influenced by downstream artifacts.

@@ -100,22 +100,20 @@ domain concepts. Respond with a JSON array of strings and nothing else.
 
 Passage:
 {passage}"""
+_ENTITY_MAX_TOKENS = 512
 
 
 class LlmEntityExtractor:
     """Extractor that asks a chat backend for a JSON list of entity strings."""
 
-    def __init__(self, backend: ChatBackend, prompt_template: str = DEFAULT_ENTITY_PROMPT,
-                 max_tokens: int = 512):
+    def __init__(self, backend: ChatBackend):
         self.backend = backend
-        self.prompt_template = prompt_template
-        self.max_tokens = max_tokens
 
     def extract(self, chunk: Chunk) -> ExtractionReport:
         raw = self.backend.complete(
-            self.prompt_template.format(passage=chunk.text),
+            DEFAULT_ENTITY_PROMPT.format(passage=chunk.text),
             temperature=0.0,
-            max_tokens=self.max_tokens,
+            max_tokens=_ENTITY_MAX_TOKENS,
             request_id=chunk.chunk_id,
         )
         try:

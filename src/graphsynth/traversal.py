@@ -7,8 +7,9 @@ not yet on the path, scored by dot-product similarity against the root
 paragraph, and the top W candidates are kept. Leaves of the retained beam
 become paths.
 
-The sampler holds chunk embeddings as the columns of one matrix, and every
-entity's chunk rows and neighbors in CSR arrays. Each root query gets an
+The sampler holds chunk embeddings as the columns of one matrix, filled by
+one routine as chunks are first needed, and each entity's chunk rows and
+neighbors as one ascending sequence apiece. Each root query gets an
 approximate BLAS score for every column, with a proven bound on its
 distance from the exact one (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., section 3.1); the start paragraphs of a block of
@@ -45,7 +46,7 @@ import numpy as np
 
 from .corpus import ChunkStore
 from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
-from .errors import BackendError, ConfigurationError
+from .errors import BackendError, ConfigurationError, IntegrityError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
@@ -227,49 +228,40 @@ class PathSampler:
         # transposed matrix is row j's embedding once _filled[j] is set.
         self._chunk_ids = sorted({c for chunks in entity_chunks.values() for c in chunks})
         self._row = {c: i for i, c in enumerate(self._chunk_ids)}
-        self._doc_rows: dict[str, list[int]] = {}  # each document's rows, ascending
-        for row, c in enumerate(self._chunk_ids):
-            self._doc_rows.setdefault(chunk_store.get(c).doc_id, []).append(row)
         # Entities in id order, so that sorting indices sorts ids; the graph
         # may name entities without chunks.
         self._entities = sorted(
             set(entity_chunks).union(graph.adjacency, *graph.adjacency.values())
         )
         self._index = {e: i for i, e in enumerate(self._entities)}
-        # Entity i's rows, ascending, are the sizes[i] entries of _entity_rows
-        # from _entity_starts[i] on; _holders[row] lists the indices of the
-        # entities that hold that chunk.
-        sizes = np.zeros(len(self._entities), dtype=np.int64)
-        owners = []
+        # Entity i's rows (a list) and neighbors' indices (an array, which sets
+        # a mask in one step), both ascending; _holders[row] lists the entities
+        # that hold that chunk, and entity i's pool holds _pool_sizes[i] candidates.
+        self._rows_of: list[list[int]] = [[] for _ in self._entities]
         self._holders: list[list[int]] = [[] for _ in self._chunk_ids]
         for e, chunks in entity_chunks.items():
             i = self._index[e]
-            sizes[i] = len(chunks)
-            owners += [i] * len(chunks)
+            self._rows_of[i] = sorted(self._row[c] for c in chunks)
             for c in chunks:
+                if c not in chunk_store:
+                    raise IntegrityError(f"entity {e} references unknown chunk '{c}'")
                 self._holders[self._row[c]].append(i)
-        rows = np.array(
-            [self._row[c] for chunks in entity_chunks.values() for c in chunks], dtype=np.int32
-        )
-        self._entity_rows = rows[np.lexsort((rows, np.array(owners, dtype=np.int64)))]
-        self._entity_starts = (np.cumsum(sizes) - sizes).tolist()
-        self._sizes = sizes.tolist()
-        # CSR over the graph: entity i's neighbors, ascending, fill the slots
-        # _adjacent_starts[i] to _adjacent_starts[i + 1] of _adjacent; entity
-        # i's pool holds _pool_sizes[i] candidates.
-        adjacency = [
-            sorted(self._index[nb] for nb in graph.adjacency.get(e, ())) for e in self._entities
+        self._doc_rows: dict[str, list[int]] = {}  # each document's rows, ascending
+        for row, c in enumerate(self._chunk_ids):
+            self._doc_rows.setdefault(chunk_store.get(c).doc_id, []).append(row)
+        self._neighbors = [
+            np.array(sorted(self._index[nb] for nb in graph.adjacency.get(e, ())), dtype=np.intp)
+            for e in self._entities
         ]
-        self._adjacent = np.array([i for nbs in adjacency for i in nbs], dtype=np.int64)
-        self._adjacent_starts = np.cumsum([0] + [len(nbs) for nbs in adjacency]).tolist()
-        slots = np.concatenate(([0], np.cumsum(sizes[self._adjacent])))
-        self._pool_sizes = np.diff(slots[self._adjacent_starts]).tolist()
+        self._pool_sizes = [
+            sum(len(self._rows_of[v]) for v in nbs.tolist()) for nbs in self._neighbors
+        ]
         self._matrix_t: np.ndarray | None = None
         self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
         self._fill_log: list[int] = []  # rows in the order they were filled
         # Per entity, how many of its rows are not filled yet; the entities
         # whose neighbors' rows are all filled.
-        self._unfilled = sizes.copy()
+        self._unfilled = [len(rows) for rows in self._rows_of]
         self._filled_around: set[int] = set()
         # The neighbor masks of the current root entity's expansion, dropped
         # when the next root entity starts: each costs a byte per entity.
@@ -281,22 +273,28 @@ class PathSampler:
         self.scanned = 0  # columns the walks took
         self.rescored = 0  # candidates scored exactly
 
-    def _fill(self, row: int) -> None:
-        vector = embed_text(
-            self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
-        )
-        if self._matrix_t is None:
-            # The cache rejects a vector whose dimension differs from earlier ones.
-            # Zeros, not np.empty: _approximate multiplies unfilled columns too.
-            self._matrix_t = np.zeros((len(vector), len(self._chunk_ids)), dtype=np.float64)
-        column = self._matrix_t[:, row]
-        column[:] = vector
-        norm = math.sqrt(float(column @ column))
-        # max() would drop a nan; as inf it keeps _bounded false
-        self._max_norm = max(self._max_norm, norm if norm < math.inf else math.inf)
-        self._filled[row] = True
-        self._fill_log.append(row)
-        self._unfilled[self._holders[row]] -= 1
+    def _fill(self, *rows: int) -> None:
+        """Embed the chunks of the rows not filled yet, in order, into their
+        columns: the sampler embeds by no other route."""
+        for row in rows:
+            if self._filled[row]:
+                continue
+            vector = embed_text(
+                self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
+            )
+            if self._matrix_t is None:
+                # The cache rejects a vector whose dimension differs from earlier ones.
+                # Zeros, not np.empty: _approximate multiplies unfilled columns too.
+                self._matrix_t = np.zeros((len(vector), len(self._chunk_ids)), dtype=np.float64)
+            column = self._matrix_t[:, row]
+            column[:] = vector
+            norm = math.sqrt(float(column @ column))
+            # max() would drop a nan; as inf it keeps _bounded false
+            self._max_norm = max(self._max_norm, norm if norm < math.inf else math.inf)
+            self._filled[row] = True
+            self._fill_log.append(row)
+            for h in self._holders[row]:
+                self._unfilled[h] -= 1
 
     def _embed_chunk(self, chunk_id: str) -> np.ndarray:
         row = self._row[chunk_id]
@@ -304,40 +302,26 @@ class PathSampler:
             self._fill(row)
         return self._matrix_t[:, row]
 
-    def _vector(self, chunk_id: str) -> np.ndarray:
-        """The chunk's embedding, leaving its column as it is: the columns
-        fill in the order the expansions need them."""
-        row = self._row[chunk_id]
-        if self._filled[row]:
-            return self._matrix_t[:, row]
-        return embed_text(self.chunk_store.get(chunk_id).text, self.backend, self.cache)
-
     def _neighbor_mask(self, entity: int) -> bytes:
         """Byte i is 1 where the entity with index i neighbors ``entity``."""
         mask = self._masks.get(entity)
         if mask is None:
-            first, last = self._adjacent_starts[entity], self._adjacent_starts[entity + 1]
             flags = np.zeros(len(self._entities), dtype=np.uint8)
-            flags[self._adjacent[first:last]] = 1
+            flags[self._neighbors[entity]] = 1
             mask = self._masks[entity] = flags.tobytes()
         return mask
 
-    def _fill_neighbors(self, entity: int, visited: set[int], on_path: set[int]) -> None:
-        """Embed the rows of the entity's unvisited neighbors that are not on the path."""
+    def _neighbor_rows(self, entity: int, visited: set[int], on_path: set[int]) -> list[int]:
+        """The rows of the entity's unvisited neighbors that are not on the
+        path, less those of neighbors whose rows are all filled."""
         if entity in self._filled_around:
-            return
-        first, last = self._adjacent_starts[entity], self._adjacent_starts[entity + 1]
-        neighbors = self._adjacent[first:last]
-        waiting = neighbors[self._unfilled[neighbors] > 0].tolist()
+            return []
+        waiting = [v for v in self._neighbors[entity].tolist() if self._unfilled[v]]
         if not waiting:
             self._filled_around.add(entity)  # rows never unfill
-            return
-        for v in waiting:
-            if v not in visited:
-                start = self._entity_starts[v]
-                for row in self._entity_rows[start : start + self._sizes[v]].tolist():
-                    if not self._filled[row] and row not in on_path:
-                        self._fill(row)
+            return []
+        rows_of = self._rows_of
+        return [r for v in waiting if v not in visited for r in rows_of[v] if r not in on_path]
 
     def _approximate(self, queries: np.ndarray, columns) -> np.ndarray:
         """BLAS scores ``q . c`` of each query row and each matrix column in ``columns``.
@@ -425,10 +409,6 @@ class PathSampler:
         query.order += run.tolist()
         query.order_scores += scores[run].tolist()
 
-    def _check_dimension(self, q: np.ndarray) -> None:
-        if q.shape != (self._matrix_t.shape[0],):
-            raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
-
     def _contenders(
         self,
         entity: int,
@@ -447,12 +427,11 @@ class PathSampler:
         """
         holders = self._holders
         if doc is None:
-            self._fill_neighbors(entity, visited, on_path)
-            columns = None
+            rows, columns = self._neighbor_rows(entity, visited, on_path), None
             candidates = self._pool_sizes[entity]
             for v in visited:
                 if adjacent[v]:
-                    candidates -= self._sizes[v]
+                    candidates -= len(self._rows_of[v])
             for row in on_path:
                 for h in holders[row]:
                     if adjacent[h] and h not in visited:
@@ -464,13 +443,14 @@ class PathSampler:
                     continue
                 held = sum(1 for h in holders[row] if adjacent[h] and h not in visited)
                 if held:
-                    if not self._filled[row]:
-                        self._fill(row)
                     columns.append(row)
                     candidates += held
+            rows = columns
+        self._fill(*rows)
         if candidates == 0:
             return [], []
-        self._check_dimension(q)
+        if q.shape != (self._matrix_t.shape[0],):
+            raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
         self.candidates += candidates
         query = self._query(q) if _bounded(self._max_norm) else None
         if query is not None and _bounded(query.norm):
@@ -607,15 +587,15 @@ class PathSampler:
         every = -(-len(roots) // 10)  # about every tenth of the roots
         per_block = max(1, _BLOCK_QUERIES // self.cfg.max_start_paragraphs)
         for first in range(0, len(roots), per_block):
-            block, vectors = [], []
+            block = []
             for root in roots[first : first + per_block]:
                 # Per-root rng keeps results independent of root scheduling.
                 rng = random.Random(f"{self.seed}:{root.entity_id}")
                 starts = sorted(select_start_paragraphs(root, self.cfg, rng))
                 with _naming(root):
-                    vectors += [self._vector(c) for c in starts]
+                    self._fill(*(self._row[c] for c in starts))
                 block.append((root, starts))
-            self._begin_block(vectors)
+            self._begin_block([self._embed_chunk(c) for _, starts in block for c in starts])
             for done, (root, starts) in enumerate(block, first + 1):
                 with _naming(root):
                     for start_chunk in starts:

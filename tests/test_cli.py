@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import logging
 import warnings
@@ -26,9 +27,11 @@ from graphsynth.cli import (
     run_pipeline,
     validate_config,
 )
-from graphsynth.corpus import Chunk
+from graphsynth.corpus import Chunk, save_chunks
+from graphsynth.embedding import HashEmbeddingBackend
 from graphsynth.errors import ConfigurationError
-from graphsynth.extraction import RuleBasedExtractor
+from graphsynth.extraction import EntityRecord, RuleBasedExtractor, save_entity_map
+from graphsynth.graph import build_graph, save_graph
 from graphsynth.synthesis import MockLlmBackend
 from graphsynth.traversal import TraversalConfig
 from graphsynth.jsonl import sha256_file
@@ -238,6 +241,40 @@ def test_sample_artifacts_match_their_golden_digests(tmp_path, name):
     workdir = Path(config.workdir)
     assert sha256_file(workdir / "paths.jsonl") == paths_digest
     assert sha256_file(workdir / "embeddings.json") == LONGTAIL_EMBEDDINGS_DIGEST
+
+
+# sha256 of the "\0"-joined texts a run sends to the hash embedder, in call
+# order, per TRAVERSAL_DIGESTS config: embeddings.json pins only the set, and
+# a backend that embeds in batches must see the texts in this order.
+EMBED_ORDER_DIGESTS = {
+    "one_hop": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
+    "two_hop": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
+    "mixed_depth_3": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
+    "same_document_only": "b66c731f9abbb68237ecb192d1288620232906a53a4e3f631fcbdbe7391fbc0e",
+}
+
+
+@pytest.mark.parametrize("name", list(TRAVERSAL_DIGESTS))
+def test_sample_embeds_texts_in_a_fixed_order(tmp_path, monkeypatch, name):
+    texts: list[str] = []
+    embed = HashEmbeddingBackend.embed
+
+    def recording_embed(self, text):
+        texts.append(text)
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbeddingBackend, "embed", recording_embed)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(longtail_corpus_jsonl()) + "\n", encoding="utf-8")
+    config = RunConfig(
+        input=str(corpus),
+        workdir=str(tmp_path / "out"),
+        traversal=TraversalConfig(**TRAVERSAL_DIGESTS[name][0]),
+    )
+    run_pipeline(config)
+    assert len(texts) == len(set(texts)) == 40
+    digest = hashlib.sha256("\0".join(texts).encode("utf-8")).hexdigest()
+    assert digest == EMBED_ORDER_DIGESTS[name]
 
 
 # sha256 of the balance and generation artifacts on the long-tail corpus at
@@ -478,6 +515,24 @@ def test_semantic_chunking_and_mixed_hops_run_end_to_end(tmp_path):
     assert counts["sample"]["paths"] > 0
     assert counts["sample"]["hop_policy"] == "mixed"
     assert counts["generate"]["rejected"] == 0
+
+
+def test_sample_subcommand_names_an_entity_chunk_missing_from_the_chunks(tmp_path, capsys):
+    entities = [
+        EntityRecord("e1", "e1", {"e1"}, ["d1#0000"]),
+        EntityRecord("e2", "e2", {"e2"}, ["d1#0000", "d1#0009"]),
+    ]
+    save_chunks(tmp_path / "chunks.jsonl", [Chunk("d1#0000", "d1", 0, "Some text.")], {})
+    save_entity_map(tmp_path / "entities.jsonl", entities)
+    save_graph(tmp_path / "graph.jsonl", build_graph(entities))
+    command = [
+        "sample", "--graph", str(tmp_path / "graph.jsonl"),
+        "--entities", str(tmp_path / "entities.jsonl"),
+        "--chunks", str(tmp_path / "chunks.jsonl"), "--out", str(tmp_path / "paths.jsonl"),
+    ]
+    assert main(command) == EXIT_STAGE
+    assert "entity e2 references unknown chunk 'd1#0009'" in capsys.readouterr().err
+    assert not (tmp_path / "paths.jsonl").exists()
 
 
 def test_missing_input_aborts_at_ingest(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from graphsynth import traversal
 from graphsynth.embedding import EmbeddingCache, similarity
+from graphsynth.errors import IntegrityError
 from graphsynth.graph import build_graph
 from graphsynth.traversal import (
     PathSampler,
@@ -354,6 +355,14 @@ def test_a_step_embeds_its_unembedded_candidates_first():
     assert backend.calls[embedded:] == ["y"]
     assert sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"}) == cands
     assert backend.calls[embedded:] == ["y"]
+
+
+def test_an_entity_chunk_missing_from_the_store_is_an_integrity_error():
+    entity_map = make_entity_map({"a": ["d1#0000"], "b": ["d1#0000", "d1#0009"]})
+    store = make_store({"d1#0000": "d1#0000"})
+    backend = FakeEmbedder({"d1#0000": (1.0, 0.0)})
+    with pytest.raises(IntegrityError, match="^entity b references unknown chunk 'd1#0009'$"):
+        PathSampler(build_graph(entity_map), entity_map, store, TraversalConfig(), backend)
 
 
 def test_a_step_pinned_to_an_unknown_document_finds_nothing():
