@@ -18,7 +18,7 @@ from .balance import SubsetAllocation
 from .errors import IntegrityError
 from .extraction import EntityRecord
 from .jsonl import atomic_write
-from .synthesis import SynthRecord
+from .synthesis import RecordOutcome, SynthRecord
 
 DEFAULT_BUCKETS = 10
 
@@ -112,11 +112,15 @@ def counts_from_subsets(
 
 
 def counts_from_synth(
-    records: Iterable[SynthRecord],
+    records: Iterable[SynthRecord | RecordOutcome],
     subsets: Iterable[SubsetAllocation],
     entity_map: Iterable[EntityRecord],
 ) -> dict[str, int]:
-    """Synthetic mode: provenance-resolved fragment usage of accepted records."""
+    """Synthetic mode: provenance-resolved fragment usage of accepted records.
+
+    Only a record's ``status`` and ``source_id`` are read, so the outcomes
+    that ``generate`` hands on serve as well as the records.
+    """
     path_entities: dict[str, list[str]] = {}
     pair_entities: dict[str, list[str]] = {}
     for subset in subsets:
@@ -146,7 +150,7 @@ def entity_distribution(
     entity_map: Sequence[EntityRecord],
     *,
     subsets: Sequence[SubsetAllocation] | None = None,
-    records: Sequence[SynthRecord] | None = None,
+    records: Sequence[SynthRecord | RecordOutcome] | None = None,
     buckets: int = DEFAULT_BUCKETS,
 ) -> DistributionReport:
     if mode == "raw":

@@ -39,7 +39,7 @@ from . import graph as graph_mod
 from . import synthesis as synthesis_mod
 from . import traversal as traversal_mod
 from .errors import ConfigurationError, GraphSynthError
-from .jsonl import sha256_file, write_json
+from .jsonl import iter_jsonl, sha256_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -261,8 +261,7 @@ class _Artifacts:
     The stage that writes an artifact hands its value on with ``put``; one
     that no stage of the run wrote is parsed by ``get`` on first use. Both
     are dropped when a stage that lists the path as an output runs, so a
-    value read before a rewrite (the auto hop schedule reads the previous
-    run's ``synth.jsonl``) is never handed on after it.
+    value read before a rewrite is never handed on after it.
     """
 
     def __init__(self):
@@ -392,15 +391,17 @@ def _graph(ctx: StageContext) -> dict:
     return {"nodes": len(g.nodes), "edges": len(g.provenance)}
 
 
-def _synthetic_char_volume(records) -> int:
+def _synthetic_char_volume(path: Path) -> int:
+    """The characters of the accepted records' text in the synth.jsonl at
+    ``path``, summed line by line without keeping the records."""
     total = 0
-    for rec in records:
-        if rec.status != "ok":
+    for rec in iter_jsonl(path):
+        if rec["status"] != "ok":
             continue
-        total += len(rec.narrative)
-        for item in rec.qa or []:
+        total += len(rec["narrative"])
+        for item in rec["qa"] or []:
             total += len(item.get("question", "")) + len(item.get("answer", ""))
-        total += len(rec.comparison or "")
+        total += len(rec["comparison"] or "")
     return total
 
 
@@ -422,7 +423,7 @@ def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
         raw_chars = sum(len(c.text) for c in chunk_store.chunks())
         accumulated = 0
         if synth_path and synth_path.exists():
-            accumulated = _synthetic_char_volume(ctx.load("synth"))
+            accumulated = _synthetic_char_volume(synth_path)
         policy = "one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw_chars else "two_hop"
     if decision_path:
         write_json(
@@ -482,15 +483,21 @@ def _generate(ctx: StageContext) -> dict:
         temperature=config.generation.temperature,
         max_tokens=config.generation.max_tokens,
     )
-    with chat_backend(config.generation) as backend:
-        records = synthesis_mod.generate(
+    # each record is written as it is emitted; analyze reads only the
+    # outcomes (source id, status, retries) handed on here
+    with (
+        chat_backend(config.generation) as backend,
+        synthesis_mod.corpus_writer(ctx.path("synth")) as writer,
+    ):
+        outcomes = synthesis_mod.generate(
             requests,
             backend,
             max_retries=config.generation.max_retries,
             concurrency=config.generation.concurrency,
+            emit=writer.write,
         )
-    manifest = synthesis_mod.write_synthetic_corpus(records, ctx.path("synth"))
-    ctx.put("synth", records)
+    manifest = writer.manifest
+    ctx.put("synth", outcomes)
     if "synth_manifest" in ctx.paths:
         write_json(ctx.paths["synth_manifest"], manifest, indent=2)
     return manifest

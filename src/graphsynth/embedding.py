@@ -91,7 +91,7 @@ class RemoteEmbeddingBackend:
 
     def embed(self, text: str) -> Vector:
         reply = self.client.post({"model": self.model, "input": [text]})
-        values = reply["data"][0]["embedding"]
+        values = self.client.field(reply, "data", 0, "embedding")
         try:
             vector = np.array(values, dtype=np.float64)
             if vector.ndim == 1 and vector.size:

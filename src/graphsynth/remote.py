@@ -14,7 +14,8 @@ bounds the requests in flight, whatever the number of calling threads.
 ``post`` is the one retry loop: server errors (5xx), connection errors and
 bodies that are not JSON are retried with exponential back-off; client
 errors (4xx) never heal on retry and fail at once. A request waiting out
-its back-off holds no connection.
+its back-off holds no connection. ``field`` reads a value out of a reply
+and fails, without a retry, on a reply of the wrong shape.
 """
 
 from __future__ import annotations
@@ -153,6 +154,23 @@ class JsonClient:
         raise BackendError(
             f"{self.name} backend failed after retries: {last_error}"
         ) from last_error
+
+    def field(self, reply, *path, kind: type = object):
+        """``reply[path[0]][path[1]]…`` when it is a ``kind``; otherwise a
+        non-retryable ``BackendError`` naming the first step of ``path`` that
+        the reply lacks (or the whole path, for a value of another type) and
+        quoting the reply."""
+        value, depth = reply, 0
+        try:
+            for depth, key in enumerate(path, start=1):
+                value = value[key]
+        except (KeyError, IndexError, TypeError):  # a key or index missing, or no container
+            pass
+        else:
+            if isinstance(value, kind):
+                return value
+        where = "".join(f"[{key!r}]" for key in path[:depth])
+        raise BackendError(f"{self.name} service reply has no usable {where}: {reply!r:.80}")
 
     def close(self) -> None:
         """Close every connection this client opened; a later request reconnects."""

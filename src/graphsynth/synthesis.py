@@ -8,6 +8,11 @@ chunk text. ``generate`` keeps a reply that matches its strategy's schema;
 otherwise it asks again, appending a repair instruction once, and after
 ``max_retries`` the record is ``rejected``. ``synth.jsonl`` holds one
 ``SynthRecord`` per line, keyed by its field names.
+Records go to ``synth.jsonl`` in request order as they finish: ``generate``
+hands each record to its ``emit`` callback once every earlier one is done,
+and the ``CorpusWriter`` of ``corpus_writer`` encodes it into the file and
+counts it for the manifest. The file appears atomically when the writer closes, and the stage
+holds only the records that wait on an earlier one.
 A request keeps its prompt as parts (the template's head and tail, and the
 shared block prefixes, fragment labels and chunk texts) and joins them only
 when it is sent, so the prompts held at once are those of the requests in
@@ -23,6 +28,7 @@ others.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import random
@@ -30,13 +36,13 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .balance import CCPair, SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .extraction import ChatBackend
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import atomic_write, dumps, iter_jsonl
 from .traversal import Path
 
 log = logging.getLogger(__name__)
@@ -398,7 +404,7 @@ class RemoteChatBackend:
             "temperature": temperature,
             "max_tokens": max_tokens,
         })
-        return reply["choices"][0]["message"]["content"]
+        return self.client.field(reply, "choices", 0, "message", "content", kind=str)
 
     def close(self) -> None:
         self.client.close()
@@ -461,7 +467,8 @@ def generate(
     *,
     max_retries: int = 2,
     concurrency: int = 1,
-) -> list[SynthRecord]:
+    emit: Callable[[SynthRecord], Any] | None = None,
+) -> list:
     """Run all requests; output order always equals request order.
 
     ``max_retries`` bounds, per request, both the schema retries (the first
@@ -475,16 +482,25 @@ def generate(
     first error a request raises stops the workers from taking another,
     and ``generate`` raises it. Progress is logged about every tenth of the
     records, as they finish.
+
+    ``emit`` is called with each record in request order, as soon as it and
+    every earlier record are done: the worker that finishes the lowest
+    missing record passes on the run of records ready after it, under the
+    lock that orders them. Only the records waiting on an earlier one are
+    held. The list returned holds what ``emit`` returned, or the records
+    themselves without ``emit``. Once a request or ``emit`` raises, no
+    further record is emitted.
     """
     total = len(requests)
-    records: list[SynthRecord | None] = [None] * total
+    results: list = [None] * total
+    waiting: dict[int, SynthRecord] = {}  # done, but an earlier record is not
     every = -(-total // 10)
     lock = threading.Lock()
-    taken = done = rejected = 0
+    taken = done = rejected = emitted = 0
     error: BaseException | None = None
 
     def work() -> None:
-        nonlocal taken, done, rejected, error
+        nonlocal taken, done, rejected, emitted, error
         while True:
             with lock:
                 if error is not None or taken == total:
@@ -499,11 +515,21 @@ def generate(
                         error = e
                 return
             with lock:
-                records[i] = record
+                if error is not None:
+                    return
                 done += 1
                 rejected += record.status == "rejected"
                 if done % every == 0 or done == total:
                     log.info("generate: %d/%d records done, %d rejected", done, total, rejected)
+                waiting[i] = record
+                try:
+                    while emitted in waiting:
+                        record = waiting.pop(emitted)
+                        results[emitted] = record if emit is None else emit(record)
+                        emitted += 1
+                except BaseException as e:
+                    error = e
+                    return
 
     if concurrency <= 1:
         work()
@@ -521,21 +547,73 @@ def generate(
             raise
     if error is not None:
         raise error
-    return records
+    return results
 
 
-def write_synthetic_corpus(records: Sequence[SynthRecord], sink) -> dict:
-    """Write records as JSONL; returns the accounting manifest."""
-    write_jsonl(sink, map(vars, records))  # not asdict, which deep-copies each qa list
-    manifest = {
-        "records": len(records),
-        "cot": sum(1 for r in records if r.strategy == "cot" and r.status == "ok"),
-        "cc": sum(1 for r in records if r.strategy == "cc" and r.status == "ok"),
-        "rejected": sum(1 for r in records if r.status == "rejected"),
-        "input_tokens": sum(r.input_tokens for r in records),
-        "output_tokens": sum(r.output_tokens for r in records),
-    }
-    return manifest
+class RecordOutcome(NamedTuple):
+    """What the pipeline keeps of a written record: its source, status and retries."""
+
+    source_id: str
+    status: str
+    retries: int
+
+
+# builds a RecordOutcome in C, where the NamedTuple's __new__ is Python code
+_new_tuple = tuple.__new__
+_COUNTS = ("records", "cot", "cc", "rejected", "input_tokens", "output_tokens")
+
+
+class CorpusWriter:
+    """Writes records to an open text sink as JSONL and counts them.
+
+    ``write`` encodes a record as one line, counts it for ``manifest`` (the
+    ``synth_manifest.json`` accounting) and returns its ``RecordOutcome``.
+    """
+
+    # the counts are the manifest's fields; slots, a plain method and no
+    # dict keep the per-record cost down to that of summing a list of records
+    __slots__ = (*_COUNTS, "_write")
+
+    def __init__(self, sink: IO[str]):
+        self._write = sink.write
+        self.records = self.cot = self.cc = self.rejected = 0
+        self.input_tokens = self.output_tokens = 0
+
+    def write(self, record: SynthRecord) -> RecordOutcome:
+        # the fields are read before vars(): on CPython 3.11 that call gives
+        # the record a dict of its own, and each later lookup goes through it
+        self.records += 1
+        if record.status != "ok":
+            self.rejected += 1
+        elif record.strategy == "cot":
+            self.cot += 1
+        else:
+            self.cc += 1
+        self.input_tokens += record.input_tokens
+        self.output_tokens += record.output_tokens
+        outcome = _new_tuple(RecordOutcome, (record.source_id, record.status, record.retries))
+        self._write(dumps(vars(record)) + "\n")  # not asdict, which deep-copies each qa list
+        return outcome
+
+    @property
+    def manifest(self) -> dict:
+        return {name: getattr(self, name) for name in _COUNTS}
+
+
+@contextlib.contextmanager
+def corpus_writer(path) -> Iterator[CorpusWriter]:
+    """A ``CorpusWriter`` into a file that replaces ``path`` when the block ends;
+    if the block raises, ``path`` is left as it was."""
+    with atomic_write(path) as sink:
+        yield CorpusWriter(sink)
+
+
+def write_synthetic_corpus(records: Iterable[SynthRecord], sink) -> dict:
+    """Write records as JSONL to the file ``sink``; returns the accounting manifest."""
+    with corpus_writer(sink) as writer:
+        for record in records:
+            writer.write(record)
+    return writer.manifest
 
 
 def load_synthetic_corpus(path) -> list[SynthRecord]:

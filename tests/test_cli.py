@@ -426,8 +426,42 @@ def test_cold_and_rebuild_runs_parse_and_hash_each_artifact_once(tmp_path, monke
     check(run_pipeline(config))
 
 
+def test_forced_rerun_sums_the_previous_corpus_without_parsing_it(tmp_path, monkeypatch):
+    from graphsynth import synthesis
+
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    expected = sum(
+        len(r.narrative)
+        + sum(len(item["question"]) + len(item["answer"]) for item in r.qa or [])
+        + len(r.comparison or "")
+        for r in synthesis.load_synthetic_corpus(workdir / "synth.jsonl")
+        if r.status == "ok"
+    )
+    loads = []
+    monkeypatch.setattr(synthesis, "load_synthetic_corpus", loads.append)
+    run_pipeline(config, force=True)
+    assert loads == []
+    decision = json.loads((workdir / "hop_decision.json").read_text(encoding="utf-8"))
+    assert decision["accumulated_chars"] == expected > 0
+
+
+@pytest.mark.parametrize("concurrency", ["1", "3"])
+def test_generate_writes_the_same_corpus_at_any_concurrency(tmp_path, concurrency):
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)  # generation.concurrency 2
+    out = Path(config.workdir)
+    synth, manifest = tmp_path / "synth.jsonl", tmp_path / "synth_manifest.json"
+    args = _remote_generate_args(out, synth)
+    args[args.index("remote")] = "mock"
+    assert main(args + ["--concurrency", concurrency, "--manifest", str(manifest)]) == EXIT_OK
+    assert synth.read_bytes() == (out / "synth.jsonl").read_bytes()
+    assert manifest.read_bytes() == (out / "synth_manifest.json").read_bytes()
+
+
 def test_forced_rerun_analyzes_the_records_it_generated(tmp_path):
-    # The auto hop schedule parses the previous run's synth.jsonl in sample;
+    # The auto hop schedule reads the previous run's synth.jsonl in sample;
     # once generate rewrites the file, analyze must count the new records.
     data = _config_dict(tmp_path)
     run_pipeline(load_config(_write_config(tmp_path, data)))
@@ -575,10 +609,10 @@ def test_remote_generation_matches_mock_and_closes_its_connections(
         run_pipeline(load_config(_write_config(tmp_path, data, "r.yaml")))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    synth = "synth.jsonl"
-    assert (tmp_path / "out_remote" / synth).read_bytes() == (
-        tmp_path / "out_mock" / synth
-    ).read_bytes()
+    for name in ("synth.jsonl", "synth_manifest.json"):
+        assert (tmp_path / "out_remote" / name).read_bytes() == (
+            tmp_path / "out_mock" / name
+        ).read_bytes()
     assert server.calls > 0
     # generation.concurrency 2: two pooled connections, never more in flight
     assert server.accepted == 2 and server.peak_in_flight <= 2

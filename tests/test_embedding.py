@@ -126,6 +126,25 @@ def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_ser
     backend.close()
 
 
+@pytest.mark.parametrize(
+    "reply, field",
+    [
+        ({"error": "x"}, "['data']"),
+        ({"data": []}, "['data'][0]"),
+        ({"data": [{}]}, "['data'][0]['embedding']"),
+    ],
+)
+def test_remote_backend_rejects_a_reply_of_the_wrong_shape(json_server, reply, field):
+    server = json_server(lambda n, payload: (200, reply))
+    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
+    with pytest.raises(BackendError) as err:
+        backend.embed("text")
+    backend.close()
+    assert str(err.value) == f"embedding service reply has no usable {field}: {reply!r}"
+    assert not err.value.retryable
+    assert server.calls == 1
+
+
 def test_embed_text_rejects_an_empty_vector():
     class Empty:
         backend_id = "empty"

@@ -196,6 +196,25 @@ def test_chat_backend_sends_contract_and_extracts_content(json_server):
     assert server.wait_closed() == 0
 
 
+@pytest.mark.parametrize(
+    "reply, field",
+    [
+        ({"choices": [{"message": {"content": None}}]}, "['choices'][0]['message']['content']"),
+        ({"error": "x"}, "['choices']"),
+        ({"choices": []}, "['choices'][0]"),
+    ],
+)
+def test_chat_reply_of_the_wrong_shape_fails_without_a_retry(json_server, sleeps, reply, field):
+    server = json_server(lambda n, p: (200, reply))
+    backend = RemoteChatBackend(server.url, model="m")
+    with pytest.raises(BackendError) as err:
+        backend.complete("prompt", temperature=0.5, max_tokens=7, request_id="r")
+    backend.close()
+    assert str(err.value) == f"chat service reply has no usable {field}: {reply!r:.80}"
+    assert not err.value.retryable
+    assert server.calls == 1 and sleeps == []
+
+
 # --- proxy resolution ----------------------------------------------------------------
 
 

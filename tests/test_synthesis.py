@@ -22,8 +22,10 @@ from graphsynth.synthesis import (
     FaultInjectingBackend,
     MockLlmBackend,
     RemoteChatBackend,
+    RecordOutcome,
     SynthRecord,
     build_requests,
+    corpus_writer,
     generate,
     load_synthetic_corpus,
     write_synthetic_corpus,
@@ -371,6 +373,25 @@ def test_requests_hold_parts_and_generate_only_the_prompts_in_flight():
     assert len(records) == 500 and all(r.status == "ok" for r in records)
 
 
+def test_generate_keeps_no_record_that_emit_has_taken():
+    store = make_store({"d1#0": "amber " * 1700, "d2#0": "basalt " * 1500})
+    paths = [_path([("e1", "d1#0"), ("e2", "d2#0")], pid=f"p{i:06d}") for i in range(200)]
+    requests = build_requests([SubsetAllocation(0, paths, [], 1.0)], store, NAMES)
+    prompt_bytes = sys.getsizeof(requests[0].prompt_text)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = generate(requests, MockLlmBackend(), concurrency=1, emit=lambda r: None)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results == [None] * 200
+    # what generate keeps is its list of 200 results; the records, about
+    # 1 KB each, went to emit one at a time
+    assert current - start < 10_000
+    assert peak - start < 3 * prompt_bytes
+
+
 def test_fault_injection_accounting_is_exact():
     reqs = _requests(40) + _requests(10, strategy="cc")
     reqs = [replace(r, request_id=f"req-{i:03d}") for i, r in enumerate(reqs)]
@@ -432,6 +453,94 @@ def test_output_order_independent_of_concurrency():
     assert [(r.request_id, r.narrative) for r in sequential] == [
         (r.request_id, r.narrative) for r in threaded
     ]
+
+
+class _EarlyAnswersLast:
+    """The mock backend, except that each of the first ``held`` requests
+    answers only after the one after it has: they finish in reverse order."""
+
+    def __init__(self, held):
+        self.inner = MockLlmBackend()
+        self.answered = {i: threading.Event() for i in range(held)}
+        self.order: list[str] = []
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, *, temperature, max_tokens, request_id=None):
+        i = int(request_id.rsplit("-", 1)[1])
+        if i + 1 in self.answered:
+            assert self.answered[i + 1].wait(5)
+        reply = self.inner.complete(prompt, temperature=temperature, max_tokens=max_tokens)
+        with self._lock:
+            self.order.append(request_id)
+        if i in self.answered:
+            self.answered[i].set()
+        return reply
+
+
+def test_records_are_emitted_in_request_order_when_early_requests_finish_last(tmp_path):
+    reqs = _requests(10) + _requests(4, strategy="cc")
+    reqs = [replace(r, request_id=f"req-{i:02d}") for i, r in enumerate(reqs)]
+    # concurrency 3 runs six workers, so requests 0-5 are in flight together
+    backend = _EarlyAnswersLast(held=6)
+    emitted: list[str] = []
+    with corpus_writer(tmp_path / "threaded.jsonl") as writer:
+
+        def emit(record):
+            emitted.append(record.request_id)
+            return writer.write(record)
+
+        outcomes = generate(reqs, backend, concurrency=3, emit=emit)
+    held = [f"req-{i:02d}" for i in range(6)]
+    assert [rid for rid in backend.order if rid in held] == held[::-1]
+    assert emitted == [r.request_id for r in reqs]
+    assert outcomes == [RecordOutcome(r.source_id, "ok", 0) for r in reqs]
+    assert write_synthetic_corpus(
+        generate(reqs, MockLlmBackend(), concurrency=1), tmp_path / "sequential.jsonl"
+    ) == writer.manifest
+    assert (tmp_path / "threaded.jsonl").read_bytes() == (
+        tmp_path / "sequential.jsonl"
+    ).read_bytes()
+
+
+def test_each_record_is_emitted_before_the_next_backend_call():
+    events: list[tuple[str, str]] = []
+
+    class Logged:
+        inner = MockLlmBackend()
+
+        def complete(self, prompt, *, request_id=None, **kwargs):
+            events.append(("call", request_id))
+            return self.inner.complete(prompt, request_id=request_id, **kwargs)
+
+    reqs = _requests(4)
+    assert generate(
+        reqs, Logged(), concurrency=1, emit=lambda r: events.append(("emit", r.request_id))
+    ) == [None] * 4
+    assert events == [(kind, r.request_id) for r in reqs for kind in ("call", "emit")]
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_an_error_mid_run_leaves_no_corpus_file(tmp_path, concurrency):
+    reqs = _requests(12)
+    fatal = reqs[5].request_id
+    emitted = []
+
+    class RefusesOne:
+        inner = MockLlmBackend()
+
+        def complete(self, prompt, *, request_id=None, **kwargs):
+            if request_id == fatal:
+                raise BackendError("refused for good", retryable=False)
+            return self.inner.complete(prompt, request_id=request_id, **kwargs)
+
+    with pytest.raises(BackendError, match="refused for good"):
+        with corpus_writer(tmp_path / "synth.jsonl") as writer:
+            generate(
+                reqs, RefusesOne(), concurrency=concurrency,
+                emit=lambda r: emitted.append(writer.write(r)),
+            )
+    assert len(emitted) <= 5  # nothing after the refused request
+    assert list(tmp_path.iterdir()) == []
 
 
 def _tagged_requests(n):
