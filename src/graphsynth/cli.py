@@ -174,7 +174,12 @@ def _build(base, data, prefix: str = ""):
 def load_config(path: str | Path) -> RunConfig:
     """Parse the YAML config tree into a ``RunConfig``, checked as ``_build`` checks."""
     with open(path, "r", encoding="utf-8") as f:
-        return _build(RunConfig(), yaml.safe_load(f))
+        try:
+            return _build(RunConfig(), yaml.safe_load(f))
+        except yaml.YAMLError as e:
+            mark = getattr(e, "problem_mark", None)
+            where = f"{path}, line {mark.line + 1}" if mark else str(path)
+            raise ConfigurationError(f"{where}: not valid YAML ({getattr(e, 'problem', e)})")
 
 
 def _traversal_problems(cfg: traversal_mod.TraversalConfig) -> list[str]:
@@ -213,46 +218,40 @@ def _config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _remote_backend(cls, settings, section: str, env: str, **options):
-    """``cls`` from the config section, with the ``{env}_*`` variables as fallback."""
+@contextlib.contextmanager
+def _remote_backend(adapter, settings, section: str, env: str, **client_options):
+    """``adapter(client, model)`` over a ``remote.JsonClient`` configured by the
+    section or the ``{env}_*`` variables; the client closes when the block ends."""
     endpoint = settings.endpoint or os.environ.get(f"{env}_ENDPOINT")
     if not endpoint:
         raise ConfigurationError(
             f"the remote {section} backend needs {section}.endpoint or {env}_ENDPOINT"
         )
-    return cls(
-        endpoint=endpoint,
-        model=settings.model or os.environ.get(f"{env}_MODEL", ""),
-        api_key=os.environ.get(f"{env}_API_KEY"),
-        **options,
-    )
+    from .remote import JsonClient  # here, so offline runs never load http.client or ssl
+
+    client = JsonClient(endpoint, api_key=os.environ.get(f"{env}_API_KEY"), **client_options)
+    with contextlib.closing(client):
+        yield adapter(client, settings.model or os.environ.get(f"{env}_MODEL", ""))
 
 
-@contextlib.contextmanager
 def embedding_backend(settings: EmbeddingConfig):
-    """The configured embedding backend; a remote one is closed when the block ends."""
+    """The configured embedding backend, as a context manager."""
     if settings.backend == "hash":
-        yield embedding_mod.HashEmbeddingBackend(dim=settings.dim)
-        return
-    remote = _remote_backend(
-        embedding_mod.RemoteEmbeddingBackend, settings, "embedding", "GRAPHSYNTH_EMBED"
+        return contextlib.nullcontext(embedding_mod.HashEmbeddingBackend(dim=settings.dim))
+    return _remote_backend(
+        embedding_mod.RemoteEmbeddingBackend, settings, "embedding", "GRAPHSYNTH_EMBED",
+        name="embedding",
     )
-    with contextlib.closing(remote):
-        yield remote
 
 
-@contextlib.contextmanager
 def chat_backend(settings: GenerationConfig):
-    """The configured chat backend; a remote one is closed when the block ends."""
+    """The configured chat backend, as a context manager."""
     if settings.backend == "mock":
-        yield synthesis_mod.MockLlmBackend()
-        return
-    remote = _remote_backend(
+        return contextlib.nullcontext(synthesis_mod.MockLlmBackend())
+    return _remote_backend(
         synthesis_mod.RemoteChatBackend, settings, "generation", "GRAPHSYNTH_LLM",
-        connections=settings.concurrency,
+        name="chat", timeout=120.0, connections=settings.concurrency,
     )
-    with contextlib.closing(remote):
-        yield remote
 
 
 class _Artifacts:
@@ -828,6 +827,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE
     except FileNotFoundError as e:
         print(f"error: missing file {e.filename}", file=sys.stderr)
+        return EXIT_STAGE
+    except OSError as e:  # a directory or an unreadable file, say
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_STAGE
 
 

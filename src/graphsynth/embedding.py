@@ -3,8 +3,9 @@
 Similarity is the raw dot product of embeddings; candidate paragraph
 ranking during traversal depends on nothing else. The hash backend gives
 deterministic unit-norm vectors so the whole pipeline can run offline; the
-remote backend posts to an HTTP embedding service through the shared
-keep-alive ``remote.JsonClient``, which owns retries and connections.
+remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
+``cli.embedding_backend`` builds that client (30 s timeout, 3 retries at
+0.5 s back-off) and closes it.
 Vectors are 1-d float64 arrays; the cache hands out read-only ones.
 """
 
@@ -67,27 +68,12 @@ class HashEmbeddingBackend:
 
 
 class RemoteEmbeddingBackend:
-    """Thin client for an HTTP embedding service (OpenAI-style contract)."""
+    """An HTTP embedding service (OpenAI-style contract) through a ``JsonClient``."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
-        timeout: float = 30.0,
-    ):
+    def __init__(self, client, model: str):
+        self.client = client
         self.model = model
         self.backend_id = f"remote:{model}"
-        # imported here so that runs with the offline backends never load
-        # http.client and ssl
-        from .remote import JsonClient
-
-        self.client = JsonClient(
-            endpoint, name="embedding", api_key=api_key, max_retries=max_retries,
-            backoff_seconds=backoff_seconds, timeout=timeout,
-        )
 
     def embed(self, text: str) -> Vector:
         reply = self.client.post({"model": self.model, "input": [text]})
@@ -99,9 +85,6 @@ class RemoteEmbeddingBackend:
         except (TypeError, ValueError):  # a ragged list, or an element no number
             pass
         raise BackendError(f"embedding service returned no flat list of numbers: {values!r:.80}")
-
-    def close(self) -> None:
-        self.client.close()
 
 
 class EmbeddingCache:

@@ -14,7 +14,7 @@ class DuplicateIdError(IngestError):
 
 
 class FormatError(GraphSynthError):
-    """A backend returned output that does not match the expected schema."""
+    """A backend reply or an artifact file does not match the expected format."""
 
     def __init__(self, message: str, raw: str | None = None):
         super().__init__(message)

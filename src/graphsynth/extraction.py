@@ -20,7 +20,9 @@ from .jsonl import iter_jsonl, write_jsonl
 MAX_MENTIONS_PER_CHUNK = 16
 
 # Maximal runs of capitalized tokens ("Company X", "Accounts Receivable Dept").
-_CAP_SPAN = re.compile(r"\b[A-Z][\w&.'-]*(?:\s+[A-Z][\w&.'-]*)*")
+# A run stops before a token's closing "." ("Smith. The" gives "Smith"), so no
+# span holds a break of ``corpus.split_sentences`` or ends in its period.
+_CAP_SPAN = re.compile(r"\b[A-Z][\w&.'-]*(?:(?<!\.)\s+[A-Z][\w&.'-]*)*(?<!\.)")
 # Determiner-introduced lowercase noun phrases of 2-3 words.
 _NOUN_PHRASE = re.compile(r"\b(?:the|a|an)\s+([a-z][a-z-]*(?:\s+[a-z][a-z-]*){1,2})\b")
 

@@ -10,6 +10,8 @@ import secrets
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
+from .errors import FormatError
+
 
 # json.dumps with keyword arguments builds a new encoder for every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
@@ -21,12 +23,17 @@ def dumps(obj: Any) -> str:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one JSON object per non-blank line."""
+    """Yield one JSON object per non-blank line; a line that is not JSON is
+    a ``FormatError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise FormatError(f"{path}, line {lineno}: not valid JSON ({e.msg})") from e
+                yield rec
 
 
 @contextlib.contextmanager

@@ -17,10 +17,11 @@ A request keeps its prompt as parts (the template's head and tail, and the
 shared block prefixes, fragment labels and chunk texts) and joins them only
 when it is sent, so the prompts held at once are those of the requests in
 flight.
-``RemoteChatBackend`` posts to a chat-completion service through the shared
-keep-alive ``remote.JsonClient``, which retries transport faults and 5xx
-replies; schema retries and repair prompts stay here. With concurrency N
-the client pools N connections, which bound the requests in flight, and
+``RemoteChatBackend`` adapts a ``remote.JsonClient``, which retries transport
+faults and 5xx replies, to a chat-completion service; ``cli.chat_backend``
+builds the client (120 s timeout, 3 retries at 0.5 s back-off) and closes
+it. Schema retries and repair prompts stay here. With concurrency N the
+client pools N connections, which bound the requests in flight, and
 ``generate`` runs 2N workers, each pulling the next request when it is
 free, so that requests waiting out a back-off leave the connections to the
 others.
@@ -375,27 +376,11 @@ class FaultInjectingBackend:
 
 
 class RemoteChatBackend:
-    """Chat-completion HTTP client (model, temperature, max_tokens)."""
+    """A chat-completion service through a ``JsonClient`` (model, temperature, max_tokens)."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
-        timeout: float = 120.0,
-        connections: int = 1,
-    ):
+    def __init__(self, client, model: str):
+        self.client = client
         self.model = model
-        # imported here so that runs with the offline backends never load
-        # http.client and ssl
-        from .remote import JsonClient
-
-        self.client = JsonClient(
-            endpoint, name="chat", api_key=api_key, max_retries=max_retries,
-            backoff_seconds=backoff_seconds, timeout=timeout, connections=connections,
-        )
 
     def complete(self, prompt, *, temperature, max_tokens, request_id=None):
         reply = self.client.post({
@@ -405,9 +390,6 @@ class RemoteChatBackend:
             "max_tokens": max_tokens,
         })
         return self.client.field(reply, "choices", 0, "message", "content", kind=str)
-
-    def close(self) -> None:
-        self.client.close()
 
 
 def _generate_one(

@@ -136,6 +136,18 @@ def test_duplicate_path_ids_rejected():
         secondary_sampling(paths, BalanceConfig(), entity_to_chunks={}, total_chunks=4)
 
 
+def test_paths_without_ids_are_named_by_position():
+    plain = [("P1", [("a", "c1"), ("b", "c2")]), ("P2", [("c", "c3"), ("d", "c4")])]
+    e2c = {"a": ["c1"], "b": ["c2"], "c": ["c3"], "d": ["c4"]}
+    named = secondary_sampling(_paths(plain), BalanceConfig(), entity_to_chunks=e2c, total_chunks=4)
+    paths = _paths([(None, steps) for _, steps in plain])
+    subsets = secondary_sampling(paths, BalanceConfig(), entity_to_chunks=e2c, total_chunks=4)
+    assert [p.path_id for p in paths] == ["p000000", "p000001"]
+    assert [[p.steps for p in s.cot_paths] for s in subsets] == [
+        [p.steps for p in s.cot_paths] for s in named
+    ]
+
+
 def test_length_below_two_at_trigger_is_config_error():
     plain = [("P1", [("a", "c1")]), ("P2", [("b", "c2")])]
     with pytest.raises(ConfigurationError):

@@ -5,6 +5,9 @@ import gc
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -14,6 +17,7 @@ from typing import get_type_hints
 import pytest
 import yaml
 
+import graphsynth
 from graphsynth.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -30,7 +34,12 @@ from graphsynth.cli import (
 from graphsynth.corpus import Chunk, save_chunks
 from graphsynth.embedding import HashEmbeddingBackend
 from graphsynth.errors import ConfigurationError
-from graphsynth.extraction import EntityRecord, RuleBasedExtractor, save_entity_map
+from graphsynth.extraction import (
+    EntityRecord,
+    RuleBasedExtractor,
+    load_entity_map,
+    save_entity_map,
+)
 from graphsynth.graph import build_graph, save_graph
 from graphsynth.synthesis import MockLlmBackend
 from graphsynth.traversal import TraversalConfig
@@ -689,6 +698,52 @@ def test_llm_extraction_without_endpoint_is_a_config_error(tmp_path, monkeypatch
     assert main(["run", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
 
 
+def test_sample_with_a_remote_embedding_service_matches_the_hash_run(
+    tmp_path, json_server, monkeypatch
+):
+    # the service answers with the hash backend's vectors, so the sampled
+    # paths must be those of the hash run at the same dim
+    hash8 = HashEmbeddingBackend(dim=8)
+    server = json_server(
+        lambda n, p: (200, {"data": [{"embedding": hash8.embed(p["input"][0]).tolist()}]})
+    )
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    out = Path(config.workdir)
+    monkeypatch.setenv("GRAPHSYNTH_EMBED_ENDPOINT", server.url)
+
+    def sample(paths: Path, *flags: str) -> list[str]:
+        return [
+            "sample", "--graph", str(out / "graph.jsonl"),
+            "--entities", str(out / "entities.jsonl"), "--chunks", str(out / "chunks.jsonl"),
+            *flags, "--out", str(paths),
+        ]
+
+    assert main(sample(tmp_path / "hash.jsonl", "--dim", "8")) == EXIT_OK
+    assert main(sample(tmp_path / "remote.jsonl", "--embedding-backend", "remote")) == EXIT_OK
+    assert (tmp_path / "remote.jsonl").read_bytes() == (tmp_path / "hash.jsonl").read_bytes()
+    assert server.calls > 0
+    assert server.wait_closed() == 0
+
+
+def test_an_offline_run_never_loads_the_http_client(tmp_path):
+    # the remote client, and with it http.client and ssl, is imported only
+    # when a remote backend is built
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    script = (
+        "import sys\n"
+        "from graphsynth.cli import main\n"
+        f"assert main(['run', '--config', {str(config_path)!r}]) == 0\n"
+        "print([m for m in ('graphsynth.remote', 'http.client', 'ssl') if m in sys.modules])\n"
+    )
+    path = [str(Path(graphsynth.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 # --- CLI surface ----------------------------------------------------------------------
 
 
@@ -707,6 +762,31 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     missing["workdir"] = str(tmp_path / "out_missing")
     missing_path = _write_config(tmp_path, missing, "missing.yaml")
     assert main(["run", "--config", str(missing_path)]) == EXIT_STAGE
+
+
+def test_cli_reports_malformed_yaml_as_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("seed: 1\ninput: [unclosed\n", encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}, line 3: not valid YAML (")
+    assert err.count("\n") == 1
+
+
+def test_cli_reports_a_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+
+
+def test_graph_stats_reports_a_malformed_graph_file(tmp_path, capsys):
+    path = tmp_path / "graph.jsonl"
+    path.write_text('{"kind": "node", "entity_id": "e1"}\n{"kind": "node"\n', encoding="utf-8")
+    assert main(["graph", "stats", "--graph", str(path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 2: not valid JSON (")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [("workdir", 5), ("input", ["a"])])
@@ -819,6 +899,29 @@ def test_cli_stagewise_chain(tmp_path):
     )
     for name in written:
         assert (out / name).read_bytes() == (workdir / name).read_bytes(), name
+
+
+def test_extract_subcommand_applies_the_alias_table(tmp_path):
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    aliases = tmp_path / "aliases.jsonl"
+    aliases.write_text(
+        json.dumps({"surface": "LANTERN EXCHANGE", "canonical": "ruben tide"}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "entities.jsonl"
+    command = [
+        "extract", "--chunks", str(workdir / "chunks.jsonl"), "--aliases", str(aliases),
+        "--out", str(out),
+    ]
+    assert main(command) == EXIT_OK
+    before = {rec.canonical_name: rec for rec in load_entity_map(workdir / "entities.jsonl")}
+    after = {rec.canonical_name: rec for rec in load_entity_map(out)}
+    assert set(after) == set(before) - {"lantern exchange"}
+    merged, tide = before["lantern exchange"], before["ruben tide"]
+    assert after["ruben tide"].aliases == tide.aliases | merged.aliases
+    assert after["ruben tide"].chunk_ids == sorted(set(tide.chunk_ids + merged.chunk_ids))
 
 
 def _stage_command(workdir: Path, out: Path, stage: str) -> list[str]:

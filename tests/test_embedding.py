@@ -14,6 +14,7 @@ from graphsynth.embedding import (
     similarity,
 )
 from graphsynth.errors import BackendError, IntegrityError
+from graphsynth.remote import JsonClient
 
 
 def test_similarity_examples():
@@ -109,10 +110,10 @@ def test_empty_text_rejected():
 
 def test_remote_backend_posts_text_and_returns_floats(json_server):
     server = json_server(lambda n, payload: (200, {"data": [{"embedding": [0.5, 1]}]}))
-    backend = RemoteEmbeddingBackend(server.url, model="m")
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     vector = backend.embed("text")
     assert vector.tolist() == [0.5, 1.0] and vector.dtype == np.float64
-    backend.close()
+    backend.client.close()
     assert server.last_payload == {"model": "m", "input": ["text"]}
     assert backend.backend_id == "remote:m"
 
@@ -120,10 +121,10 @@ def test_remote_backend_posts_text_and_returns_floats(json_server):
 @pytest.mark.parametrize("embedding", [[[0.5, 1.0]], [], "0.5", None, [[0.5], [1.0, 2.0]], ["x"]])
 def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_server, embedding):
     server = json_server(lambda n, payload: (200, {"data": [{"embedding": embedding}]}))
-    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding", max_retries=0), "m")
     with pytest.raises(BackendError, match="no flat list of numbers"):
         backend.embed("text")
-    backend.close()
+    backend.client.close()
 
 
 @pytest.mark.parametrize(
@@ -136,10 +137,12 @@ def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_ser
 )
 def test_remote_backend_rejects_a_reply_of_the_wrong_shape(json_server, reply, field):
     server = json_server(lambda n, payload: (200, reply))
-    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(
+        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
+    )
     with pytest.raises(BackendError) as err:
         backend.embed("text")
-    backend.close()
+    backend.client.close()
     assert str(err.value) == f"embedding service reply has no usable {field}: {reply!r}"
     assert not err.value.retryable
     assert server.calls == 1
@@ -159,26 +162,32 @@ def test_embed_text_rejects_an_empty_vector():
 
 def test_remote_backend_error_after_bounded_retries(json_server):
     server = json_server(lambda n, payload: None)  # drops every connection unanswered
-    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(
+        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
+    )
     with pytest.raises(BackendError):
         backend.embed("text")
-    backend.close()
+    backend.client.close()
     assert server.calls == 3
 
 
 def test_remote_backend_client_errors_are_not_retried(json_server):
     server = json_server(lambda n, payload: (401, {"error": "unauthorized"}))
-    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=3, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(
+        JsonClient(server.url, name="embedding", max_retries=3, backoff_seconds=0.0), "m"
+    )
     with pytest.raises(BackendError, match="401"):
         backend.embed("text")
-    backend.close()
+    backend.client.close()
     assert server.calls == 1
 
 
 def test_remote_backend_server_errors_are_retried(json_server):
     server = json_server(lambda n, payload: (503, {"error": "overloaded"}))
-    backend = RemoteEmbeddingBackend(server.url, model="m", max_retries=2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(
+        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
+    )
     with pytest.raises(BackendError, match="503"):
         backend.embed("text")
-    backend.close()
+    backend.client.close()
     assert server.calls == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphsynth.corpus import Chunk
+from graphsynth.corpus import Chunk, split_sentences
 from graphsynth.errors import FormatError
 from graphsynth.extraction import (
     LlmEntityExtractor,
@@ -38,6 +38,28 @@ class ScriptedChat:
 def test_rule_based_finds_capitalized_span():
     report = RuleBasedExtractor().extract(_chunk("Company X reported growth."))
     assert "Company X" in report.raw_mentions
+
+
+@pytest.mark.parametrize(
+    "text, mentions, names",
+    [
+        (
+            "Acme Corp hired Bob Smith. The Acme Corporation grew fast.",
+            ["Acme Corp", "Bob Smith", "Acme Corporation"],
+            ["acme corp", "bob smith", "acme corporation"],
+        ),
+        (
+            "Arbor Council sealed gates around Iron Orchard. Iron Orchard stayed sealed.",
+            ["Arbor Council", "Iron Orchard"],
+            ["arbor council", "iron orchard"],
+        ),
+    ],
+)
+def test_rule_based_spans_end_at_a_sentence_break(text, mentions, names):
+    report = RuleBasedExtractor().extract(_chunk(text))
+    assert report.raw_mentions == mentions
+    assert all(split_sentences(m) == [m] for m in report.raw_mentions)
+    assert [rec.canonical_name for rec in build_entity_map([report])] == names
 
 
 def test_rule_based_mentions_are_substrings():

@@ -183,9 +183,9 @@ def test_chat_backend_sends_contract_and_extracts_content(json_server):
     server = json_server(
         lambda n, p: (200, {"choices": [{"message": {"role": "assistant", "content": "hi"}}]})
     )
-    backend = RemoteChatBackend(server.url, model="m1", api_key="k3y")
+    backend = RemoteChatBackend(remote.JsonClient(server.url, name="chat", api_key="k3y"), "m1")
     assert backend.complete("prompt", temperature=0.5, max_tokens=7, request_id="r") == "hi"
-    backend.close()
+    backend.client.close()
     assert server.last_payload == {
         "model": "m1",
         "messages": [{"role": "user", "content": "prompt"}],
@@ -206,10 +206,10 @@ def test_chat_backend_sends_contract_and_extracts_content(json_server):
 )
 def test_chat_reply_of_the_wrong_shape_fails_without_a_retry(json_server, sleeps, reply, field):
     server = json_server(lambda n, p: (200, reply))
-    backend = RemoteChatBackend(server.url, model="m")
+    backend = RemoteChatBackend(remote.JsonClient(server.url, name="chat"), "m")
     with pytest.raises(BackendError) as err:
         backend.complete("prompt", temperature=0.5, max_tokens=7, request_id="r")
-    backend.close()
+    backend.client.close()
     assert str(err.value) == f"chat service reply has no usable {field}: {reply!r:.80}"
     assert not err.value.retryable
     assert server.calls == 1 and sleeps == []

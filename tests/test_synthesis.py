@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from graphsynth.balance import CCPair, SubsetAllocation
 from graphsynth.errors import BackendError, IntegrityError
+from graphsynth.remote import JsonClient
 from graphsynth.synthesis import (
     CC_PROMPT_TEMPLATE,
     COT_PROMPT_TEMPLATE,
@@ -413,6 +414,25 @@ def test_cc_schema_validation():
     assert records[0].status == "rejected"
 
 
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        ([{"narrative": "x", "qa": []}], "payload is not an object"),
+        ({"narrative": " ", "qa": [{"question": "q", "answer": "a"}]},
+         "missing or empty narrative"),
+        ({"narrative": "x", "qa": []}, "missing or empty qa list"),
+        ({"narrative": "x", "qa": [{"question": "q"}]}, "qa item missing question or answer"),
+    ],
+)
+def test_cot_schema_validation_names_what_the_reply_lacks(reply, reason):
+    reqs = _requests(1)
+    backend = MockLlmBackend(scripted={reqs[0].request_id: json.dumps(reply)})
+    [record] = generate(reqs, backend, max_retries=0)
+    assert (record.status, record.reject_reason) == ("rejected", f"schema: {reason}")
+    assert (record.narrative, record.qa) == ("", None)
+    assert backend.calls == [reqs[0].request_id]
+
+
 def test_mock_answers_a_cc_prompt_quoting_qa_with_a_comparison():
     # The mock picks its reply shape by the prompt's template, not by
     # whether the fragments happen to contain the CoT schema's "qa" key.
@@ -579,12 +599,12 @@ def _chat_server(json_server, refuse_first):
 
 def _remote_generate(server, reqs, backoff_seconds):
     backend = RemoteChatBackend(
-        server.url, model="m", backoff_seconds=backoff_seconds, connections=2
+        JsonClient(server.url, name="chat", backoff_seconds=backoff_seconds, connections=2), "m"
     )
     try:
         return generate(reqs, backend, concurrency=2)
     finally:
-        backend.close()
+        backend.client.close()
 
 
 def test_remote_generation_keeps_requests_in_flight_within_concurrency(json_server):
