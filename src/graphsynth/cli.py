@@ -244,6 +244,26 @@ def embedding_backend(settings: EmbeddingConfig):
     )
 
 
+@contextlib.contextmanager
+def _embedding_cache(path: Path | None):
+    """An ``EmbeddingCache`` over ``path`` (unbound: none), saved when the
+    block ends. A block that raises saves every entry, so vectors already
+    paid for outlast the failure, and its own error is the one raised."""
+    cache = embedding_mod.EmbeddingCache(path)
+    try:
+        yield cache
+    except BaseException:
+        if cache.path:
+            cache.keep_all()
+            try:
+                cache.save()
+            except OSError:
+                log.warning("could not save the embedding cache %s", cache.path, exc_info=True)
+        raise
+    if cache.path:
+        cache.save()
+
+
 def chat_backend(settings: GenerationConfig):
     """The configured chat backend, as a context manager."""
     if settings.backend == "mock":
@@ -338,12 +358,11 @@ def _ingest(ctx: StageContext) -> dict:
         docs = corpus_mod.ingest_corpus(f)
     chunks: list[corpus_mod.Chunk] = []
     titles: dict[str, str] = {}
-    cache = None
     with contextlib.ExitStack() as stack:
         embed = None
         if config.chunking.policy == "semantic":
             backend = stack.enter_context(embedding_backend(config.embedding))
-            cache = embedding_mod.EmbeddingCache(ctx.paths.get("ingest_cache"))
+            cache = stack.enter_context(_embedding_cache(ctx.paths.get("ingest_cache")))
 
             def embed(text: str):
                 return embedding_mod.embed_text(text, backend, cache)
@@ -353,8 +372,6 @@ def _ingest(ctx: StageContext) -> dict:
             titles[doc.doc_id] = doc.title
     corpus_mod.save_chunks(ctx.path("chunks"), chunks, titles)
     ctx.put("chunks", corpus_mod.ChunkStore(chunks, titles))
-    if cache is not None and cache.path:
-        cache.save()
     return {"documents": len(docs), "chunks": len(chunks)}
 
 
@@ -444,15 +461,15 @@ def _sample(ctx: StageContext) -> dict:
     hop_policy = _resolve_hop_policy(ctx, store)
     cfg = replace(config.traversal, hop_policy=hop_policy)
     # entries are keyed by backend and text, so an earlier run's are reused
-    cache = embedding_mod.EmbeddingCache(ctx.paths.get("embeddings"))
-    with embedding_backend(config.embedding) as backend:
+    with (
+        _embedding_cache(ctx.paths.get("embeddings")) as cache,
+        embedding_backend(config.embedding) as backend,
+    ):
         paths = traversal_mod.sample_paths(
             g, ctx.load("entities"), store, cfg, backend, cache, seed=config.seed
         )
     traversal_mod.save_paths(ctx.path("paths"), paths)
     ctx.put("paths", paths)
-    if cache.path:
-        cache.save()
     return {"paths": len(paths), "hop_policy": hop_policy, **paths.counts}
 
 

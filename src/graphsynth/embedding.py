@@ -6,7 +6,10 @@ deterministic unit-norm vectors so the whole pipeline can run offline; the
 remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
 ``cli.embedding_backend`` builds that client (30 s timeout, 3 retries at
 0.5 s back-off) and closes it.
-Vectors are 1-d float64 arrays; the cache hands out read-only ones.
+Vectors are 1-d float64 arrays; the cache hands out read-only ones. The
+cache file is written and read one entry at a time: saving never holds the
+whole cache as Python floats or as one string, and loading turns each entry
+into an array as soon as it is decoded.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import BackendError, IntegrityError
-from .jsonl import write_json
+from .errors import BackendError, FormatError, IntegrityError
+from .jsonl import atomic_write
 
 Vector = np.ndarray
 
 DEFAULT_HASH_DIM = 64
+
+# Encodes one cache entry; ASCII escaping stays on, as in ``jsonl.write_json``.
+_ENTRY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def similarity(q: Sequence[float], c: Sequence[float]) -> float:
@@ -68,12 +74,16 @@ class HashEmbeddingBackend:
 
 
 class RemoteEmbeddingBackend:
-    """An HTTP embedding service (OpenAI-style contract) through a ``JsonClient``."""
+    """An HTTP embedding service (OpenAI-style contract) through a ``JsonClient``.
+
+    The id names the model and the client's endpoint, so vectors cached from
+    one service are never handed out for another.
+    """
 
     def __init__(self, client, model: str):
         self.client = client
         self.model = model
-        self.backend_id = f"remote:{model}"
+        self.backend_id = f"remote:{model}@{client.endpoint}"
 
     def embed(self, text: str) -> Vector:
         reply = self.client.post({"model": self.model, "input": [text]})
@@ -88,11 +98,14 @@ class RemoteEmbeddingBackend:
 
 
 class EmbeddingCache:
-    """(backend id, content hash) -> vector, persisted as a single JSON file.
+    """(backend id, content hash) -> vector, persisted as a single JSON file,
+    ``{"entries": [{"backend": …, "hash": …, "values": […]}, …]}``.
 
-    The file at ``path``, if there is one, is loaded when the cache is made.
-    ``save`` writes back only the entries this cache looked up or added
-    since, so entries loaded for texts a run no longer has are dropped.
+    The file at ``path``, if there is one, is loaded when the cache is made;
+    one that is not valid JSON is a ``FormatError`` naming the file and the
+    position. ``save`` writes back only the entries this cache looked up or
+    added since, so entries loaded for texts a run no longer has are
+    dropped; ``keep_all`` makes it write back every entry instead.
     Reads are lock-free on the snapshot dict; writes are serialized.
     """
 
@@ -104,9 +117,27 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         if self.path and self.path.exists():
             with open(self.path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-            for rec in payload.get("entries", []):
-                self._store(rec["backend"], rec["hash"], rec["values"])
+                try:
+                    payload = json.load(f, object_hook=self._load_entry)
+                except json.JSONDecodeError as e:
+                    raise FormatError(
+                        f"{self.path}, line {e.lineno} column {e.colno}: not valid JSON ({e.msg})"
+                    ) from e
+            # the hook replaced every entry it stored with None
+            entries = payload.get("entries", []) if isinstance(payload, dict) else None
+            if not isinstance(entries, list) or any(rec is not None for rec in entries):
+                raise FormatError(f"{self.path}: not an embedding cache")
+
+    def _load_entry(self, obj: dict):
+        """``json.load``'s hook: stores each entry as soon as it is decoded
+        and keeps nothing of it; any other object is returned as it is."""
+        if "values" not in obj:
+            return obj
+        try:
+            self._store(obj["backend"], obj["hash"], obj["values"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{self.path}: not an embedding cache entry ({e!r})") from e
+        return None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,14 +164,26 @@ class EmbeddingCache:
             self._dims[backend_id] = len(vector)
             self._entries[(backend_id, key)] = vector
 
+    def keep_all(self) -> None:
+        """Have ``save`` write back every entry, used or not."""
+        self._used.update(self._entries)
+
     def save(self) -> None:
+        """Write the used entries to ``path`` in key order, atomically.
+
+        The bytes are those of ``json.dumps({"entries": [...]},
+        sort_keys=True)``, written one entry at a time.
+        """
         if self.path is None:
             raise ValueError("no cache path configured")
-        entries = [
-            {"backend": backend, "hash": key, "values": self._entries[backend, key].tolist()}
-            for backend, key in sorted(self._used)
-        ]
-        write_json(self.path, {"entries": entries})
+        with atomic_write(self.path) as f:
+            f.write('{"entries": [')
+            for i, (backend, key) in enumerate(sorted(self._used)):
+                if i:
+                    f.write(", ")
+                values = self._entries[backend, key].tolist()
+                f.write(_ENTRY_ENCODER.encode({"backend": backend, "hash": key, "values": values}))
+            f.write("]}")
 
 
 def embed_text(text: str, backend: EmbeddingBackend, cache: EmbeddingCache | None = None) -> Vector:

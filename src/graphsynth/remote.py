@@ -53,6 +53,11 @@ class JsonClient:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigurationError(f"{name} endpoint must be an http(s) URL, got {endpoint!r}")
         self.name = name
+        # the endpoint without user info or query, either of which may hold
+        # a credential: what a file may record of the service
+        self.endpoint = urllib.parse.urlunsplit(
+            (url.scheme, url.netloc.rpartition("@")[2], url.path, "", "")
+        )
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout

@@ -33,7 +33,7 @@ from graphsynth.cli import (
 )
 from graphsynth.corpus import Chunk, save_chunks
 from graphsynth.embedding import HashEmbeddingBackend
-from graphsynth.errors import ConfigurationError
+from graphsynth.errors import BackendError, ConfigurationError
 from graphsynth.extraction import (
     EntityRecord,
     RuleBasedExtractor,
@@ -513,6 +513,99 @@ def test_sample_rebuild_reuses_the_embedding_cache(tmp_path, monkeypatch):
     assert paths_path.read_bytes() == original
 
 
+def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, monkeypatch):
+    embed = HashEmbeddingBackend.embed
+    texts: list[str] = []
+
+    def failing_after_3(self, text):
+        if len(texts) == 3:
+            raise BackendError("service down")
+        texts.append(text)
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbeddingBackend, "embed", failing_after_3)
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    with pytest.raises(StageError, match="^stage 'sample' failed: .*service down"):
+        run_pipeline(config)
+    out = Path(config.workdir)
+    assert len(json.loads((out / "embeddings.json").read_text())["entries"]) == 3
+    assert not (out / "paths.jsonl").exists()
+
+    def counted(self, text):
+        texts.append(text)
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbeddingBackend, "embed", counted)
+    run_pipeline(config)
+    rerun = texts[3:]
+    assert rerun and not set(rerun) & set(texts[:3])
+    texts.clear()
+    fresh = load_config(_write_config(tmp_path, _config_dict(tmp_path, "fresh"), "fresh.yaml"))
+    run_pipeline(fresh)
+    assert len(texts) == 3 + len(rerun)
+    for name in ("paths.jsonl", "embeddings.json"):
+        assert (out / name).read_bytes() == (Path(fresh.workdir) / name).read_bytes()
+
+
+def test_a_failed_stage_saves_every_cached_vector_and_raises_its_own_error(
+    tmp_path, monkeypatch, caplog
+):
+    from graphsynth.cli import _embedding_cache
+    from graphsynth.embedding import EmbeddingCache
+
+    path = tmp_path / "cache.json"
+    cache = EmbeddingCache(path)
+    cache.put("b", "k1", (1.0,))
+    cache.put("b", "k2", (2.0,))
+    cache.save()
+    with pytest.raises(KeyError, match="stage"):
+        with _embedding_cache(path) as cache:
+            cache.get("b", "k1")
+            cache.put("b", "k3", (3.0,))
+            raise KeyError("stage")
+    assert len(EmbeddingCache(path)) == 3  # k2, unused, is kept too
+
+    def full_disk(self):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(EmbeddingCache, "save", full_disk)
+    with pytest.raises(KeyError, match="stage"):
+        with _embedding_cache(path):
+            raise KeyError("stage")
+    assert "could not save the embedding cache" in caplog.text
+
+
+def test_remote_embedding_caches_of_two_services_are_kept_apart(
+    tmp_path, json_server, monkeypatch
+):
+    def service(dim: int):
+        backend = HashEmbeddingBackend(dim=dim)
+        return json_server(
+            lambda n, p: (200, {"data": [{"embedding": backend.embed(p["input"][0]).tolist()}]})
+        )
+
+    first, second = service(8), service(16)
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    out = Path(config.workdir)
+
+    def sample(endpoint: str, cache: str, paths: str) -> int:
+        monkeypatch.setenv("GRAPHSYNTH_EMBED_ENDPOINT", endpoint)
+        return main([
+            "sample", "--graph", str(out / "graph.jsonl"),
+            "--entities", str(out / "entities.jsonl"), "--chunks", str(out / "chunks.jsonl"),
+            "--embedding-backend", "remote", "--cache", str(tmp_path / cache),
+            "--out", str(tmp_path / paths),
+        ])
+
+    assert sample(first.url, "c.json", "first.jsonl") == EXIT_OK
+    assert first.calls == 8  # one per chunk
+    assert sample(second.url, "c.json", "second.jsonl") == EXIT_OK
+    assert second.calls == 8
+    assert sample(second.url, "fresh.json", "fresh.jsonl") == EXIT_OK
+    assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+
 def test_forced_rerun_after_a_config_change_writes_a_fresh_embedding_cache(tmp_path):
     data = _config_dict(tmp_path, "out_forced")
     run_pipeline(load_config(_write_config(tmp_path, data, "a.yaml")))
@@ -787,6 +880,22 @@ def test_graph_stats_reports_a_malformed_graph_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}, line 2: not valid JSON (")
     assert err.count("\n") == 1
+
+
+def test_cli_reports_a_damaged_embedding_cache_by_name(tmp_path, capsys):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    cache = out / "embeddings.json"
+    cache.write_bytes(cache.read_bytes()[:300])
+    (out / "paths.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    where = f"{cache}, line 1 column 301"
+    assert err.startswith(f"error: stage 'sample' failed: {where}: not valid JSON (")
+    assert err.count("\n") == 1
+    assert len(cache.read_bytes()) == 300  # the failed load wrote nothing over it
 
 
 @pytest.mark.parametrize("key, value", [("workdir", 5), ("input", ["a"])])
