@@ -39,7 +39,7 @@ from . import graph as graph_mod
 from . import synthesis as synthesis_mod
 from . import traversal as traversal_mod
 from .errors import ConfigurationError, GraphSynthError
-from .jsonl import iter_jsonl, sha256_file, write_json
+from .jsonl import sha256_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -244,26 +244,6 @@ def embedding_backend(settings: EmbeddingConfig):
     )
 
 
-@contextlib.contextmanager
-def _embedding_cache(path: Path | None):
-    """An ``EmbeddingCache`` over ``path`` (unbound: none), saved when the
-    block ends. A block that raises saves every entry, so vectors already
-    paid for outlast the failure, and its own error is the one raised."""
-    cache = embedding_mod.EmbeddingCache(path)
-    try:
-        yield cache
-    except BaseException:
-        if cache.path:
-            cache.keep_all()
-            try:
-                cache.save()
-            except OSError:
-                log.warning("could not save the embedding cache %s", cache.path, exc_info=True)
-        raise
-    if cache.path:
-        cache.save()
-
-
 def chat_backend(settings: GenerationConfig):
     """The configured chat backend, as a context manager."""
     if settings.backend == "mock":
@@ -272,38 +252,6 @@ def chat_backend(settings: GenerationConfig):
         synthesis_mod.RemoteChatBackend, settings, "generation", "GRAPHSYNTH_LLM",
         name="chat", timeout=120.0, connections=settings.concurrency,
     )
-
-
-class _Artifacts:
-    """One run's artifacts: per path, its parsed value and its sha256.
-
-    The stage that writes an artifact hands its value on with ``put``; one
-    that no stage of the run wrote is parsed by ``get`` on first use. Both
-    are dropped when a stage that lists the path as an output runs, so a
-    value read before a rewrite is never handed on after it.
-    """
-
-    def __init__(self):
-        self._values: dict[Path, object] = {}
-        self._digests: dict[Path, str] = {}
-
-    def get(self, path: Path, load):
-        if path not in self._values:
-            self._values[path] = load(path)
-        return self._values[path]
-
-    def put(self, path: Path, value) -> None:
-        self._values[path] = value
-
-    def digest(self, path: Path) -> str:
-        if path not in self._digests:
-            self._digests[path] = sha256_file(path)
-        return self._digests[path]
-
-    def forget(self, paths: list[Path]) -> None:
-        for p in paths:
-            self._values.pop(p, None)
-            self._digests.pop(p, None)
 
 
 # Each loader is looked up as a module attribute at call time, so a wrapper
@@ -321,12 +269,20 @@ _LOADERS = {
 @dataclass
 class StageContext:
     """What a stage reads: the config, one path per bound artifact key, and
-    the run's artifact table. ``force`` rebuilds the hop decision too."""
+    the run's artifacts: per path, its parsed value and its sha256.
+
+    The stage that writes an artifact hands its value on with ``put``; one
+    that no stage of the run wrote is parsed by ``load`` on first use. Both
+    are dropped by ``forget`` when a stage that lists the path as an output
+    runs, so a value read before a rewrite is never handed on after it.
+    ``force`` rebuilds the hop decision too.
+    """
 
     config: RunConfig
     paths: dict[str, Path]
-    artifacts: _Artifacts = field(default_factory=_Artifacts)
     force: bool = False
+    _values: dict[Path, object] = field(default_factory=dict, init=False, repr=False)
+    _digests: dict[Path, str] = field(default_factory=dict, init=False, repr=False)
 
     def path(self, key: str) -> Path:
         if key not in self.paths:
@@ -335,10 +291,23 @@ class StageContext:
 
     def load(self, key: str):
         """The artifact's value, handed on by the stage that wrote it or parsed now."""
-        return self.artifacts.get(self.path(key), lambda path: _LOADERS[key](self, path))
+        path = self.path(key)
+        if path not in self._values:
+            self._values[path] = _LOADERS[key](self, path)
+        return self._values[path]
 
     def put(self, key: str, value) -> None:
-        self.artifacts.put(self.paths[key], value)
+        self._values[self.paths[key]] = value
+
+    def digest(self, path: Path) -> str:
+        if path not in self._digests:
+            self._digests[path] = sha256_file(path)
+        return self._digests[path]
+
+    def forget(self, paths: list[Path]) -> None:
+        for p in paths:
+            self._values.pop(p, None)
+            self._digests.pop(p, None)
 
 
 @dataclass(frozen=True)
@@ -362,7 +331,7 @@ def _ingest(ctx: StageContext) -> dict:
         embed = None
         if config.chunking.policy == "semantic":
             backend = stack.enter_context(embedding_backend(config.embedding))
-            cache = stack.enter_context(_embedding_cache(ctx.paths.get("ingest_cache")))
+            cache = stack.enter_context(embedding_mod.EmbeddingCache(ctx.paths.get("ingest_cache")))
 
             def embed(text: str):
                 return embedding_mod.embed_text(text, backend, cache)
@@ -407,20 +376,6 @@ def _graph(ctx: StageContext) -> dict:
     return {"nodes": len(g.nodes), "edges": len(g.provenance)}
 
 
-def _synthetic_char_volume(path: Path) -> int:
-    """The characters of the accepted records' text in the synth.jsonl at
-    ``path``, summed line by line without keeping the records."""
-    total = 0
-    for rec in iter_jsonl(path):
-        if rec["status"] != "ok":
-            continue
-        total += len(rec["narrative"])
-        for item in rec["qa"] or []:
-            total += len(item.get("question", "")) + len(item.get("answer", ""))
-        total += len(rec["comparison"] or "")
-    return total
-
-
 def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
     """Volume schedule: one-hop until the previous run's synth.jsonl holds more
     than HOP_SCHEDULE_MULTIPLE x the raw corpus characters, two-hop beyond.
@@ -429,29 +384,23 @@ def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
     the sample stage alone cannot be influenced by downstream artifacts.
     """
     decision_path = ctx.paths.get("hop_decision")
-    synth_path = ctx.paths.get("synth")
-    if ctx.config.traversal.hop_policy != "auto":
-        policy = ctx.config.traversal.hop_policy
-        accumulated = raw_chars = None
-    elif decision_path and decision_path.exists() and not ctx.force:
+    policy = ctx.config.traversal.hop_policy
+    if policy == "auto" and decision_path and decision_path.exists() and not ctx.force:
         return json.loads(decision_path.read_text(encoding="utf-8"))["hop_policy"]
-    else:
-        raw_chars = sum(len(c.text) for c in chunk_store.chunks())
-        accumulated = 0
-        if synth_path and synth_path.exists():
-            accumulated = _synthetic_char_volume(synth_path)
-        policy = "one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw_chars else "two_hop"
-    if decision_path:
-        write_json(
-            decision_path,
-            {
-                "hop_policy": policy,
-                "accumulated_chars": accumulated,
-                "raw_chars": raw_chars,
-                "schedule_multiple": HOP_SCHEDULE_MULTIPLE,
-            },
+    decision = {"hop_policy": policy, "accumulated_chars": None, "raw_chars": None,
+                "schedule_multiple": HOP_SCHEDULE_MULTIPLE}
+    if policy == "auto":
+        synth = ctx.paths.get("synth")
+        raw = sum(len(c.text) for c in chunk_store.chunks())
+        accumulated = synthesis_mod.accepted_chars(synth) if synth and synth.exists() else 0
+        decision.update(
+            hop_policy="one_hop" if accumulated <= HOP_SCHEDULE_MULTIPLE * raw else "two_hop",
+            accumulated_chars=accumulated,
+            raw_chars=raw,
         )
-    return policy
+    if decision_path:
+        write_json(decision_path, decision)
+    return decision["hop_policy"]
 
 
 def _sample(ctx: StageContext) -> dict:
@@ -462,7 +411,7 @@ def _sample(ctx: StageContext) -> dict:
     cfg = replace(config.traversal, hop_policy=hop_policy)
     # entries are keyed by backend and text, so an earlier run's are reused
     with (
-        _embedding_cache(ctx.paths.get("embeddings")) as cache,
+        embedding_mod.EmbeddingCache(ctx.paths.get("embeddings")) as cache,
         embedding_backend(config.embedding) as backend,
     ):
         paths = traversal_mod.sample_paths(
@@ -627,7 +576,7 @@ def _run_stages(stages, ctx: StageContext) -> list[dict]:
             for p in inputs:
                 if not p.exists():
                     raise StageError(stage.name, FileNotFoundError(f"missing input {p}"))
-            ctx.artifacts.forget(outputs)
+            ctx.forget(outputs)
             try:
                 counts = stage.fn(ctx)
             except (StageError, ConfigurationError):
@@ -637,8 +586,8 @@ def _run_stages(stages, ctx: StageContext) -> list[dict]:
         entries.append(
             {
                 "name": stage.name,
-                "inputs": {str(p): ctx.artifacts.digest(p) for p in inputs if p.exists()},
-                "outputs": {str(p): ctx.artifacts.digest(p) for p in outputs if p.exists()},
+                "inputs": {str(p): ctx.digest(p) for p in inputs if p.exists()},
+                "outputs": {str(p): ctx.digest(p) for p in outputs if p.exists()},
                 "seconds": round(time.perf_counter() - start, 4),
                 "counts": counts,
                 "skipped": skipped,

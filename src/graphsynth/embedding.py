@@ -6,16 +6,18 @@ deterministic unit-norm vectors so the whole pipeline can run offline; the
 remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
 ``cli.embedding_backend`` builds that client (30 s timeout, 3 retries at
 0.5 s back-off) and closes it.
-Vectors are 1-d float64 arrays; the cache hands out read-only ones. The
-cache file is written and read one entry at a time: saving never holds the
-whole cache as Python floats or as one string, and loading turns each entry
-into an array as soon as it is decoded.
+Vectors are 1-d float64 arrays; the cache hands out read-only ones.
+``with EmbeddingCache(path) as cache:`` saves the cache when the block ends.
+The cache file is written and read one entry at a time: saving never holds
+the whole cache as Python floats or as one string, and loading turns each
+entry into an array as soon as it is decoded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import threading
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -24,6 +26,8 @@ import numpy as np
 
 from .errors import BackendError, FormatError, IntegrityError
 from .jsonl import atomic_write
+
+log = logging.getLogger(__name__)
 
 Vector = np.ndarray
 
@@ -105,7 +109,10 @@ class EmbeddingCache:
     one that is not valid JSON is a ``FormatError`` naming the file and the
     position. ``save`` writes back only the entries this cache looked up or
     added since, so entries loaded for texts a run no longer has are
-    dropped; ``keep_all`` makes it write back every entry instead.
+    dropped. Used as a context manager, the cache saves itself to ``path``
+    (if bound) when the block ends; a block that raises saves every entry,
+    so vectors already paid for outlast the failure, and a failed save is
+    then only logged, so the block's own error is the one raised.
     Reads are lock-free on the snapshot dict; writes are serialized.
     """
 
@@ -164,9 +171,20 @@ class EmbeddingCache:
             self._dims[backend_id] = len(vector)
             self._entries[(backend_id, key)] = vector
 
-    def keep_all(self) -> None:
-        """Have ``save`` write back every entry, used or not."""
+    def __enter__(self) -> EmbeddingCache:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.path is None:
+            return
+        if exc_type is None:
+            self.save()
+            return
         self._used.update(self._entries)
+        try:
+            self.save()
+        except OSError:
+            log.warning("could not save the embedding cache %s", self.path, exc_info=True)
 
     def save(self) -> None:
         """Write the used entries to ``path`` in key order, atomically.

@@ -600,3 +600,17 @@ def write_synthetic_corpus(records: Iterable[SynthRecord], sink) -> dict:
 
 def load_synthetic_corpus(path) -> list[SynthRecord]:
     return [SynthRecord(**rec) for rec in iter_jsonl(path)]
+
+
+def accepted_chars(path) -> int:
+    """The characters of the accepted records' text in the synth.jsonl at
+    ``path``, summed line by line without keeping the records."""
+    total = 0
+    for rec in iter_jsonl(path):
+        if rec["status"] != "ok":
+            continue
+        total += len(rec["narrative"])
+        for item in rec["qa"] or []:
+            total += len(item.get("question", "")) + len(item.get("answer", ""))
+        total += len(rec["comparison"] or "")
+    return total

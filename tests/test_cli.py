@@ -550,7 +550,6 @@ def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, monkeypatch):
 def test_a_failed_stage_saves_every_cached_vector_and_raises_its_own_error(
     tmp_path, monkeypatch, caplog
 ):
-    from graphsynth.cli import _embedding_cache
     from graphsynth.embedding import EmbeddingCache
 
     path = tmp_path / "cache.json"
@@ -559,7 +558,7 @@ def test_a_failed_stage_saves_every_cached_vector_and_raises_its_own_error(
     cache.put("b", "k2", (2.0,))
     cache.save()
     with pytest.raises(KeyError, match="stage"):
-        with _embedding_cache(path) as cache:
+        with EmbeddingCache(path) as cache:
             cache.get("b", "k1")
             cache.put("b", "k3", (3.0,))
             raise KeyError("stage")
@@ -570,7 +569,7 @@ def test_a_failed_stage_saves_every_cached_vector_and_raises_its_own_error(
 
     monkeypatch.setattr(EmbeddingCache, "save", full_disk)
     with pytest.raises(KeyError, match="stage"):
-        with _embedding_cache(path):
+        with EmbeddingCache(path):
             raise KeyError("stage")
     assert "could not save the embedding cache" in caplog.text
 
