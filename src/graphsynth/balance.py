@@ -333,7 +333,7 @@ def save_subsets(path, subsets: Iterable[SubsetAllocation]) -> int:
 def load_subsets(path, path_set: PathSet) -> list[SubsetAllocation]:
     by_id = {p.path_id: p for p in path_set.paths}
     subsets = []
-    for rec in iter_jsonl(path):
+    for rec in iter_jsonl(path, "subset_index", "cot_path_ids", "cc_pairs", "achieved_coverage"):
         subset_index = int(rec["subset_index"])
         unknown = [pid for pid in rec["cot_path_ids"] if pid not in by_id]
         if unknown:

@@ -225,7 +225,7 @@ def load_chunks(path: str | FsPath) -> ChunkStore:
 
     chunks: list[Chunk] = []
     titles: dict[str, str] = {}
-    for rec in iter_jsonl(path):
+    for rec in iter_jsonl(path, "chunk_id", "doc_id", "ordinal", "text"):
         chunks.append(
             Chunk(
                 chunk_id=rec["chunk_id"],

@@ -199,7 +199,7 @@ def canonical_names(entity_map: Iterable[EntityRecord]) -> dict[str, str]:
 def load_alias_table(path) -> dict[str, str]:
     """Alias table file: JSONL of {surface, canonical}."""
     table: dict[str, str] = {}
-    for rec in iter_jsonl(path):
+    for rec in iter_jsonl(path, "surface", "canonical"):
         table[str(rec["surface"]).lower()] = str(rec["canonical"])
     return table
 
@@ -227,5 +227,5 @@ def load_entity_map(path) -> list[EntityRecord]:
             aliases=set(rec.get("aliases", [])),
             chunk_ids=list(rec["chunk_ids"]),
         )
-        for rec in iter_jsonl(path)
+        for rec in iter_jsonl(path, "entity_id", "canonical_name", "chunk_ids")
     ]

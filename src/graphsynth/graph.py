@@ -119,7 +119,7 @@ def save_graph(path, g: ContextGraph) -> int:
 def load_graph(path) -> ContextGraph:
     nodes: set[str] = set()
     provenance: dict[tuple[str, str], list[str]] = {}
-    for rec in iter_jsonl(path):
+    for rec in iter_jsonl(path, "kind"):
         if rec["kind"] == "node":
             nodes.add(rec["entity_id"])
         elif rec["kind"] == "edge":

@@ -6,7 +6,6 @@ import contextlib
 import hashlib
 import json
 import os
-import secrets
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
@@ -22,9 +21,11 @@ def dumps(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one JSON object per non-blank line; a line that is not JSON is
-    a ``FormatError`` naming the file and line."""
+def iter_jsonl(path: str | Path, *keys: str) -> Iterator[dict]:
+    """Yield one JSON object per non-blank line. A line that is not JSON, not
+    an object, or lacks one of ``keys`` is a ``FormatError`` naming the file
+    and line."""
+    required = frozenset(keys)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -33,6 +34,11 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise FormatError(f"{path}, line {lineno}: not valid JSON ({e.msg})") from e
+                if type(rec) is not dict:
+                    raise FormatError(f"{path}, line {lineno}: not a JSON object")
+                if not rec.keys() >= required:
+                    missing = ", ".join(repr(k) for k in sorted(required - rec.keys()))
+                    raise FormatError(f"{path}, line {lineno}: missing key(s) {missing}")
                 yield rec
 
 
@@ -40,14 +46,18 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
 def atomic_write(path: str | Path, **open_kwargs) -> Iterator[IO[str]]:
     """A text file that replaces ``path`` only once the block completes.
 
-    The block writes to a temp file in the same directory, which
-    ``os.replace`` moves over ``path`` when the block ends; if it raises, the
-    temp file is removed and ``path`` keeps its earlier contents. So a crash
-    mid-write never leaves a truncated artifact that looks finished.
+    The block writes to the temp file ``.<name>.tmp`` in the same directory,
+    which ``os.replace`` moves over ``path`` when the block ends; if it
+    raises, the temp file is removed and ``path`` keeps its earlier contents.
+    So a crash mid-write never leaves a truncated artifact that looks
+    finished, and the temp file of a writer that was killed is removed by
+    the next write of ``path``. The temp name is fixed, so no two writers
+    may target the same path at once.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     open_kwargs.setdefault("encoding", "utf-8")
+    tmp.unlink(missing_ok=True)
     try:
         with open(tmp, "x", **open_kwargs) as f:
             yield f

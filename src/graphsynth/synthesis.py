@@ -35,7 +35,7 @@ import logging
 import random
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -129,6 +129,10 @@ class SynthRecord:
     status: str = "ok"  # "ok" | "rejected"
     reject_reason: str | None = None
     retries: int = 0
+
+
+# the keys ``SynthRecord(**rec)`` needs: its fields without a default
+_RECORD_KEYS = tuple(f.name for f in fields(SynthRecord) if f.default is MISSING)
 
 
 # Each template splits at ``{fragments}`` into a head and a tail. A prompt is
@@ -599,14 +603,14 @@ def write_synthetic_corpus(records: Iterable[SynthRecord], sink) -> dict:
 
 
 def load_synthetic_corpus(path) -> list[SynthRecord]:
-    return [SynthRecord(**rec) for rec in iter_jsonl(path)]
+    return [SynthRecord(**rec) for rec in iter_jsonl(path, *_RECORD_KEYS)]
 
 
 def accepted_chars(path) -> int:
     """The characters of the accepted records' text in the synth.jsonl at
     ``path``, summed line by line without keeping the records."""
     total = 0
-    for rec in iter_jsonl(path):
+    for rec in iter_jsonl(path, "status", "narrative", "qa", "comparison"):
         if rec["status"] != "ok":
             continue
         total += len(rec["narrative"])

@@ -659,6 +659,6 @@ def load_paths(path) -> PathSet:
             scores=[float(x) for x in rec.get("scores", [])],
             path_id=rec.get("path_id"),
         )
-        for rec in iter_jsonl(path)
+        for rec in iter_jsonl(path, "steps")
     ]
     return PathSet(paths=paths)

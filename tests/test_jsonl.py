@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphsynth
+from graphsynth.errors import FormatError
 from graphsynth.jsonl import dumps, iter_jsonl, write_json, write_jsonl
 
 
@@ -50,3 +56,40 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, indent):
 )
 def test_dumps_equals_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def test_the_next_write_removes_what_killed_writers_left(tmp_path):
+    target = tmp_path / "records.jsonl"
+    script = (
+        "import os, signal, sys\n"
+        "from graphsynth.jsonl import atomic_write\n"
+        "with atomic_write(sys.argv[1]) as f:\n"
+        "    f.write('{\"n\": 0}\\n' * 1000)\n"
+        "    f.flush()\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    path = [str(Path(graphsynth.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for _ in range(3):
+        killed = subprocess.run([sys.executable, "-c", script, str(target)], env=env)
+        assert killed.returncode == -9
+    assert [p.name for p in tmp_path.iterdir()] == [".records.jsonl.tmp"]
+    write_jsonl(target, [{"n": 1}])
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+    assert list(iter_jsonl(target)) == [{"n": 1}]
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("[1, 2]", "not a JSON object"),
+        ('"text"', "not a JSON object"),
+        ('{"a": 1}', "missing key(s) 'b', 'c'"),
+    ],
+)
+def test_a_record_of_the_wrong_shape_is_a_format_error(tmp_path, line, problem):
+    target = tmp_path / "records.jsonl"
+    target.write_text('{"a": 1, "b": 2, "c": 3}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as e:
+        list(iter_jsonl(target, "a", "b", "c"))
+    assert str(e.value) == f"{target}, line 3: {problem}"
