@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
 from .jsonl import iter_jsonl, write_jsonl
-from .traversal import Path, PathSet
+from .traversal import Path, PathSet, as_step
 
 
 class UtilizationLedger:
@@ -215,7 +215,7 @@ def _build_subset(
         if len(cot) >= length:
             if length < 2:
                 raise ConfigurationError(
-                    "standard_length must be >= 2 when the CC branch triggers"
+                    "balance.standard_length must be >= 2 when the CC branch triggers"
                 )
             delta_r = (target - ledger.coverage) / target
             # The sparse-entity ranking snapshot precedes the cut reversal.
@@ -289,7 +289,8 @@ def secondary_sampling(
     repeated = [pid for pid, n in Counter(p.path_id for p in paths).items() if n > 1]
     if repeated:
         raise ValueError(f"duplicate path_id '{repeated[0]}'")
-    length = resolve_standard_length(cfg, total_chunks, max(p.hop_count for p in paths))
+    hop = max(p.hop_count for p in paths)
+    length = resolve_standard_length(cfg, total_chunks, hop)
     rng = random.Random(seed)
     ledger = UtilizationLedger(total_chunks)
 
@@ -297,18 +298,17 @@ def secondary_sampling(
     available = np.ones(len(paths), dtype=bool)
     subsets: list[SubsetAllocation] = []
     while available.any():
-        subsets.append(
-            _build_subset(
-                ranked,
-                available,
-                length,
-                cfg.target_coverage,
-                ledger,
-                rng,
-                entity_to_chunks,
-                len(subsets),
-            )
-        )
+        try:
+            subsets.append(_build_subset(
+                ranked, available, length, cfg.target_coverage, ledger, rng,
+                entity_to_chunks, len(subsets),
+            ))
+        except ConfigurationError as e:
+            if cfg.standard_length != "auto":
+                raise
+            raise ConfigurationError(
+                f"{e}; 'auto' resolved it to {length} from {total_chunks} chunks at hop {hop}"
+            ) from None
     return subsets
 
 
@@ -332,27 +332,25 @@ def save_subsets(path, subsets: Iterable[SubsetAllocation]) -> int:
 
 def load_subsets(path, path_set: PathSet) -> list[SubsetAllocation]:
     by_id = {p.path_id: p for p in path_set.paths}
-    subsets = []
-    for rec in iter_jsonl(path, "subset_index", "cot_path_ids", "cc_pairs", "achieved_coverage"):
+
+    def cc_pair(item) -> CCPair:
+        if type(item) is not dict or not item.keys() >= {"pair_id", "left", "right"}:
+            raise ValueError("a cc_pairs item is not an object with pair_id, left and right")
+        return CCPair(item["pair_id"], as_step(item["left"]), as_step(item["right"]))
+
+    def build(rec: dict) -> SubsetAllocation:
         subset_index = int(rec["subset_index"])
         unknown = [pid for pid in rec["cot_path_ids"] if pid not in by_id]
         if unknown:
             raise IntegrityError(
                 f"subset {subset_index} references unknown path id '{unknown[0]}'"
             )
-        subsets.append(
-            SubsetAllocation(
-                subset_index=subset_index,
-                cot_paths=[by_id[pid] for pid in rec["cot_path_ids"]],
-                cc_pairs=[
-                    CCPair(
-                        pair_id=p["pair_id"],
-                        left=tuple(p["left"]),
-                        right=tuple(p["right"]),
-                    )
-                    for p in rec["cc_pairs"]
-                ],
-                achieved_coverage=float(rec["achieved_coverage"]),
-            )
+        return SubsetAllocation(
+            subset_index=subset_index,
+            cot_paths=[by_id[pid] for pid in rec["cot_path_ids"]],
+            cc_pairs=[cc_pair(p) for p in rec["cc_pairs"]],
+            achieved_coverage=float(rec["achieved_coverage"]),
         )
-    return subsets
+
+    keys = ("subset_index", "cot_path_ids", "cc_pairs", "achieved_coverage")
+    return list(iter_jsonl(path, *keys, build=build))

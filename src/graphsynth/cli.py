@@ -38,7 +38,7 @@ from . import extraction as extraction_mod
 from . import graph as graph_mod
 from . import synthesis as synthesis_mod
 from . import traversal as traversal_mod
-from .errors import ConfigurationError, GraphSynthError
+from .errors import ConfigurationError, FormatError, GraphSynthError
 from .jsonl import sha256_file, write_json
 
 log = logging.getLogger(__name__)
@@ -386,7 +386,14 @@ def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
     decision_path = ctx.paths.get("hop_decision")
     policy = ctx.config.traversal.hop_policy
     if policy == "auto" and decision_path and decision_path.exists() and not ctx.force:
-        return json.loads(decision_path.read_text(encoding="utf-8"))["hop_policy"]
+        try:
+            recorded = json.loads(decision_path.read_text(encoding="utf-8"))
+        except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise FormatError(f"{decision_path}: not valid JSON ({e})") from e
+        recorded = recorded.get("hop_policy") if type(recorded) is dict else None
+        if recorded not in ("one_hop", "two_hop"):
+            raise FormatError(f"{decision_path}: hop_policy is neither 'one_hop' nor 'two_hop'")
+        return recorded
     decision = {"hop_policy": policy, "accumulated_chars": None, "raw_chars": None,
                 "schedule_multiple": HOP_SCHEDULE_MULTIPLE}
     if policy == "auto":

@@ -119,9 +119,15 @@ def save_graph(path, g: ContextGraph) -> int:
 def load_graph(path) -> ContextGraph:
     nodes: set[str] = set()
     provenance: dict[tuple[str, str], list[str]] = {}
-    for rec in iter_jsonl(path, "kind"):
+
+    def add(rec: dict) -> None:
         if rec["kind"] == "node":
             nodes.add(rec["entity_id"])
         elif rec["kind"] == "edge":
             provenance[edge_key(rec["source"], rec["target"])] = list(rec["provenance"])
+        else:
+            raise ValueError(f"kind {rec['kind']!r} is neither 'node' nor 'edge'")
+
+    for _ in iter_jsonl(path, "kind", build=add):
+        pass
     return _graph(nodes, provenance)

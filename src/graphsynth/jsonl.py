@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .errors import FormatError
 
@@ -21,10 +21,16 @@ def dumps(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
-def iter_jsonl(path: str | Path, *keys: str) -> Iterator[dict]:
-    """Yield one JSON object per non-blank line. A line that is not JSON, not
-    an object, or lacks one of ``keys`` is a ``FormatError`` naming the file
-    and line."""
+def iter_jsonl(
+    path: str | Path, *keys: str, build: Callable[[dict], Any] | None = None
+) -> Iterator:
+    """Yield one JSON object per non-blank line, or what ``build`` makes of it.
+
+    A line that is not JSON, not an object, or lacks one of ``keys``, or
+    whose object ``build`` rejects (with a ValueError or TypeError, or a
+    KeyError for a key it lacks), is a ``FormatError`` naming the file and
+    line.
+    """
     required = frozenset(keys)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -39,6 +45,13 @@ def iter_jsonl(path: str | Path, *keys: str) -> Iterator[dict]:
                 if not rec.keys() >= required:
                     missing = ", ".join(repr(k) for k in sorted(required - rec.keys()))
                     raise FormatError(f"{path}, line {lineno}: missing key(s) {missing}")
+                if build is not None:
+                    try:
+                        rec = build(rec)
+                    except KeyError as e:
+                        raise FormatError(f"{path}, line {lineno}: missing key(s) {e}") from e
+                    except (TypeError, ValueError) as e:
+                        raise FormatError(f"{path}, line {lineno}: {e}") from e
                 yield rec
 
 

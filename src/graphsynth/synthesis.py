@@ -39,12 +39,11 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .balance import CCPair, SubsetAllocation
+from .balance import SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .extraction import ChatBackend
 from .jsonl import atomic_write, dumps, iter_jsonl
-from .traversal import Path
 
 log = logging.getLogger(__name__)
 
@@ -164,75 +163,6 @@ _TEMPLATES = {"cot": _split_template(COT_PROMPT_TEMPLATE), "cc": _split_template
 _REPAIR_TOKENS = len(REPAIR_INSTRUCTION.split())
 
 
-class _Renderer:
-    """Renders the requests of one call. Each distinct (entity, chunk)
-    fragment is looked up, labelled and counted once, then quoted by every
-    request that cites it."""
-
-    def __init__(
-        self,
-        chunk_store: ChunkStore,
-        entity_names: Mapping[str, str],
-        same_document: bool,
-        temperature: float,
-        max_tokens: int,
-    ):
-        self.chunk_store = chunk_store
-        self.entity_names = entity_names
-        self.same_document = same_document
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        # (entity_id, chunk_id) -> (label, chunk text, their token count)
-        self._fragments: dict[tuple[str, str], tuple[str, str, int]] = {}
-
-    def _fragment(self, entity_id: str, chunk_id: str, owner: str) -> tuple[str, str, int]:
-        if chunk_id not in self.chunk_store:
-            raise IntegrityError(f"{owner} references unknown chunk '{chunk_id}'")
-        name = self.entity_names.get(entity_id, entity_id)
-        title = self.chunk_store.title_for(chunk_id) if self.same_document else None
-        article = f" (article: {title})" if title else ""
-        label = f"{name}{article}\n"
-        text = self.chunk_store.get(chunk_id).text
-        entry = self._fragments[entity_id, chunk_id] = (
-            label, text, len(label.split()) + len(text.split())
-        )
-        return entry
-
-    def _request(
-        self, strategy: str, source_id: str, request_id: str,
-        steps: Sequence[tuple[str, str]], owner: str,
-    ) -> GenerationRequest:
-        head, tail, tokens = _TEMPLATES[strategy]
-        parts = [head]
-        for i, (entity_id, chunk_id) in enumerate(steps, start=1):
-            label, text, count = (
-                self._fragments.get((entity_id, chunk_id))
-                or self._fragment(entity_id, chunk_id, owner)
-            )
-            parts += (_block_prefix(i), label, text, "\n\n")
-            tokens += _BLOCK_TOKENS + count
-        parts[-1] = tail  # in place of the blank line after the last block
-        return GenerationRequest(
-            request_id, strategy, source_id, tuple(parts), tokens, self.temperature,
-            self.max_tokens,
-        )
-
-    def cot(self, path: Path) -> GenerationRequest:
-        if len(path.steps) < 2:
-            raise ValueError("a chained-narrative request needs a path with >= 2 steps")
-        return self._request(
-            "cot", path.path_id or "", f"cot:{path.path_id}", path.steps, f"path {path.path_id}"
-        )
-
-    def cc(self, pair: CCPair) -> GenerationRequest:
-        if pair.left[0] == pair.right[0]:
-            raise ValueError("a contrastive pair needs two distinct entities")
-        return self._request(
-            "cc", pair.pair_id, f"cc:{pair.pair_id}", (pair.left, pair.right),
-            f"pair {pair.pair_id}",
-        )
-
-
 def build_requests(
     subsets: Iterable[SubsetAllocation],
     chunk_store: ChunkStore,
@@ -246,17 +176,57 @@ def build_requests(
 
     A request's parts are the template's head, then per fragment a block
     prefix, the fragment's label, the chunk text and a blank line, and the
-    template's tail in place of the last blank line. Each (entity, chunk)
-    fragment is labelled and counted once per call however many requests
-    quote it, and each request's ``prompt_tokens`` is summed from its
-    fragments' counts; it equals ``len(prompt_text.split())`` exactly. No
-    prompt is joined here.
+    template's tail in place of the last blank line. Each distinct (entity,
+    chunk) fragment is looked up, labelled and counted once per call, then
+    quoted by every request that cites it, and each request's
+    ``prompt_tokens`` is summed from its fragments' counts; it equals
+    ``len(prompt_text.split())`` exactly. No prompt is joined here.
     """
-    renderer = _Renderer(chunk_store, entity_names, same_document, temperature, max_tokens)
+    # (entity_id, chunk_id) -> (label, chunk text, their token count)
+    fragments: dict[tuple[str, str], tuple[str, str, int]] = {}
+
+    def render(
+        strategy: str, source_id: str, request_id: str,
+        steps: Sequence[tuple[str, str]], owner: str,
+    ) -> GenerationRequest:
+        head, tail, tokens = _TEMPLATES[strategy]
+        parts = [head]
+        for i, (entity_id, chunk_id) in enumerate(steps, start=1):
+            fragment = fragments.get((entity_id, chunk_id))
+            if fragment is None:
+                if chunk_id not in chunk_store:
+                    raise IntegrityError(f"{owner} references unknown chunk '{chunk_id}'")
+                title = chunk_store.title_for(chunk_id) if same_document else None
+                article = f" (article: {title})" if title else ""
+                label = f"{entity_names.get(entity_id, entity_id)}{article}\n"
+                text = chunk_store.get(chunk_id).text
+                fragment = fragments[entity_id, chunk_id] = (
+                    label, text, len(label.split()) + len(text.split())
+                )
+            label, text, count = fragment
+            parts += (_block_prefix(i), label, text, "\n\n")
+            tokens += _BLOCK_TOKENS + count
+        parts[-1] = tail  # in place of the blank line after the last block
+        return GenerationRequest(
+            request_id, strategy, source_id, tuple(parts), tokens, temperature, max_tokens
+        )
+
     requests: list[GenerationRequest] = []
     for subset in subsets:
-        requests.extend(renderer.cot(p) for p in subset.cot_paths)
-        requests.extend(renderer.cc(pair) for pair in subset.cc_pairs)
+        for path in subset.cot_paths:
+            if len(path.steps) < 2:
+                raise ValueError("a chained-narrative request needs a path with >= 2 steps")
+            requests.append(render(
+                "cot", path.path_id or "", f"cot:{path.path_id}", path.steps,
+                f"path {path.path_id}",
+            ))
+        for pair in subset.cc_pairs:
+            if pair.left[0] == pair.right[0]:
+                raise ValueError("a contrastive pair needs two distinct entities")
+            requests.append(render(
+                "cc", pair.pair_id, f"cc:{pair.pair_id}", (pair.left, pair.right),
+                f"pair {pair.pair_id}",
+            ))
     return requests
 
 

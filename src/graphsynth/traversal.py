@@ -5,7 +5,10 @@ paragraphs, embed each as the fixed query, and expand breadth-first: at
 each step the candidate pool is every (neighbor entity, paragraph) pair
 not yet on the path, scored by dot-product similarity against the root
 paragraph, and the top W candidates are kept. Leaves of the retained beam
-become paths.
+become paths. The beam runs on entity indices and chunk rows: a node is its
+(entity index, row) steps and their scores, and its visited entities and
+on-path rows are read off those steps. Ids appear only in the returned
+paths and in ``expand_step``.
 
 The sampler holds chunk embeddings as the columns of one matrix, filled by
 one routine as chunks are first needed, and each entity's chunk rows and
@@ -153,14 +156,6 @@ def select_start_paragraphs(
 
 
 @dataclass
-class _BeamNode:
-    steps: list[tuple[str, str]]
-    scores: list[float]
-    visited: set[str]
-    chunks_on_path: set[str]
-
-
-@dataclass
 class _Query:
     """A root query's norm and ``_approximate`` score of every column.
 
@@ -266,7 +261,6 @@ class PathSampler:
         # The neighbor masks of the current root entity's expansion, dropped
         # when the next root entity starts: each costs a byte per entity.
         self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
-        self._masks_root: str | None = None
         self._max_norm = 0.0
         self._block: _Block | None = None  # the queries being expanded
         self.candidates = 0  # candidates left after masking, over all steps
@@ -494,6 +488,26 @@ class PathSampler:
         found.sort()
         return [h for h, _ in found], [row for _, row in found]
 
+    def _step(
+        self, entity: int, q: np.ndarray, visited: set[int], on_path: set[int], doc: str | None
+    ) -> list[tuple[int, int, float]]:
+        """Top-W (holder index, row, score) candidates of a step from ``entity``."""
+        holders, rows = self._contenders(
+            entity, self._neighbor_mask(entity), q, visited, on_path, doc
+        )
+        if not rows:
+            return []
+        self.rescored += len(rows)
+        # Row by row from the first, as ``similarity()`` sums; a matrix product
+        # or np.sum would reassociate the sum and change the last bits. Adding
+        # 0.0 turns the -0.0 of an all-(-0.0) column into similarity()'s 0.0.
+        products = self._matrix_t[:, rows]  # a copy: rows index the columns
+        products *= q[:, None]
+        scores = products.cumsum(axis=0)[-1] + 0.0
+        top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width].tolist()
+        scores = scores.tolist()
+        return [(holders[k], rows[k], scores[k]) for k in top]
+
     def expand_step(
         self,
         current: tuple[str, str],
@@ -513,73 +527,46 @@ class PathSampler:
         ``similarity()``, so each returned score equals
         ``similarity(root_vec, v)`` bit for bit.
         """
-        entity = self._index[current[0]]
-        q = np.asarray(root_vec, dtype=np.float64)
-        visited_at = {self._index[v] for v in visited if v in self._index}
-        on_path = {self._row[c] for c in chunks_on_path if c in self._row}
-        holders, rows = self._contenders(
-            entity, self._neighbor_mask(entity), q, visited_at, on_path, doc_id
+        found = self._step(
+            self._index[current[0]],
+            np.asarray(root_vec, dtype=np.float64),
+            {self._index[v] for v in visited if v in self._index},
+            {self._row[c] for c in chunks_on_path if c in self._row},
+            doc_id,
         )
-        if not rows:
-            return []
-        self.rescored += len(rows)
-        # Row by row from the first, as ``similarity()`` sums; a matrix product
-        # or np.sum would reassociate the sum and change the last bits. Adding
-        # 0.0 turns the -0.0 of an all-(-0.0) column into similarity()'s 0.0.
-        products = self._matrix_t[:, rows]  # a copy: rows index the columns
-        products *= q[:, None]
-        scores = products.cumsum(axis=0)[-1] + 0.0
-        top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width].tolist()
-        scores = scores.tolist()
-        return [(self._entities[holders[k]], self._chunk_ids[rows[k]], scores[k]) for k in top]
+        return [(self._entities[h], self._chunk_ids[row], s) for h, row, s in found]
 
     def _expand_root(self, root: EntityRecord, start_chunk: str) -> list[Path]:
         cfg = self.cfg
-        if root.entity_id != self._masks_root:
-            self._masks.clear()
-            self._masks_root = root.entity_id
-        root_vec = self._embed_chunk(start_chunk)
+        q = self._embed_chunk(start_chunk)
         doc_id = self.chunk_store.get(start_chunk).doc_id if cfg.same_document_only else None
-        depth = cfg.expansion_depth()
         emit_prefixes = cfg.hop_policy == "mixed"
-
-        emitted: list[Path] = []
-        frontier = [
-            _BeamNode(
-                steps=[(root.entity_id, start_chunk)],
-                scores=[],
-                visited={root.entity_id},
-                chunks_on_path={start_chunk},
-            )
-        ]
-        for level in range(1, depth + 1):
-            next_frontier: list[_BeamNode] = []
-            for node in frontier:
-                candidates = self.expand_step(
-                    node.steps[-1], root_vec, node.visited, node.chunks_on_path, doc_id
+        # A node is its (entity index, row) steps and their scores; the
+        # nodes that become paths are the leaves of the retained beam and,
+        # under mixed, every prefix that was expanded.
+        leaves: list[tuple[list[tuple[int, int]], list[float]]] = []
+        frontier = [([(self._index[root.entity_id], self._row[start_chunk])], [])]
+        for _ in range(cfg.expansion_depth()):
+            next_frontier = []
+            for steps, scores in frontier:
+                found = self._step(
+                    steps[-1][0], q, {h for h, _ in steps}, {r for _, r in steps}, doc_id
                 )
-                if not candidates:
-                    # Dead end: the node is a leaf of the retained beam.
-                    if len(node.steps) > 1:
-                        emitted.append(Path(steps=list(node.steps), scores=list(node.scores)))
-                    continue
-                if emit_prefixes and len(node.steps) > 1:
-                    emitted.append(Path(steps=list(node.steps), scores=list(node.scores)))
-                for ent, chunk, score in candidates:
-                    next_frontier.append(
-                        _BeamNode(
-                            steps=node.steps + [(ent, chunk)],
-                            scores=node.scores + [score],
-                            visited=node.visited | {ent},
-                            chunks_on_path=node.chunks_on_path | {chunk},
-                        )
-                    )
+                if len(steps) > 1 and (emit_prefixes or not found):
+                    leaves.append((steps, scores))
+                next_frontier += [(steps + [(h, r)], scores + [s]) for h, r, s in found]
             frontier = next_frontier
-        for node in frontier:
-            if len(node.steps) > 1:
-                emitted.append(Path(steps=list(node.steps), scores=list(node.scores)))
-        emitted.sort(key=lambda p: tuple(p.steps))
-        return emitted
+        leaves += frontier
+        leaves.sort(key=lambda leaf: leaf[0])  # the id order: ids and rows sort alike
+        # To ids in place, one tuple per distinct step, shared by every path through it.
+        names: dict[tuple[int, int], tuple[str, str]] = {}
+        for steps, _ in leaves:
+            for k, step in enumerate(steps):
+                name = names.get(step)
+                if name is None:
+                    name = names[step] = (self._entities[step[0]], self._chunk_ids[step[1]])
+                steps[k] = name
+        return [Path(steps, scores) for steps, scores in leaves]
 
     def sample(self) -> PathSet:
         paths: list[Path] = []
@@ -597,6 +584,7 @@ class PathSampler:
                 block.append((root, starts))
             self._begin_block([self._embed_chunk(c) for _, starts in block for c in starts])
             for done, (root, starts) in enumerate(block, first + 1):
+                self._masks.clear()
                 with _naming(root):
                     for start_chunk in starts:
                         paths.extend(self._expand_root(root, start_chunk))
@@ -652,13 +640,19 @@ def save_paths(path, path_set: PathSet | Iterable[Path]) -> int:
     )
 
 
+def as_step(value) -> tuple[str, str]:
+    """A JSON ``[entity_id, chunk_id]`` pair as a step; any other value is a ValueError."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is str:
+        return tuple(value)
+    raise ValueError(f"{value!r} is not an [entity_id, chunk_id] pair")
+
+
 def load_paths(path) -> PathSet:
-    paths = [
-        Path(
-            steps=[tuple(s) for s in rec["steps"]],
+    def build(rec: dict) -> Path:
+        return Path(
+            steps=[as_step(s) for s in rec["steps"]],
             scores=[float(x) for x in rec.get("scores", [])],
             path_id=rec.get("path_id"),
         )
-        for rec in iter_jsonl(path, "steps")
-    ]
-    return PathSet(paths=paths)
+
+    return PathSet(paths=list(iter_jsonl(path, "steps", build=build)))

@@ -910,7 +910,7 @@ def test_graph_stats_reports_a_malformed_graph_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["[]", '{"path_id": "p1"}'])
+@pytest.mark.parametrize("line", ["[]", '{"path_id": "p1"}', '{"steps": [["e00001"]]}'])
 def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
     config_path = _write_config(tmp_path, _config_dict(tmp_path))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
@@ -929,6 +929,86 @@ def test_graph_stats_reports_a_file_that_is_no_graph(tmp_path, capsys):
     assert main(["graph", "stats", "--graph", str(corpus)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert err == f"error: {corpus}, line 1: missing key(s) 'kind'\n"
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ('{"kind": "node"}', "missing key(s) 'entity_id'"),
+        ('{"kind": "edge", "source": "a", "target": "b"}', "missing key(s) 'provenance'"),
+        ('{"kind": "vertex", "entity_id": "b"}', "kind 'vertex' is neither 'node' nor 'edge'"),
+    ],
+)
+def test_graph_stats_reports_a_line_of_the_wrong_shape(tmp_path, capsys, line, problem):
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('{"entity_id": "a", "kind": "node"}\n' + line + "\n", encoding="utf-8")
+    assert main(["graph", "stats", "--graph", str(graph)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {graph}, line 2: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "item, problem",
+    [
+        (
+            {"left": ["e1", "c1"], "right": ["e2", "c2"]},
+            "a cc_pairs item is not an object with pair_id, left and right",
+        ),
+        (
+            {"pair_id": "cc-0-0", "left": ["e1"], "right": ["e2", "c2"]},
+            "['e1'] is not an [entity_id, chunk_id] pair",
+        ),
+    ],
+)
+def test_cli_reports_a_cc_pair_of_the_wrong_shape(tmp_path, capsys, item, problem):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    subsets = out / "subsets.jsonl"
+    rec = json.loads(subsets.read_text(encoding="utf-8").splitlines()[0])
+    subsets.write_text(json.dumps({**rec, "cc_pairs": [item]}) + "\n", encoding="utf-8")
+    (out / "synth.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'generate' failed: {subsets}, line 1: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{}", "hop_policy is neither 'one_hop' nor 'two_hop'"),
+        ('{"hop_policy": "three_hop"}', "hop_policy is neither 'one_hop' nor 'two_hop'"),
+        ("one_hop", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ],
+)
+def test_cli_reports_a_damaged_hop_decision_by_name(tmp_path, capsys, text, problem):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    decision = out / "hop_decision.json"
+    decision.write_text(text, encoding="utf-8")
+    (out / "paths.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: stage 'sample' failed: {decision}: {problem}\n"
+
+
+def test_cli_names_what_an_auto_standard_length_resolved_to(tmp_path, capsys):
+    # three one-sentence chunks and one-hop paths: auto gives floor(3 / 2) = 1
+    text = (
+        "Amber Holdings paid Basalt Energy. Basalt Energy paid Cobalt Metals. "
+        "Cobalt Metals paid Amber Holdings."
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"doc_id": "d1", "title": "T", "text": text}) + "\n", encoding="utf-8"
+    )
+    data = {"input": str(corpus), "workdir": str(tmp_path / "out"), "chunking": {"max_chars": 40}}
+    assert main(["run", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: balance.standard_length must be >= 2 when the CC branch triggers; "
+        "'auto' resolved it to 1 from 3 chunks at hop 1\n"
+    )
 
 
 def test_cli_reports_a_damaged_embedding_cache_by_name(tmp_path, capsys):
