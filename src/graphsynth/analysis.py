@@ -18,7 +18,7 @@ from .balance import SubsetAllocation
 from .errors import IntegrityError
 from .extraction import EntityRecord
 from .jsonl import atomic_write
-from .synthesis import RecordOutcome, SynthRecord
+from .synthesis import RecordOutcome
 
 DEFAULT_BUCKETS = 10
 
@@ -112,15 +112,11 @@ def counts_from_subsets(
 
 
 def counts_from_synth(
-    records: Iterable[SynthRecord | RecordOutcome],
+    records: Iterable[RecordOutcome],
     subsets: Iterable[SubsetAllocation],
     entity_map: Iterable[EntityRecord],
 ) -> dict[str, int]:
-    """Synthetic mode: provenance-resolved fragment usage of accepted records.
-
-    Only a record's ``status`` and ``source_id`` are read, so the outcomes
-    that ``generate`` hands on serve as well as the records.
-    """
+    """Synthetic mode: provenance-resolved fragment usage of accepted records."""
     path_entities: dict[str, list[str]] = {}
     pair_entities: dict[str, list[str]] = {}
     for subset in subsets:
@@ -150,7 +146,7 @@ def entity_distribution(
     entity_map: Sequence[EntityRecord],
     *,
     subsets: Sequence[SubsetAllocation] | None = None,
-    records: Sequence[SynthRecord | RecordOutcome] | None = None,
+    records: Sequence[RecordOutcome] | None = None,
     buckets: int = DEFAULT_BUCKETS,
 ) -> DistributionReport:
     if mode == "raw":

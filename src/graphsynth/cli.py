@@ -262,7 +262,7 @@ _LOADERS = {
     "graph": lambda ctx, path: graph_mod.load_graph(path),
     "paths": lambda ctx, path: traversal_mod.load_paths(path),
     "subsets": lambda ctx, path: balance_mod.load_subsets(path, ctx.load("paths")),
-    "synth": lambda ctx, path: synthesis_mod.load_synthetic_corpus(path),
+    "synth": lambda ctx, path: synthesis_mod.load_outcomes(path),
 }
 
 
@@ -455,8 +455,8 @@ def _generate(ctx: StageContext) -> dict:
         temperature=config.generation.temperature,
         max_tokens=config.generation.max_tokens,
     )
-    # each record is written as it is emitted; analyze reads only the
-    # outcomes (source id, status, retries) handed on here
+    # each record is written as it is emitted; analyze reads only the outcomes
+    # (source id, status, retries), handed on here or read by load_outcomes
     with (
         chat_backend(config.generation) as backend,
         synthesis_mod.corpus_writer(ctx.path("synth")) as writer,
@@ -625,8 +625,15 @@ def run_pipeline(config: RunConfig, force: bool = False) -> dict:
 
 
 def _stage_parser(sub, name: str, help: str, stage: str | None = None):
+    """The subcommand that runs one stage of ``STAGES``: a required
+    ``--<key>`` names the file of each of its inputs, ``--out`` its first
+    output."""
+    spec = next(s for s in STAGES if s.name == (stage or name))
     p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-    p.set_defaults(handler=_cmd_stage, stage=stage or name)
+    p.set_defaults(handler=_cmd_stage, stage=spec)
+    for key in spec.inputs:
+        p.add_argument(f"--{key}", dest=f"@{key}", required=True)
+    p.add_argument("--out", dest=f"@{spec.outputs[0]}", required=True)
     return p
 
 
@@ -649,8 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _stage_parser(sub, "ingest", "split a JSONL corpus into chunks")
-    p.add_argument("--input", dest="@input", required=True)
-    p.add_argument("--out", dest="@chunks", required=True)
     p.add_argument("--chunk-policy", dest="chunking.policy", choices=["fixed", "semantic"])
     p.add_argument("--max-chars", dest="chunking.max_chars", type=int)
     p.add_argument(
@@ -659,24 +664,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_args(p, "ingest_cache")
 
     p = _stage_parser(sub, "extract", "extract entities and build the entity map")
-    p.add_argument("--chunks", dest="@chunks", required=True)
     p.add_argument("--backend", dest="extraction.backend", choices=["rule", "llm"])
     p.add_argument("--aliases", dest="extraction.aliases")
-    p.add_argument("--out", dest="@entities", required=True)
 
     p = sub.add_parser("graph", help="context graph operations")
     gsub = p.add_subparsers(dest="graph_command", required=True)
-    gb = _stage_parser(gsub, "build", "build the context graph", stage="graph")
-    gb.add_argument("--entities", dest="@entities", required=True)
-    gb.add_argument("--out", dest="@graph", required=True)
+    _stage_parser(gsub, "build", "build the context graph", stage="graph")
     gs = gsub.add_parser("stats")
     gs.add_argument("--graph", required=True)
     gs.set_defaults(handler=_cmd_graph_stats)
 
     p = _stage_parser(sub, "sample", "sample cross-document paths")
-    p.add_argument("--graph", dest="@graph", required=True)
-    p.add_argument("--entities", dest="@entities", required=True)
-    p.add_argument("--chunks", dest="@chunks", required=True)
     p.add_argument("-S", "--max-start-paragraphs", dest="traversal.max_start_paragraphs", type=int)
     p.add_argument("-D", "--depth", dest="traversal.depth", type=int)
     p.add_argument("-W", "--beam-width", dest="traversal.beam_width", type=int)
@@ -690,25 +688,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--same-document-only", dest="traversal.same_document_only", action="store_true"
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="@paths", required=True)
     _add_embedding_args(p, "embeddings")
 
     p = _stage_parser(sub, "balance", "secondary sampling into subsets")
-    p.add_argument("--paths", dest="@paths", required=True)
-    p.add_argument("--entities", dest="@entities", required=True)
-    p.add_argument("--chunks", dest="@chunks", required=True)
     p.add_argument("-r", "--target-coverage", dest="balance.target_coverage", type=float)
     p.add_argument(
         "-l", "--standard-length", dest="balance.standard_length", type=_standard_length
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="@subsets", required=True)
 
     p = _stage_parser(sub, "generate", "run generation over the subsets")
-    p.add_argument("--subsets", dest="@subsets", required=True)
-    p.add_argument("--paths", dest="@paths", required=True)
-    p.add_argument("--chunks", dest="@chunks", required=True)
-    p.add_argument("--entities", dest="@entities", required=True)
     p.add_argument("--backend", dest="generation.backend", choices=["mock", "remote"])
     p.add_argument("--temperature", dest="generation.temperature", type=float)
     p.add_argument("--max-tokens", dest="generation.max_tokens", type=int)
@@ -717,17 +706,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--same-document", dest="traversal.same_document_only", action="store_true"
     )
-    p.add_argument("--out", dest="@synth", required=True)
     p.add_argument("--manifest", dest="@synth_manifest")
 
-    p = _stage_parser(sub, "analyze", "entity distribution reports")
+    # by hand: analyze's inputs are optional, and --out/--plot name report_{source}/hist_{source}
+    p = sub.add_parser(
+        "analyze", help="entity distribution reports", argument_default=argparse.SUPPRESS
+    )
+    p.set_defaults(handler=_cmd_stage, stage=next(s for s in STAGES if s.name == "analyze"))
     p.add_argument("--source", choices=["raw", "subsets", "synth"], required=True)
     p.add_argument("--entities", dest="@entities", required=True)
     p.add_argument("--subsets", dest="@subsets")
     p.add_argument("--paths", dest="@paths")
     p.add_argument("--synth", dest="@synth")
     p.add_argument("--buckets", dest="analysis.buckets", type=int)
-    # --source picks the report and histogram that --out and --plot name
     p.add_argument("--out", dest="@report_{source}", metavar="OUT", required=True)
     p.add_argument("--plot", dest="@hist_{source}", metavar="PLOT")
 
@@ -758,8 +749,7 @@ def _cmd_stage(args) -> int:
             data.setdefault(section, {})[name] = value
     config = _build(RunConfig(), data)
     _check_config(config)
-    stage = next(s for s in STAGES if s.name == args.stage)
-    [entry] = _run_stages([stage], StageContext(config, paths, force=True))
+    [entry] = _run_stages([args.stage], StageContext(config, paths, force=True))
     print(json.dumps(entry["counts"], sort_keys=True))
     return EXIT_OK
 

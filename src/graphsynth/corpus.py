@@ -223,16 +223,11 @@ def save_chunks(path: str | FsPath, chunks: Iterable[Chunk], titles: dict[str, s
 def load_chunks(path: str | FsPath) -> ChunkStore:
     from .jsonl import iter_jsonl
 
-    chunks: list[Chunk] = []
     titles: dict[str, str] = {}
-    for rec in iter_jsonl(path, "chunk_id", "doc_id", "ordinal", "text"):
-        chunks.append(
-            Chunk(
-                chunk_id=rec["chunk_id"],
-                doc_id=rec["doc_id"],
-                ordinal=int(rec["ordinal"]),
-                text=rec["text"],
-            )
-        )
+
+    def build(rec: dict) -> Chunk:
         titles[rec["doc_id"]] = rec.get("doc_title", "")
+        return Chunk(rec["chunk_id"], rec["doc_id"], int(rec["ordinal"]), rec["text"])
+
+    chunks = list(iter_jsonl(path, "chunk_id", "doc_id", "ordinal", "text", build=build))
     return ChunkStore(chunks, titles)

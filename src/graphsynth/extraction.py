@@ -169,7 +169,7 @@ def build_entity_map(
     Entity ids are assigned in order of first appearance.
     """
     by_canonical: dict[str, EntityRecord] = {}
-    order: list[EntityRecord] = []
+    listed: set[tuple[str, str]] = set()  # (canonical, chunk_id) pairs already recorded
     for report in reports:
         for mention in report.raw_mentions:
             canonical = normalize_mention(mention, alias_table)
@@ -177,15 +177,14 @@ def build_entity_map(
                 continue
             rec = by_canonical.get(canonical)
             if rec is None:
-                rec = EntityRecord(
-                    entity_id=f"e{len(order) + 1:05d}", canonical_name=canonical
+                rec = by_canonical[canonical] = EntityRecord(
+                    entity_id=f"e{len(by_canonical) + 1:05d}", canonical_name=canonical
                 )
-                by_canonical[canonical] = rec
-                order.append(rec)
             rec.aliases.add(mention)
-            if report.chunk_id not in rec.chunk_ids:
+            if (canonical, report.chunk_id) not in listed:
+                listed.add((canonical, report.chunk_id))
                 rec.chunk_ids.append(report.chunk_id)
-    return order
+    return list(by_canonical.values())
 
 
 def entity_chunk_index(entity_map: Iterable[EntityRecord]) -> dict[str, list[str]]:
@@ -198,10 +197,10 @@ def canonical_names(entity_map: Iterable[EntityRecord]) -> dict[str, str]:
 
 def load_alias_table(path) -> dict[str, str]:
     """Alias table file: JSONL of {surface, canonical}."""
-    table: dict[str, str] = {}
-    for rec in iter_jsonl(path, "surface", "canonical"):
-        table[str(rec["surface"]).lower()] = str(rec["canonical"])
-    return table
+    return dict(iter_jsonl(
+        path, "surface", "canonical",
+        build=lambda rec: (str(rec["surface"]).lower(), str(rec["canonical"])),
+    ))
 
 
 def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:
@@ -220,12 +219,15 @@ def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:
 
 
 def load_entity_map(path) -> list[EntityRecord]:
-    return [
-        EntityRecord(
+    def build(rec: dict) -> EntityRecord:
+        chunk_ids = rec["chunk_ids"]
+        if type(chunk_ids) is not list or not all(type(c) is str for c in chunk_ids):
+            raise ValueError(f"chunk_ids {chunk_ids!r} is not a list of chunk ids")
+        return EntityRecord(
             entity_id=rec["entity_id"],
             canonical_name=rec["canonical_name"],
             aliases=set(rec.get("aliases", [])),
-            chunk_ids=list(rec["chunk_ids"]),
+            chunk_ids=chunk_ids,
         )
-        for rec in iter_jsonl(path, "entity_id", "canonical_name", "chunk_ids")
-    ]
+
+    return list(iter_jsonl(path, "entity_id", "canonical_name", "chunk_ids", build=build))

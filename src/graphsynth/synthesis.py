@@ -573,7 +573,16 @@ def write_synthetic_corpus(records: Iterable[SynthRecord], sink) -> dict:
 
 
 def load_synthetic_corpus(path) -> list[SynthRecord]:
-    return [SynthRecord(**rec) for rec in iter_jsonl(path, *_RECORD_KEYS)]
+    return list(iter_jsonl(path, *_RECORD_KEYS, build=lambda rec: SynthRecord(**rec)))
+
+
+def load_outcomes(path) -> list[RecordOutcome]:
+    """Each record's outcome in the synth.jsonl at ``path``, read without building the record."""
+
+    def build(rec: dict) -> RecordOutcome:
+        return RecordOutcome(rec["source_id"], rec.get("status", "ok"), rec.get("retries", 0))
+
+    return list(iter_jsonl(path, *_RECORD_KEYS, build=build))
 
 
 def accepted_chars(path) -> int:

@@ -20,20 +20,20 @@ roots are scored together, in one tiled matrix product. A step never
 builds its pool. It first embeds the pool's chunks that are not embedded
 yet, then ranks the pool in two passes. The first finds the contenders:
 the candidates whose upper bound reaches the W-th largest lower bound,
-since no other can be in the top W. It walks one list of columns in
-descending approximate score, the query's order over every column or,
-when the step is pinned to a document, that document's rows, keeping each
-column that an unvisited neighbor holds and that is not on the path, and
-stopping once W candidates are held and the next score lies below the
-W-th one by more than twice the bound: the threshold algorithm of Fagin,
-Lotem and Naor ("Optimal aggregation algorithms for middleware", PODS
-2001), with the query's scores as the sorted list. Where a norm lies
-outside the range the bound covers, the walk takes the columns in index
-order and every candidate is a contender. The second pass scores the
-contenders exactly, with the left-to-right summation of ``similarity()``,
-and keeps the head of a stable sort over them in (entity_id, chunk_id)
-order. So the ranking, tie-breaks and scores equal those of the scalar
-definition, and the chunks embedded are exactly those of the pools.
+since no other can be in the top W. It walks the query's columns in
+descending approximate score, keeping each column that an unvisited
+neighbor holds and that is not on the path, and stopping once W
+candidates are held and the next score lies below the W-th one by more
+than twice the bound: the threshold algorithm of Fagin, Lotem and Naor
+("Optimal aggregation algorithms for middleware", PODS 2001), with the
+query's scores as the sorted list. A step pinned to a document, whose few
+rows leave a walk almost nothing to prune, and a step where a norm lies
+outside the range the bound covers take every candidate as a contender,
+and score nothing approximately. The second pass scores the contenders
+exactly, with the left-to-right summation of ``similarity()``, and keeps
+the head of a stable sort over them in (entity_id, chunk_id) order. So
+the ranking, tie-breaks and scores equal those of the scalar definition,
+and the chunks embedded are exactly those of the pools.
 """
 
 from __future__ import annotations
@@ -414,14 +414,22 @@ class PathSampler:
     ) -> tuple[list[int], list[int]]:
         """The contenders of a step, as (holder indices, rows) in pool order.
 
-        The step's candidate rows are embedded first. The walk then takes
-        the query's columns in descending score or, with ``doc``, the
-        candidate rows of that document sorted by score; where no bound
-        holds, it takes the candidate columns in index order and keeps all.
+        A step pinned to ``doc`` takes every candidate: the document's rows
+        in ascending order, each with its unvisited neighbor holders, are
+        embedded in that order. Any other step embeds its candidate rows,
+        then walks the query's columns in descending score; where no bound
+        holds, it takes every candidate too.
         """
         holders = self._holders
+
+        def held(rows) -> list[tuple[int, int]]:
+            """The candidates in ``rows``, in that order."""
+            return [(h, row) for row in rows if row not in on_path
+                    for h in holders[row] if adjacent[h] and h not in visited]
+
+        found = None
         if doc is None:
-            rows, columns = self._neighbor_rows(entity, visited, on_path), None
+            self._fill(*self._neighbor_rows(entity, visited, on_path))
             candidates = self._pool_sizes[entity]
             for v in visited:
                 if adjacent[v]:
@@ -431,60 +439,46 @@ class PathSampler:
                     if adjacent[h] and h not in visited:
                         candidates -= 1
         else:
-            columns, candidates = [], 0
-            for row in self._doc_rows.get(doc, ()):
-                if row in on_path:
-                    continue
-                held = sum(1 for h in holders[row] if adjacent[h] and h not in visited)
-                if held:
-                    columns.append(row)
-                    candidates += held
-            rows = columns
-        self._fill(*rows)
+            found = held(self._doc_rows.get(doc, ()))
+            self._fill(*(row for _, row in found))
+            candidates = len(found)
         if candidates == 0:
             return [], []
         if q.shape != (self._matrix_t.shape[0],):
             raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
         self.candidates += candidates
-        query = self._query(q) if _bounded(self._max_norm) else None
+        query = self._query(q) if found is None and _bounded(self._max_norm) else None
         if query is not None and _bounded(query.norm):
             margin = 2 * _error_bound(len(q), query.norm, self._max_norm)
-            if columns is None:
-                order, order_scores = query.order, query.order_scores  # extended in place
-            else:
-                scores = query.scores[columns]
-                ranked = np.argsort(-scores, kind="stable")
-                order, order_scores = np.take(columns, ranked).tolist(), scores[ranked].tolist()
-        else:
-            margin = math.inf
-            order = list(range(len(self._chunk_ids))) if columns is None else columns
-            order_scores = [0.0] * len(order)
-        width = self.cfg.beam_width
-        # A column's candidates share its score, and columns come in
-        # descending score, so the score at which W are first held is the
-        # W-th largest of the pool; a later column that falls below it by
-        # more than the margin, and every column after it, is out.
-        found: list[tuple[int, int]] = []
-        floor = -math.inf
-        walked = 0
-        ordered = len(order)
-        while len(found) < candidates:
-            if walked == ordered:  # only the query's order runs out
-                self._extend_order(query)
-                ordered = len(order)
-            score = order_scores[walked]
-            if score < floor:
-                break
-            row = order[walked]
-            walked += 1
-            if row in on_path:
-                continue
-            for h in holders[row]:
-                if adjacent[h] and h not in visited:
-                    found.append((h, row))
-            if floor == -math.inf and len(found) >= width:
-                floor = score - margin
-        self.scanned += walked
+            order, order_scores = query.order, query.order_scores  # extended in place
+            width = self.cfg.beam_width
+            # A column's candidates share its score, and columns come in
+            # descending score, so the score at which W are first held is the
+            # W-th largest of the pool; a later column that falls below it by
+            # more than the margin, and every column after it, is out.
+            found = []
+            floor = -math.inf
+            walked = 0
+            ordered = len(order)
+            while len(found) < candidates:
+                if walked == ordered:  # the order is extended as the walk needs it
+                    self._extend_order(query)
+                    ordered = len(order)
+                score = order_scores[walked]
+                if score < floor:
+                    break
+                row = order[walked]
+                walked += 1
+                if row in on_path:
+                    continue
+                for h in holders[row]:
+                    if adjacent[h] and h not in visited:
+                        found.append((h, row))
+                if floor == -math.inf and len(found) >= width:
+                    floor = score - margin
+            self.scanned += walked
+        elif found is None:
+            found = held(range(len(self._chunk_ids)))
         found.sort()
         return [h for h, _ in found], [row for _, row in found]
 
@@ -521,9 +515,9 @@ class PathSampler:
         The pool spans all unvisited neighbors' paragraphs that are not on
         the path (and, with ``doc_id``, lie in that document); ties are
         broken by (entity_id, chunk_id) ascending. The pool's chunks are
-        embedded, and no others. A walk of the columns in descending
-        approximate score finds the contenders without building the pool,
-        and only they are scored, by the left-to-right sum of
+        embedded, and no others. Without ``doc_id``, a walk of the columns
+        in descending approximate score finds the contenders without
+        building the pool; they are scored by the left-to-right sum of
         ``similarity()``, so each returned score equals
         ``similarity(root_vec, v)`` bit for bit.
         """

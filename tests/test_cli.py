@@ -485,6 +485,26 @@ def test_forced_rerun_sums_the_previous_corpus_without_parsing_it(tmp_path, monk
     assert decision["accumulated_chars"] == expected > 0
 
 
+def test_an_analyze_only_rebuild_reads_outcomes_not_records(tmp_path, monkeypatch):
+    from graphsynth import synthesis
+
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    run_pipeline(config)
+    workdir = Path(config.workdir)
+    reports = sorted(workdir.glob("report_*.csv")) + sorted(workdir.glob("hist_*.svg"))
+    full = {p.name: p.read_bytes() for p in [*reports, workdir / "comparison.json"]}
+    for name in full:
+        (workdir / name).unlink()
+
+    def refuse(path):
+        raise AssertionError("an analyze-only rebuild built the synthetic records")
+
+    monkeypatch.setattr(synthesis, "load_synthetic_corpus", refuse)
+    manifest = run_pipeline(config)
+    assert [s["name"] for s in manifest["stages"] if not s["skipped"]] == ["analyze"]
+    assert {name: (workdir / name).read_bytes() for name in full} == full
+
+
 @pytest.mark.parametrize("concurrency", ["1", "3"])
 def test_generate_writes_the_same_corpus_at_any_concurrency(tmp_path, concurrency):
     config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
@@ -922,6 +942,39 @@ def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: stage 'balance' failed: {out / 'paths.jsonl'}, line 1: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value, later, stage, problem",
+    [
+        (
+            "entities.jsonl", "chunk_ids", 5, "graph.jsonl", "graph",
+            "chunk_ids 5 is not a list of chunk ids",
+        ),
+        (
+            "entities.jsonl", "chunk_ids", ["c1", 5], "graph.jsonl", "graph",
+            "chunk_ids ['c1', 5] is not a list of chunk ids",
+        ),
+        (
+            "chunks.jsonl", "ordinal", "x", "entities.jsonl", "extract",
+            "invalid literal for int() with base 10: 'x'",
+        ),
+    ],
+)
+def test_cli_reports_a_chunk_or_entity_line_of_the_wrong_shape(
+    tmp_path, capsys, name, key, value, later, stage, problem
+):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / later).unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage '{stage}' failed: {out / name}, line 1: {problem}\n"
 
 
 def test_graph_stats_reports_a_file_that_is_no_graph(tmp_path, capsys):

@@ -163,6 +163,22 @@ def test_map_collects_chunks_per_entity():
     assert by_name["company x"].chunk_ids == ["c1", "c3"]
 
 
+def test_map_lists_each_chunk_once_in_order_of_first_report():
+    # The same chunk is reported again, for the same entities, after other chunks.
+    reports = [
+        ExtractionReport(chunk_id="c1", raw_mentions=["Alpha", "alphas"]),
+        ExtractionReport(chunk_id="c2", raw_mentions=["Beta"]),
+        ExtractionReport(chunk_id="c1", raw_mentions=["Beta", "Alpha"]),
+        ExtractionReport(chunk_id="c3", raw_mentions=["alpha"]),
+        ExtractionReport(chunk_id="c2", raw_mentions=["Alpha", "Beta"]),
+    ]
+    records = build_entity_map(reports)
+    assert [(r.entity_id, r.canonical_name, r.chunk_ids) for r in records] == [
+        ("e00001", "alpha", ["c1", "c3", "c2"]),
+        ("e00002", "beta", ["c2", "c1"]),
+    ]
+
+
 def test_map_merges_normalized_variants():
     reports = [
         ExtractionReport(chunk_id="c1", raw_mentions=["companies"]),

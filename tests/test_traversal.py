@@ -213,6 +213,39 @@ def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extr
             assert sampler.rescored == sampler.candidates, prefilled
 
 
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("query", ["d#qa", "d#h", "d#n", (math.nan, 1.0), (1e300, -1e300)])
+def test_a_pinned_step_ranks_huge_nan_and_tied_scores_like_the_exact_sort(width, query):
+    # A step pinned to a document takes every candidate in it, with no
+    # approximate score and no walk, and scores each exactly: huge and nan
+    # scores rank as in the exact sort, nan last in pool order, and equal
+    # scores by (entity_id, chunk_id). x#0 lies in another document.
+    spec = {
+        "a": ["d#qa"],
+        "b": ["d#qa", "d#f1", "d#f2", "d#h", "d#n", "x#0"],
+        "c": ["d#qa", "d#f1", "d#t", "d#n2"],
+    }
+    vectors = {
+        "d#qa": (1.0, 1.0), "d#f1": (0.5, 0.25), "d#f2": (-1.0, 2.0), "d#t": (0.25, 0.5),
+        "d#h": (1e300, 1e300), "d#n": (math.nan, 0.0), "d#n2": (0.0, math.nan), "x#0": (9.0, 9.0),
+    }
+    q = vectors[query] if isinstance(query, str) else query
+    with np.errstate(over="ignore", invalid="ignore"):
+        scored = [
+            (e, c, similarity(q, vectors[c]))
+            for e in ("b", "c") for c in sorted(spec[e][1:]) if c.startswith("d#")
+        ]
+    ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
+    expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
+    for prefilled in PREFILLED:
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cands = sampler.expand_step(("a", "d#qa"), q, {"a"}, {"d#qa"}, doc_id="d")
+        assert json.dumps(cands) == json.dumps(expected), prefilled
+        assert sampler.rescored == sampler.candidates == len(scored), prefilled
+        assert sampler.scanned == 0, prefilled
+
+
 def _allowed_error(q, c):
     """The gap the traversal module allows between a BLAS score and the ordered sum."""
     dim = len(q)
@@ -437,6 +470,8 @@ def _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg):
                     depth=cfg.depth,
                     width=cfg.beam_width,
                     hop_policy=cfg.hop_policy,
+                    chunk_doc={c: c.split("#")[0] for c in chunk_entities},
+                    same_document_only=cfg.same_document_only,
                 )
             )
     return sorted(expected)
@@ -602,6 +637,36 @@ def test_same_document_only_restricts_candidates():
     store = sampler.chunk_store
     for p in paths:
         assert len({store.get(c).doc_id for c in p.chunks()}) == 1
+
+
+@pytest.mark.parametrize("policy, depth", [("one_hop", 1), ("two_hop", 2), ("mixed", 3)])
+def test_same_document_sampling_matches_the_oracle_without_scoring_a_query_block(
+    policy, depth, monkeypatch
+):
+    # Every step is pinned to its root's document, so none needs the
+    # approximate scores of a block of queries.
+    def refuse(self, queries, columns):
+        raise AssertionError("a pinned step scored a block of queries")
+
+    monkeypatch.setattr(PathSampler, "_approximate", refuse)
+    for seed in range(6):
+        rng = random.Random(700 + seed)
+        chunk_entities, entity_chunks, vectors = _random_instance(rng, 7, 16)
+        name = {c: f"d{i % 3}#{c}" for i, c in enumerate(sorted(chunk_entities))}
+        chunk_entities = {name[c]: ents for c, ents in chunk_entities.items()}
+        entity_chunks = {e: [name[c] for c in chunks] for e, chunks in entity_chunks.items()}
+        vectors = {name[c]: v for c, v in vectors.items()}
+        cfg = TraversalConfig(
+            depth=depth, beam_width=2, hop_policy=policy, max_start_paragraphs=99,
+            same_document_only=True,
+        )
+        expected = _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
+        for prefilled in PREFILLED:
+            sampler = _toy_sampler(entity_chunks, vectors, cfg, prefilled)
+            path_set = sampler.sample()
+            assert sorted(tuple(p.steps) for p in path_set.paths) == expected, (seed, prefilled)
+            assert path_set.counts["scanned"] == 0
+            assert path_set.counts["rescored"] == path_set.counts["candidates"]
 
 
 def test_config_validation():
