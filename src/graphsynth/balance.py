@@ -194,7 +194,6 @@ def _build_subset(
     """One subset from the paths flagged in ``available``, which loses the retained ones."""
     ledger.reset_coverage()
     trace = BalanceTrace()
-    cot: list[Path] = []
     picked: list[int] = []
     cc_pairs: list[CCPair] = []
 
@@ -206,13 +205,12 @@ def _build_subset(
         candidate = ranked.paths[pos]
         utilization[pos] = _TAKEN
         ranked.raise_sharing(utilization, candidate)
-        cot.append(candidate)
         picked.append(pos)
         trace.selection_order.append(candidate.path_id)
         ledger.add_steps(candidate.steps)
         if ledger.coverage >= target:
             break
-        if len(cot) >= length:
+        if len(picked) >= length:
             if length < 2:
                 raise ConfigurationError(
                     "balance.standard_length must be >= 2 when the CC branch triggers"
@@ -225,9 +223,8 @@ def _build_subset(
             # cut == 0 would return every selected path and stall the outer
             # loop; keep at least one.
             cut = max(cut, 1)
-            returned = cot[cut:]
-            cot = cot[:cut]
-            picked = picked[:cut]
+            returned = [ranked.paths[i] for i in picked[cut:]]
+            del picked[cut:]
             for p in returned:
                 ledger.remove_steps(p.steps)
             trace.returned = [p.path_id for p in returned]
@@ -256,7 +253,7 @@ def _build_subset(
     available[picked] = False
     return SubsetAllocation(
         subset_index=subset_index,
-        cot_paths=cot,
+        cot_paths=[ranked.paths[i] for i in picked],
         cc_pairs=cc_pairs,
         achieved_coverage=ledger.coverage,
         trace=trace,
@@ -339,15 +336,19 @@ def load_subsets(path, path_set: PathSet) -> list[SubsetAllocation]:
         return CCPair(item["pair_id"], as_step(item["left"]), as_step(item["right"]))
 
     def build(rec: dict) -> SubsetAllocation:
-        subset_index = int(rec["subset_index"])
-        unknown = [pid for pid in rec["cot_path_ids"] if pid not in by_id]
+        subset_index, path_ids = rec["subset_index"], rec["cot_path_ids"]
+        if type(subset_index) is not int:
+            raise ValueError(f"subset_index {subset_index!r} is not an int")
+        if type(path_ids) is not list or not all(type(pid) is str for pid in path_ids):
+            raise ValueError(f"cot_path_ids {path_ids!r} is not a list of path ids")
+        unknown = [pid for pid in path_ids if pid not in by_id]
         if unknown:
             raise IntegrityError(
                 f"subset {subset_index} references unknown path id '{unknown[0]}'"
             )
         return SubsetAllocation(
             subset_index=subset_index,
-            cot_paths=[by_id[pid] for pid in rec["cot_path_ids"]],
+            cot_paths=[by_id[pid] for pid in path_ids],
             cc_pairs=[cc_pair(p) for p in rec["cc_pairs"]],
             achieved_coverage=float(rec["achieved_coverage"]),
         )

@@ -137,12 +137,17 @@ class EmbeddingCache:
 
     def _load_entry(self, obj: dict):
         """``json.load``'s hook: stores each entry as soon as it is decoded
-        and keeps nothing of it; any other object is returned as it is."""
+        and keeps nothing of it; any other object is returned as it is. An
+        entry whose values are no non-empty flat list of numbers, or are not
+        as many as the backend's earlier entries hold, is a ``FormatError``."""
         if "values" not in obj:
             return obj
+        values = obj["values"]
         try:
-            self._store(obj["backend"], obj["hash"], obj["values"])
-        except (KeyError, TypeError, ValueError) as e:
+            if type(values) is not list or not values or set(map(type, values)) - {int, float}:
+                raise ValueError("values are no non-empty flat list of numbers")
+            self._store(obj["backend"], obj["hash"], values)
+        except (IntegrityError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"{self.path}: not an embedding cache entry ({e!r})") from e
         return None
 

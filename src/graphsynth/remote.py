@@ -5,11 +5,12 @@ worked out once, when the client is built: the parsed endpoint, the
 headers, the proxy (from ``https_proxy``/``http_proxy`` and ``no_proxy``,
 reached through a CONNECT tunnel) and the TLS context (the default
 ``ssl`` context: certificates verified against the system CA store,
-which ``SSL_CERT_FILE`` can point elsewhere). The client keeps a pool of
-at most ``connections`` keep-alive connections, opened as they are first
-needed, and ``close()`` closes every connection the pool opened. A request
-holds a connection only while it is sent and answered, so the pool size
-bounds the requests in flight, whatever the number of calling threads.
+which ``SSL_CERT_FILE`` can point elsewhere), and the pool of
+``connections`` keep-alive connections. A connection opens its socket on
+its first request, and the most recently used one is handed out first, so
+a socket opens only when every open one is busy; ``close()`` closes them
+all. A request holds a connection only while it is sent and answered, so
+the pool size bounds the requests in flight, however many threads call.
 
 ``post`` is the one retry loop: server errors (5xx), connection errors and
 bodies that are not JSON are retried with exponential back-off; client
@@ -25,7 +26,6 @@ import http.client
 import json
 import queue
 import ssl
-import threading
 import time
 import urllib.parse
 import urllib.request
@@ -81,14 +81,10 @@ class JsonClient:
             self._tunnel = {"host": target[0], "port": target[1], "headers": headers}
             target = (proxy_url.hostname, proxy_url.port or 80)
         self._address = target
-        # a None slot stands for a connection not opened yet; LIFO hands out
-        # the most recently used connection first, so a slot is opened only
-        # when every open connection is busy
-        self._pool: queue.LifoQueue[http.client.HTTPConnection | None] = queue.LifoQueue()
-        for _ in range(connections):
-            self._pool.put(None)
-        self._lock = threading.Lock()
-        self._connections: list[http.client.HTTPConnection] = []
+        self._connections = [self._new_connection() for _ in range(connections)]
+        self._pool: queue.LifoQueue[http.client.HTTPConnection] = queue.LifoQueue()
+        for conn in self._connections:
+            self._pool.put(conn)
 
     def _new_connection(self) -> http.client.HTTPConnection:
         host, port = self._address
@@ -100,8 +96,6 @@ class JsonClient:
             conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
         if self._tunnel:
             conn.set_tunnel(**self._tunnel)
-        with self._lock:
-            self._connections.append(conn)
         return conn
 
     def _send(self, body: bytes) -> tuple[int, bytes]:
@@ -111,8 +105,6 @@ class JsonClient:
         exchange ends.
         """
         conn = self._pool.get()
-        if conn is None:
-            conn = self._new_connection()
         reused = conn.sock is not None
         try:
             try:
@@ -178,8 +170,6 @@ class JsonClient:
         raise BackendError(f"{self.name} service reply has no usable {where}: {reply!r:.80}")
 
     def close(self) -> None:
-        """Close every connection this client opened; a later request reconnects."""
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
+        """Close every connection of the pool; a later request reconnects."""
+        for conn in self._connections:
             conn.close()

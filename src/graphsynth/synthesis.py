@@ -448,15 +448,15 @@ def generate(
     further record is emitted.
     """
     total = len(requests)
-    results: list = [None] * total
+    results: list = []  # in request order: its length is the emitted prefix
     waiting: dict[int, SynthRecord] = {}  # done, but an earlier record is not
     every = -(-total // 10)
     lock = threading.Lock()
-    taken = done = rejected = emitted = 0
+    taken = done = rejected = 0
     error: BaseException | None = None
 
     def work() -> None:
-        nonlocal taken, done, rejected, emitted, error
+        nonlocal taken, done, rejected, error
         while True:
             with lock:
                 if error is not None or taken == total:
@@ -479,10 +479,9 @@ def generate(
                     log.info("generate: %d/%d records done, %d rejected", done, total, rejected)
                 waiting[i] = record
                 try:
-                    while emitted in waiting:
-                        record = waiting.pop(emitted)
-                        results[emitted] = record if emit is None else emit(record)
-                        emitted += 1
+                    while len(results) in waiting:
+                        record = waiting.pop(len(results))
+                        results.append(record if emit is None else emit(record))
                 except BaseException as e:
                     error = e
                     return

@@ -157,13 +157,15 @@ def select_start_paragraphs(
 
 @dataclass
 class _Query:
-    """A root query's norm and ``_approximate`` score of every column.
+    """A root query's vector, its norm and its ``_approximate`` score of every column.
 
-    ``scores`` is the query's row of its block's score matrix. ``order``
+    ``scores`` is the query's row of its block's score matrix, set when the
+    block is scored; the query holds no reference to its block. ``order``
     lists columns in descending score, and ``order_scores`` their scores,
     as far as a scan has needed them.
     """
 
+    vector: np.ndarray
     norm: float
     scores: np.ndarray | None = None
     first_floor: float = math.inf
@@ -173,12 +175,11 @@ class _Query:
 
 @dataclass
 class _Block:
-    """Root queries scored together, each by its bytes, with the rows of
-    ``vectors``; ``scores``, once a scan needs them, is current up to
-    ``_fill_log[:seen]``."""
+    """Root queries scored together, query i with row i of ``vectors``;
+    ``scores``, once a scan needs them, is current up to ``_fill_log[:seen]``."""
 
     vectors: np.ndarray
-    queries: dict[bytes, _Query]
+    queries: list[_Query]
     scores: np.ndarray | None = None
     seen: int = 0
 
@@ -263,6 +264,7 @@ class PathSampler:
         self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
         self._max_norm = 0.0
         self._block: _Block | None = None  # the queries being expanded
+        self._queries: dict[int, _Query] = {}  # the block's, by start row, in sample()
         self.candidates = 0  # candidates left after masking, over all steps
         self.scanned = 0  # columns the walks took
         self.rescored = 0  # candidates scored exactly
@@ -289,12 +291,6 @@ class PathSampler:
             self._fill_log.append(row)
             for h in self._holders[row]:
                 self._unfilled[h] -= 1
-
-    def _embed_chunk(self, chunk_id: str) -> np.ndarray:
-        row = self._row[chunk_id]
-        if not self._filled[row]:
-            self._fill(row)
-        return self._matrix_t[:, row]
 
     def _neighbor_mask(self, entity: int) -> bytes:
         """Byte i is 1 where the entity with index i neighbors ``entity``."""
@@ -335,41 +331,25 @@ class PathSampler:
                 np.matmul(queries[i : i + rows], matrix[:, j : j + width], out=tile)
         return out
 
-    def _begin_block(self, vectors: list[np.ndarray]) -> None:
-        """Make the queries with these vectors the block; the first scan scores them all."""
-        unique = {}
-        for v in vectors:
-            v = np.asarray(v, dtype=np.float64)
-            unique.setdefault(v.tobytes(), v)
-        self._block = _Block(
-            np.array(list(unique.values()), dtype=np.float64),
-            {key: _Query(math.sqrt(float(v @ v))) for key, v in unique.items()},
-        )
-
-    def _query(self, q: np.ndarray) -> _Query:
-        """``q``'s scores, current with every filled column.
-
-        A query outside the block makes a block of its own.
-        """
-        key = q.tobytes()
-        if self._block is None or key not in self._block.queries:
-            self._begin_block([q])
-        block = self._block
-        if block.scores is None or block.seen < len(self._fill_log):
-            self._score_block(block)
-        return block.queries[key]
+    def _begin_block(self, vectors: list[np.ndarray]) -> list[_Query]:
+        """Make the queries with these vectors the block, and return them."""
+        queries = [_Query(v, math.sqrt(float(v @ v))) for v in vectors]
+        self._block = _Block(np.array(vectors, dtype=np.float64), queries)
+        return queries
 
     def _score_block(self, block: _Block) -> None:
-        """Score every column for the block's queries, or only the columns
-        filled since, and start each query's order afresh.
+        """Unless the block is current, score every column for its queries, or
+        only the columns filled since, and start each query's order afresh.
 
         A query's first run takes the columns scoring at least its first
         floor, near the ``_FIRST_RUN``-th largest score: read off every
         stride-th column, it is selected from a few hundred columns.
         """
+        if block.scores is not None and block.seen == len(self._fill_log):
+            return
         if block.scores is None:
             block.scores = self._approximate(block.vectors, slice(None))
-            for query, scores in zip(block.queries.values(), block.scores):
+            for query, scores in zip(block.queries, block.scores):
                 query.scores = scores
         else:
             new = self._fill_log[block.seen :]
@@ -379,7 +359,7 @@ class PathSampler:
         sample = block.scores[:, ::stride]
         k = min(-(-_FIRST_RUN // stride), sample.shape[1])
         floors = np.partition(sample, sample.shape[1] - k, axis=1)[:, -k].tolist()
-        for query, floor in zip(block.queries.values(), floors):
+        for query, floor in zip(block.queries, floors):
             query.first_floor, query.order, query.order_scores = floor, [], []
 
     def _extend_order(self, query: _Query) -> None:
@@ -407,7 +387,7 @@ class PathSampler:
         self,
         entity: int,
         adjacent: bytes,
-        q: np.ndarray,
+        query: _Query,
         visited: set[int],
         on_path: set[int],
         doc: str | None,
@@ -444,12 +424,13 @@ class PathSampler:
             candidates = len(found)
         if candidates == 0:
             return [], []
-        if q.shape != (self._matrix_t.shape[0],):
-            raise ValueError(f"dimension mismatch: {len(q)} vs {self._matrix_t.shape[0]}")
+        dim = self._matrix_t.shape[0]
+        if query.vector.shape != (dim,):
+            raise ValueError(f"dimension mismatch: {len(query.vector)} vs {dim}")
         self.candidates += candidates
-        query = self._query(q) if found is None and _bounded(self._max_norm) else None
-        if query is not None and _bounded(query.norm):
-            margin = 2 * _error_bound(len(q), query.norm, self._max_norm)
+        if found is None and _bounded(self._max_norm) and _bounded(query.norm):
+            self._score_block(self._block)  # the query's block
+            margin = 2 * _error_bound(dim, query.norm, self._max_norm)
             order, order_scores = query.order, query.order_scores  # extended in place
             width = self.cfg.beam_width
             # A column's candidates share its score, and columns come in
@@ -483,11 +464,11 @@ class PathSampler:
         return [h for h, _ in found], [row for _, row in found]
 
     def _step(
-        self, entity: int, q: np.ndarray, visited: set[int], on_path: set[int], doc: str | None
+        self, entity: int, query: _Query, visited: set[int], on_path: set[int], doc: str | None
     ) -> list[tuple[int, int, float]]:
         """Top-W (holder index, row, score) candidates of a step from ``entity``."""
         holders, rows = self._contenders(
-            entity, self._neighbor_mask(entity), q, visited, on_path, doc
+            entity, self._neighbor_mask(entity), query, visited, on_path, doc
         )
         if not rows:
             return []
@@ -496,7 +477,7 @@ class PathSampler:
         # or np.sum would reassociate the sum and change the last bits. Adding
         # 0.0 turns the -0.0 of an all-(-0.0) column into similarity()'s 0.0.
         products = self._matrix_t[:, rows]  # a copy: rows index the columns
-        products *= q[:, None]
+        products *= query.vector[:, None]
         scores = products.cumsum(axis=0)[-1] + 0.0
         top = np.argsort(-scores, kind="stable")[: self.cfg.beam_width].tolist()
         scores = scores.tolist()
@@ -519,11 +500,12 @@ class PathSampler:
         in descending approximate score finds the contenders without
         building the pool; they are scored by the left-to-right sum of
         ``similarity()``, so each returned score equals
-        ``similarity(root_vec, v)`` bit for bit.
+        ``similarity(root_vec, v)`` bit for bit. ``root_vec`` makes a block
+        of one query, in place of the block ``sample`` was expanding.
         """
         found = self._step(
             self._index[current[0]],
-            np.asarray(root_vec, dtype=np.float64),
+            self._begin_block([np.asarray(root_vec, dtype=np.float64)])[0],
             {self._index[v] for v in visited if v in self._index},
             {self._row[c] for c in chunks_on_path if c in self._row},
             doc_id,
@@ -532,19 +514,20 @@ class PathSampler:
 
     def _expand_root(self, root: EntityRecord, start_chunk: str) -> list[Path]:
         cfg = self.cfg
-        q = self._embed_chunk(start_chunk)
+        row = self._row[start_chunk]
+        query = self._queries[row]
         doc_id = self.chunk_store.get(start_chunk).doc_id if cfg.same_document_only else None
         emit_prefixes = cfg.hop_policy == "mixed"
         # A node is its (entity index, row) steps and their scores; the
         # nodes that become paths are the leaves of the retained beam and,
         # under mixed, every prefix that was expanded.
         leaves: list[tuple[list[tuple[int, int]], list[float]]] = []
-        frontier = [([(self._index[root.entity_id], self._row[start_chunk])], [])]
+        frontier = [([(self._index[root.entity_id], row)], [])]
         for _ in range(cfg.expansion_depth()):
             next_frontier = []
             for steps, scores in frontier:
                 found = self._step(
-                    steps[-1][0], q, {h for h, _ in steps}, {r for _, r in steps}, doc_id
+                    steps[-1][0], query, {h for h, _ in steps}, {r for _, r in steps}, doc_id
                 )
                 if len(steps) > 1 and (emit_prefixes or not found):
                     leaves.append((steps, scores))
@@ -576,7 +559,9 @@ class PathSampler:
                 with _naming(root):
                     self._fill(*(self._row[c] for c in starts))
                 block.append((root, starts))
-            self._begin_block([self._embed_chunk(c) for _, starts in block for c in starts])
+            # one query per distinct start row, however many roots start there
+            rows = list(dict.fromkeys(self._row[c] for _, starts in block for c in starts))
+            self._queries = dict(zip(rows, self._begin_block([self._matrix_t[:, r] for r in rows])))
             for done, (root, starts) in enumerate(block, first + 1):
                 self._masks.clear()
                 with _naming(root):

@@ -1027,6 +1027,29 @@ def test_cli_reports_a_cc_pair_of_the_wrong_shape(tmp_path, capsys, item, proble
 
 
 @pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("cot_path_ids", "p000000", "cot_path_ids 'p000000' is not a list of path ids"),
+        ("cot_path_ids", [0], "cot_path_ids [0] is not a list of path ids"),
+        ("subset_index", 0.5, "subset_index 0.5 is not an int"),
+        ("subset_index", False, "subset_index False is not an int"),
+    ],
+)
+def test_cli_reports_a_subset_line_of_the_wrong_shape(tmp_path, capsys, field, value, problem):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    subsets = out / "subsets.jsonl"
+    rec = json.loads(subsets.read_text(encoding="utf-8").splitlines()[0])
+    subsets.write_text(json.dumps({**rec, field: value}) + "\n", encoding="utf-8")
+    (out / "synth.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'generate' failed: {subsets}, line 1: {problem}\n"
+
+
+@pytest.mark.parametrize(
     "text, problem",
     [
         ("{}", "hop_policy is neither 'one_hop' nor 'two_hop'"),

@@ -175,6 +175,20 @@ def test_a_damaged_cache_file_is_a_format_error_naming_file_and_position(tmp_pat
         {"entries": [{"hash": "k", "values": [1.0]}]},
         {"entries": [{"backend": "b", "hash": "k", "values": "x"}]},
         {"entries": [3]},
+        # values empty, of another length than the backend's earlier entries, or nested
+        {"entries": [{"backend": "b", "hash": "k", "values": []}]},
+        {
+            "entries": [
+                {"backend": "b", "hash": "j", "values": [1.0, 2.0, 3.0]},
+                {"backend": "b", "hash": "k", "values": [1.0, 2.0]},
+            ]
+        },
+        {
+            "entries": [
+                {"backend": "b", "hash": "j", "values": [[1.0, 2.0]] * 2},
+                {"backend": "b", "hash": "k", "values": [1.0, 2.0, 3.0, 4.0]},
+            ]
+        },
     ],
 )
 def test_a_file_that_is_no_embedding_cache_is_a_format_error(tmp_path, payload):

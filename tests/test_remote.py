@@ -82,6 +82,23 @@ def test_backoff_leaves_the_connection_to_other_requests(json_server):
     assert server.accepted == 1
 
 
+def test_sequential_posts_open_one_socket_of_a_larger_pool(json_server):
+    server = json_server(_ok)
+    client = _client(server.url, connections=4)
+    try:
+        replies = [client.post({"i": i}) for i in range(10)]
+    finally:
+        client.close()
+    assert [r["n"] for r in replies] == list(range(1, 11))
+    assert server.accepted == 1
+
+
+def test_a_client_closed_before_any_request_opens_no_socket(json_server):
+    server = json_server(_ok)
+    _client(server.url, connections=4).close()
+    assert server.accepted == 0 and server.calls == 0
+
+
 def test_client_needs_a_connection():
     with pytest.raises(ConfigurationError, match="connection"):
         _client("http://127.0.0.1:9/x", connections=0)

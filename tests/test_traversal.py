@@ -117,6 +117,14 @@ def test_expand_empty_pool():
     assert sampler.expand_step(("a", "qa"), (1.0, 0.0), {"a"}, {"qa"}) == []
 
 
+@pytest.mark.parametrize("doc_id", [None, "qa"])
+def test_a_root_vector_of_another_dimension_is_a_value_error(doc_id):
+    spec = {"a": ["qa"], "b": ["qa", "cb"]}
+    sampler = _toy_sampler(spec, _uniform_embedder(["qa", "cb"]), TraversalConfig())
+    with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+        sampler.expand_step(("a", "qa"), (1.0, 0.0, 0.0), {"a"}, set(), doc_id)
+
+
 def test_expand_filters_other_documents_when_pinned():
     spec = {"a": ["d1#0"], "b": ["d1#0", "d1#1", "d2#0"]}
     sampler = _toy_sampler(
@@ -381,7 +389,7 @@ def test_a_step_embeds_its_unembedded_candidates_first():
     backend = CountingEmbedder(vectors)
     sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=1))
     for chunk in ("qa", "x", "z"):
-        sampler._embed_chunk(chunk)
+        sampler._fill(sampler._row[chunk])
     embedded = len(backend.calls)
     cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
     assert cands == [("c", "z", 0.75)]
@@ -526,6 +534,31 @@ def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, po
                     assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]], where
                 if sampler_class is AdversarialSampler:
                     assert sampler.most_queries > 1, where  # a block scored together
+
+
+def test_a_block_scores_each_distinct_start_paragraph_once(monkeypatch):
+    # Blocks of two roots: a and b, whose start paragraphs both include x,
+    # then c. A block's first scores are those of its distinct start
+    # paragraphs, each once, in order of first start.
+    monkeypatch.setattr(traversal, "_BLOCK_QUERIES", 6)
+    spec = {"a": ["x", "y"], "b": ["x", "z"], "c": ["w", "y"]}
+    vectors = {"x": (1.0, 0.0), "y": (0.0, 1.0), "z": (0.6, 0.8), "w": (0.8, -0.6)}
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(max_start_paragraphs=3))
+    first_scored = []  # per block, the queries of its first scoring
+    begin_block, approximate = sampler._begin_block, sampler._approximate
+
+    def recording_begin_block(queries):
+        first_scored.append(None)
+        return begin_block(queries)
+
+    def recording_approximate(queries, columns):
+        if first_scored[-1] is None:
+            first_scored[-1] = [tuple(q) for q in queries.tolist()]
+        return approximate(queries, columns)
+
+    sampler._begin_block, sampler._approximate = recording_begin_block, recording_approximate
+    assert sampler.sample().paths
+    assert first_scored == [[vectors[c] for c in "xyz"], [vectors[c] for c in "wy"]]
 
 
 def test_path_invariants_on_random_graphs():
