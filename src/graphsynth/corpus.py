@@ -226,6 +226,10 @@ def load_chunks(path: str | FsPath) -> ChunkStore:
     titles: dict[str, str] = {}
 
     def build(rec: dict) -> Chunk:
+        for key in ("chunk_id", "doc_id", "text", "doc_title"):
+            value = rec.get(key, "")
+            if type(value) is not str:
+                raise ValueError(f"{key} {value!r} is not a string")
         titles[rec["doc_id"]] = rec.get("doc_title", "")
         return Chunk(rec["chunk_id"], rec["doc_id"], int(rec["ordinal"]), rec["text"])
 

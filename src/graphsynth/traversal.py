@@ -10,30 +10,29 @@ become paths. The beam runs on entity indices and chunk rows: a node is its
 on-path rows are read off those steps. Ids appear only in the returned
 paths and in ``expand_step``.
 
-The sampler holds chunk embeddings as the columns of one matrix, filled by
-one routine as chunks are first needed, and each entity's chunk rows and
-neighbors as one ascending sequence apiece. Each root query gets an
-approximate BLAS score for every column, with a proven bound on its
-distance from the exact one (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., section 3.1); the start paragraphs of a block of
-roots are scored together, in one tiled matrix product. A step never
-builds its pool. It first embeds the pool's chunks that are not embedded
-yet, then ranks the pool in two passes. The first finds the contenders:
-the candidates whose upper bound reaches the W-th largest lower bound,
-since no other can be in the top W. It walks the query's columns in
-descending approximate score, keeping each column that an unvisited
-neighbor holds and that is not on the path, and stopping once W
-candidates are held and the next score lies below the W-th one by more
-than twice the bound: the threshold algorithm of Fagin, Lotem and Naor
-("Optimal aggregation algorithms for middleware", PODS 2001), with the
-query's scores as the sorted list. A step pinned to a document, whose few
-rows leave a walk almost nothing to prune, and a step where a norm lies
-outside the range the bound covers take every candidate as a contender,
-and score nothing approximately. The second pass scores the contenders
-exactly, with the left-to-right summation of ``similarity()``, and keeps
-the head of a stable sort over them in (entity_id, chunk_id) order. So
-the ranking, tie-breaks and scores equal those of the scalar definition,
-and the chunks embedded are exactly those of the pools.
+The sampler embeds every chunk of the entity map once, when it is built,
+in chunk-id order, into the columns of one matrix; it holds each
+entity's chunk rows and neighbors as one ascending sequence apiece. Each
+root query gets an approximate BLAS score for every column, with a
+proven bound on its distance from the exact one (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., section 3.1); the start
+paragraphs of a block of roots are scored together, in one tiled matrix
+product, when a step first needs them. A step never builds its pool: it
+ranks the pool in two passes. The first finds the contenders: the
+candidates whose upper bound reaches the W-th largest lower bound, since
+no other can be in the top W. It walks the query's columns in descending
+approximate score, keeping each column that an unvisited neighbor holds
+and that is not on the path, and stopping once W candidates are held and
+the next score lies below the W-th one by more than twice the bound: the
+threshold algorithm of Fagin, Lotem and Naor ("Optimal aggregation
+algorithms for middleware", PODS 2001), with the query's scores as the
+sorted list. A step pinned to a document, whose few rows leave a walk
+almost nothing to prune, and a step where a norm lies outside the range
+the bound covers take every candidate as a contender, and score nothing
+approximately. The second pass scores the contenders exactly, with the
+left-to-right summation of ``similarity()``, and keeps the head of a
+stable sort over them in (entity_id, chunk_id) order. So the ranking,
+tie-breaks and scores equal those of the scalar definition.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -176,18 +174,18 @@ class _Query:
 @dataclass
 class _Block:
     """Root queries scored together, query i with row i of ``vectors``;
-    ``scores``, once a scan needs them, is current up to ``_fill_log[:seen]``."""
+    ``scores`` is set once a scan needs them."""
 
     vectors: np.ndarray
     queries: list[_Query]
     scores: np.ndarray | None = None
-    seen: int = 0
 
 
-# The most queries a block scores together; about the columns a query's
-# first run in descending score sorts, and the columns its floor is read
+# The most queries a block scores together (its score matrix holds a float64
+# per query and chunk: 3.3 MB at 6,400 chunks); about the columns a query's
+# first run in descending score sorts; and the columns its floor is read
 # from. A scan that needs more columns doubles the run.
-_BLOCK_QUERIES = 256
+_BLOCK_QUERIES = 64
 _FIRST_RUN = 32
 _RUN_SAMPLE = 256
 # Score products are tiled to at most 32 queries and 2**18 multiply-adds:
@@ -217,11 +215,9 @@ class PathSampler:
         self.chunk_store = chunk_store
         self.cfg = cfg
         self.seed = seed
-        self.backend = backend
-        self.cache = cache if cache is not None else EmbeddingCache()
         entity_chunks = {rec.entity_id: rec.chunk_ids for rec in entity_map}
         # One matrix row per chunk of the entity map; column j of the
-        # transposed matrix is row j's embedding once _filled[j] is set.
+        # transposed matrix is row j's embedding.
         self._chunk_ids = sorted({c for chunks in entity_chunks.values() for c in chunks})
         self._row = {c: i for i, c in enumerate(self._chunk_ids)}
         # Entities in id order, so that sorting indices sorts ids; the graph
@@ -252,45 +248,30 @@ class PathSampler:
         self._pool_sizes = [
             sum(len(self._rows_of[v]) for v in nbs.tolist()) for nbs in self._neighbors
         ]
-        self._matrix_t: np.ndarray | None = None
-        self._filled = np.zeros(len(self._chunk_ids), dtype=bool)
-        self._fill_log: list[int] = []  # rows in the order they were filled
-        # Per entity, how many of its rows are not filled yet; the entities
-        # whose neighbors' rows are all filled.
-        self._unfilled = [len(rows) for rows in self._rows_of]
-        self._filled_around: set[int] = set()
-        # The neighbor masks of the current root entity's expansion, dropped
-        # when the next root entity starts: each costs a byte per entity.
-        self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
+        self._matrix_t: np.ndarray | None = None  # None when there are no chunks
         self._max_norm = 0.0
-        self._block: _Block | None = None  # the queries being expanded
-        self._queries: dict[int, _Query] = {}  # the block's, by start row, in sample()
-        self.candidates = 0  # candidates left after masking, over all steps
-        self.scanned = 0  # columns the walks took
-        self.rescored = 0  # candidates scored exactly
-
-    def _fill(self, *rows: int) -> None:
-        """Embed the chunks of the rows not filled yet, in order, into their
-        columns: the sampler embeds by no other route."""
-        for row in rows:
-            if self._filled[row]:
-                continue
-            vector = embed_text(
-                self.chunk_store.get(self._chunk_ids[row]).text, self.backend, self.cache
-            )
+        cache = cache if cache is not None else EmbeddingCache()
+        for row, c in enumerate(self._chunk_ids):
+            try:
+                vector = embed_text(chunk_store.get(c).text, backend, cache)
+            except BackendError as e:
+                raise BackendError(f"while embedding chunk {c}: {e}", retryable=e.retryable) from e
             if self._matrix_t is None:
                 # The cache rejects a vector whose dimension differs from earlier ones.
-                # Zeros, not np.empty: _approximate multiplies unfilled columns too.
-                self._matrix_t = np.zeros((len(vector), len(self._chunk_ids)), dtype=np.float64)
+                self._matrix_t = np.empty((len(vector), len(self._chunk_ids)), dtype=np.float64)
             column = self._matrix_t[:, row]
             column[:] = vector
             norm = math.sqrt(float(column @ column))
             # max() would drop a nan; as inf it keeps _bounded false
             self._max_norm = max(self._max_norm, norm if norm < math.inf else math.inf)
-            self._filled[row] = True
-            self._fill_log.append(row)
-            for h in self._holders[row]:
-                self._unfilled[h] -= 1
+        # The neighbor masks of the current root entity's expansion, dropped
+        # when the next root entity starts: each costs a byte per entity.
+        self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
+        self._block: _Block | None = None  # the queries being expanded
+        self._queries: dict[int, _Query] = {}  # the block's, by start row, in sample()
+        self.candidates = 0  # candidates left after masking, over all steps
+        self.scanned = 0  # columns the walks took
+        self.rescored = 0  # candidates scored exactly
 
     def _neighbor_mask(self, entity: int) -> bytes:
         """Byte i is 1 where the entity with index i neighbors ``entity``."""
@@ -300,18 +281,6 @@ class PathSampler:
             flags[self._neighbors[entity]] = 1
             mask = self._masks[entity] = flags.tobytes()
         return mask
-
-    def _neighbor_rows(self, entity: int, visited: set[int], on_path: set[int]) -> list[int]:
-        """The rows of the entity's unvisited neighbors that are not on the
-        path, less those of neighbors whose rows are all filled."""
-        if entity in self._filled_around:
-            return []
-        waiting = [v for v in self._neighbors[entity].tolist() if self._unfilled[v]]
-        if not waiting:
-            self._filled_around.add(entity)  # rows never unfill
-            return []
-        rows_of = self._rows_of
-        return [r for v in waiting if v not in visited for r in rows_of[v] if r not in on_path]
 
     def _approximate(self, queries: np.ndarray, columns) -> np.ndarray:
         """BLAS scores ``q . c`` of each query row and each matrix column in ``columns``.
@@ -338,29 +307,24 @@ class PathSampler:
         return queries
 
     def _score_block(self, block: _Block) -> None:
-        """Unless the block is current, score every column for its queries, or
-        only the columns filled since, and start each query's order afresh.
+        """Unless the block is scored, score every column for its queries and
+        set each query's first floor.
 
         A query's first run takes the columns scoring at least its first
         floor, near the ``_FIRST_RUN``-th largest score: read off every
         stride-th column, it is selected from a few hundred columns.
         """
-        if block.scores is not None and block.seen == len(self._fill_log):
+        if block.scores is not None:
             return
-        if block.scores is None:
-            block.scores = self._approximate(block.vectors, slice(None))
-            for query, scores in zip(block.queries, block.scores):
-                query.scores = scores
-        else:
-            new = self._fill_log[block.seen :]
-            block.scores[:, new] = self._approximate(block.vectors, new)
-        block.seen = len(self._fill_log)
+        block.scores = self._approximate(block.vectors, slice(None))
+        for query, scores in zip(block.queries, block.scores):
+            query.scores = scores
         stride = max(1, block.scores.shape[1] // _RUN_SAMPLE)
         sample = block.scores[:, ::stride]
         k = min(-(-_FIRST_RUN // stride), sample.shape[1])
         floors = np.partition(sample, sample.shape[1] - k, axis=1)[:, -k].tolist()
         for query, floor in zip(block.queries, floors):
-            query.first_floor, query.order, query.order_scores = floor, [], []
+            query.first_floor = floor
 
     def _extend_order(self, query: _Query) -> None:
         """Append the next run of columns in descending score to the query's order.
@@ -395,10 +359,9 @@ class PathSampler:
         """The contenders of a step, as (holder indices, rows) in pool order.
 
         A step pinned to ``doc`` takes every candidate: the document's rows
-        in ascending order, each with its unvisited neighbor holders, are
-        embedded in that order. Any other step embeds its candidate rows,
-        then walks the query's columns in descending score; where no bound
-        holds, it takes every candidate too.
+        in ascending order, each with its unvisited neighbor holders. Any
+        other step walks the query's columns in descending score; where no
+        bound holds, it takes every candidate too.
         """
         holders = self._holders
 
@@ -409,7 +372,6 @@ class PathSampler:
 
         found = None
         if doc is None:
-            self._fill(*self._neighbor_rows(entity, visited, on_path))
             candidates = self._pool_sizes[entity]
             for v in visited:
                 if adjacent[v]:
@@ -420,7 +382,6 @@ class PathSampler:
                         candidates -= 1
         else:
             found = held(self._doc_rows.get(doc, ()))
-            self._fill(*(row for _, row in found))
             candidates = len(found)
         if candidates == 0:
             return [], []
@@ -495,11 +456,10 @@ class PathSampler:
 
         The pool spans all unvisited neighbors' paragraphs that are not on
         the path (and, with ``doc_id``, lie in that document); ties are
-        broken by (entity_id, chunk_id) ascending. The pool's chunks are
-        embedded, and no others. Without ``doc_id``, a walk of the columns
-        in descending approximate score finds the contenders without
-        building the pool; they are scored by the left-to-right sum of
-        ``similarity()``, so each returned score equals
+        broken by (entity_id, chunk_id) ascending. Without ``doc_id``, a
+        walk of the columns in descending approximate score finds the
+        contenders without building the pool; they are scored by the
+        left-to-right sum of ``similarity()``, so each returned score equals
         ``similarity(root_vec, v)`` bit for bit. ``root_vec`` makes a block
         of one query, in place of the block ``sample`` was expanding.
         """
@@ -555,18 +515,14 @@ class PathSampler:
             for root in roots[first : first + per_block]:
                 # Per-root rng keeps results independent of root scheduling.
                 rng = random.Random(f"{self.seed}:{root.entity_id}")
-                starts = sorted(select_start_paragraphs(root, self.cfg, rng))
-                with _naming(root):
-                    self._fill(*(self._row[c] for c in starts))
-                block.append((root, starts))
+                block.append((root, sorted(select_start_paragraphs(root, self.cfg, rng))))
             # one query per distinct start row, however many roots start there
             rows = list(dict.fromkeys(self._row[c] for _, starts in block for c in starts))
             self._queries = dict(zip(rows, self._begin_block([self._matrix_t[:, r] for r in rows])))
             for done, (root, starts) in enumerate(block, first + 1):
                 self._masks.clear()
-                with _naming(root):
-                    for start_chunk in starts:
-                        paths.extend(self._expand_root(root, start_chunk))
+                for start_chunk in starts:
+                    paths.extend(self._expand_root(root, start_chunk))
                 if done % every == 0 or done == len(roots):
                     log.info("sample: %d/%d roots done, %d paths", done, len(roots), len(paths))
         for i, p in enumerate(paths):
@@ -575,17 +531,6 @@ class PathSampler:
             paths,
             {"candidates": self.candidates, "scanned": self.scanned, "rescored": self.rescored},
         )
-
-
-@contextmanager
-def _naming(root: EntityRecord):
-    """Name the root in a backend error raised while sampling it."""
-    try:
-        yield
-    except BackendError as e:
-        raise BackendError(
-            f"while sampling root {root.entity_id}: {e}", retryable=e.retryable
-        ) from e
 
 
 def sample_paths(
@@ -628,10 +573,13 @@ def as_step(value) -> tuple[str, str]:
 
 def load_paths(path) -> PathSet:
     def build(rec: dict) -> Path:
+        path_id = rec.get("path_id")  # null, as save_paths writes an unnamed path's
+        if path_id is not None and type(path_id) is not str:
+            raise ValueError(f"path_id {path_id!r} is not a string")
         return Path(
             steps=[as_step(s) for s in rec["steps"]],
             scores=[float(x) for x in rec.get("scores", [])],
-            path_id=rec.get("path_id"),
+            path_id=path_id,
         )
 
     return PathSet(paths=list(iter_jsonl(path, "steps", build=build)))

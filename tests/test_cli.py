@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import logging
 import os
@@ -31,7 +30,7 @@ from graphsynth.cli import (
     run_pipeline,
     validate_config,
 )
-from graphsynth.corpus import Chunk, save_chunks
+from graphsynth.corpus import Chunk, load_chunks, save_chunks
 from graphsynth.embedding import HashEmbeddingBackend
 from graphsynth.errors import BackendError, ConfigurationError
 from graphsynth.extraction import (
@@ -252,19 +251,10 @@ def test_sample_artifacts_match_their_golden_digests(tmp_path, name):
     assert sha256_file(workdir / "embeddings.json") == LONGTAIL_EMBEDDINGS_DIGEST
 
 
-# sha256 of the "\0"-joined texts a run sends to the hash embedder, in call
-# order, per TRAVERSAL_DIGESTS config: embeddings.json pins only the set, and
-# a backend that embeds in batches must see the texts in this order.
-EMBED_ORDER_DIGESTS = {
-    "one_hop": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
-    "two_hop": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
-    "mixed_depth_3": "487c237a2823e534aa644cf35df2d8ec7cf0fd1d6be8df863663f23331a7bbb0",
-    "same_document_only": "b66c731f9abbb68237ecb192d1288620232906a53a4e3f631fcbdbe7391fbc0e",
-}
-
-
 @pytest.mark.parametrize("name", list(TRAVERSAL_DIGESTS))
 def test_sample_embeds_texts_in_a_fixed_order(tmp_path, monkeypatch, name):
+    # The sampler embeds each chunk of the entity map once, in chunk-id
+    # order, when it is built: a backend that embeds in batches sees this order.
     texts: list[str] = []
     embed = HashEmbeddingBackend.embed
 
@@ -281,9 +271,12 @@ def test_sample_embeds_texts_in_a_fixed_order(tmp_path, monkeypatch, name):
         traversal=TraversalConfig(**TRAVERSAL_DIGESTS[name][0]),
     )
     run_pipeline(config)
-    assert len(texts) == len(set(texts)) == 40
-    digest = hashlib.sha256("\0".join(texts).encode("utf-8")).hexdigest()
-    assert digest == EMBED_ORDER_DIGESTS[name]
+    workdir = Path(config.workdir)
+    store = load_chunks(workdir / "chunks.jsonl")
+    entity_map = load_entity_map(workdir / "entities.jsonl")
+    chunk_ids = sorted({c for rec in entity_map for c in rec.chunk_ids})
+    assert len(chunk_ids) == 40
+    assert texts == [store.get(c).text for c in chunk_ids]
 
 
 # sha256 of the balance and generation artifacts on the long-tail corpus at
@@ -930,7 +923,15 @@ def test_graph_stats_reports_a_malformed_graph_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["[]", '{"path_id": "p1"}', '{"steps": [["e00001"]]}'])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[]",
+        '{"path_id": "p1"}',
+        '{"steps": [["e00001"]]}',
+        '{"path_id": 5, "steps": [["e00001", "d1#0000"]]}',
+    ],
+)
 def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
     config_path = _write_config(tmp_path, _config_dict(tmp_path))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
@@ -958,6 +959,13 @@ def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
         (
             "chunks.jsonl", "ordinal", "x", "entities.jsonl", "extract",
             "invalid literal for int() with base 10: 'x'",
+        ),
+        ("chunks.jsonl", "text", 5, "entities.jsonl", "extract", "text 5 is not a string"),
+        ("chunks.jsonl", "chunk_id", 7, "entities.jsonl", "extract", "chunk_id 7 is not a string"),
+        ("chunks.jsonl", "doc_id", None, "entities.jsonl", "extract", "doc_id None is not a string"),
+        (
+            "chunks.jsonl", "doc_title", ["t"], "entities.jsonl", "extract",
+            "doc_title ['t'] is not a string",
         ),
     ],
 )

@@ -27,29 +27,15 @@ def _uniform_embedder(chunk_ids, vec=(1.0, 0.0)):
     return FakeEmbedder({c: vec for c in chunk_ids})
 
 
-def _toy_sampler(spec, vectors, cfg, prefilled=False, sampler_class=PathSampler, seed=0):
+def _toy_sampler(spec, vectors, cfg, sampler_class=PathSampler, seed=0):
     """spec: entity -> chunk ids. Chunk text equals its id; doc id is the
-    part before '#', or the whole id when there is no '#'. ``prefilled``
-    embeds every chunk up front, see ``_prefill``."""
+    part before '#', or the whole id when there is no '#'."""
     entity_map = make_entity_map(spec)
     chunk_ids = sorted({c for chunks in spec.values() for c in chunks})
     store = make_store({c: c for c in chunk_ids})
     graph = build_graph(entity_map)
     backend = FakeEmbedder(vectors) if isinstance(vectors, dict) else vectors
-    sampler = sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache(), seed=seed)
-    return _prefill(sampler) if prefilled else sampler
-
-
-# A sampler embeds chunks as its steps first need them; one whose chunks
-# are all embedded up front must rank every step the same.
-PREFILLED = (False, True)
-
-
-def _prefill(sampler):
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row in range(len(sampler._chunk_ids)):
-            sampler._fill(row)
-    return sampler
+    return sampler_class(graph, entity_map, store, cfg, backend, EmbeddingCache(), seed=seed)
 
 
 # --- select_start_paragraphs ----------------------------------------------------
@@ -149,9 +135,8 @@ def test_expand_scores_equal_scalar_similarity(dim):
         ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )
-    for prefilled in PREFILLED:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100), prefilled)
-        assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected, prefilled
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=100))
+    assert sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"}) == expected
 
 
 @pytest.mark.parametrize("dim", [4, 64, 768])
@@ -176,10 +161,9 @@ def test_expand_scores_equal_scalar_similarity_under_cancellation(dim, width):
         ((e, c, similarity(vectors["qa"], vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
         key=lambda cand: (-cand[2], cand[0], cand[1]),
     )[:width]
-    for prefilled in PREFILLED:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
-        cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
-        assert json.dumps(cands) == json.dumps(expected), prefilled
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+    cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+    assert json.dumps(cands) == json.dumps(expected)
 
 
 def test_expand_scores_a_sum_of_negative_zeros_as_zero():
@@ -187,11 +171,10 @@ def test_expand_scores_a_sum_of_negative_zeros_as_zero():
     spec = {"a": ["qa"], "b": ["qa", "z", "y", "x"]}
     vectors = {"qa": (-1.0, -2.0), "z": (0.0, 0.0), "y": (0.0, 0.0), "x": (-1.0, 0.0)}
     expected = [["b", "x", 1.0], ["b", "y", 0.0], ["b", "z", 0.0]]
-    for prefilled in PREFILLED:
-        for width in (2, 3):
-            sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
-            cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
-            assert json.dumps(cands) == json.dumps(expected[:width]), (prefilled, width)
+    for width in (2, 3):
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+        cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
+        assert json.dumps(cands) == json.dumps(expected[:width]), width
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -212,13 +195,12 @@ def test_expand_ranks_huge_and_nan_scores_like_the_exact_sort(width, query, extr
     scored = [(e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]]
     ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
     expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
-    for prefilled in PREFILLED:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
-        assert json.dumps(cands) == json.dumps(expected), prefilled
-        if not (query == "qa" and extra in ([], ["t"])):
-            assert sampler.rescored == sampler.candidates, prefilled
+    with np.errstate(over="ignore", invalid="ignore"):
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+        cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+    assert json.dumps(cands) == json.dumps(expected)
+    if not (query == "qa" and extra in ([], ["t"])):
+        assert sampler.rescored == sampler.candidates
 
 
 @pytest.mark.parametrize("width", [1, 2, 4])
@@ -245,13 +227,12 @@ def test_a_pinned_step_ranks_huge_nan_and_tied_scores_like_the_exact_sort(width,
         ]
     ranked = sorted((t for t in scored if not math.isnan(t[2])), key=lambda t: (-t[2], t[0], t[1]))
     expected = (ranked + [t for t in scored if math.isnan(t[2])])[:width]
-    for prefilled in PREFILLED:
-        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width), prefilled)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cands = sampler.expand_step(("a", "d#qa"), q, {"a"}, {"d#qa"}, doc_id="d")
-        assert json.dumps(cands) == json.dumps(expected), prefilled
-        assert sampler.rescored == sampler.candidates == len(scored), prefilled
-        assert sampler.scanned == 0, prefilled
+    with np.errstate(over="ignore", invalid="ignore"):
+        sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=width))
+        cands = sampler.expand_step(("a", "d#qa"), q, {"a"}, {"d#qa"}, doc_id="d")
+    assert json.dumps(cands) == json.dumps(expected)
+    assert sampler.rescored == sampler.candidates == len(scored)
+    assert sampler.scanned == 0
 
 
 def _allowed_error(q, c):
@@ -305,22 +286,21 @@ def test_expand_is_exact_under_an_approximate_scorer_that_errs_by_the_bound(widt
         vectors[near] = tuple(np.nextafter(vectors[original], math.inf).tolist())
     spec = {"a": ["qa"], "b": ["qa"] + chunks[:25], "c": ["qa"] + chunks[15:]}
     cfg = TraversalConfig(beam_width=width)
-    for prefilled in PREFILLED:
-        sampler = _toy_sampler(spec, vectors, cfg, prefilled, AdversarialSampler)
-        for query in ["qa"] + chunks[:8]:
-            for scale in (1.0, 2.0**-570):
-                q = tuple(x * scale for x in vectors[query])
-                expected = sorted(
-                    ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
-                    key=lambda cand: (-cand[2], cand[0], cand[1]),
-                )[:width]
-                sampler.winners = {c for _, c, _ in expected}
-                candidates, rescored = sampler.candidates, sampler.rescored
-                cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
-                assert cands == expected, (prefilled, query, scale)
-                if scale < 1.0:
-                    # The query's squares underflow: no bound, so no candidate is pruned.
-                    assert sampler.rescored - rescored == sampler.candidates - candidates
+    sampler = _toy_sampler(spec, vectors, cfg, AdversarialSampler)
+    for query in ["qa"] + chunks[:8]:
+        for scale in (1.0, 2.0**-570):
+            q = tuple(x * scale for x in vectors[query])
+            expected = sorted(
+                ((e, c, similarity(q, vectors[c])) for e in ("b", "c") for c in spec[e][1:]),
+                key=lambda cand: (-cand[2], cand[0], cand[1]),
+            )[:width]
+            sampler.winners = {c for _, c, _ in expected}
+            candidates, rescored = sampler.candidates, sampler.rescored
+            cands = sampler.expand_step(("a", "qa"), q, {"a"}, {"qa"})
+            assert cands == expected, (query, scale)
+            if scale < 1.0:
+                # The query's squares underflow: no bound, so no candidate is pruned.
+                assert sampler.rescored - rescored == sampler.candidates - candidates
 
 
 @pytest.mark.parametrize(
@@ -349,53 +329,37 @@ def test_expand_ties_between_distinct_chunks_with_equal_scores():
     assert cands == [("b", "m", 1.0), ("b", "n", 1.0), ("c", "k", 1.0)]
 
 
-class CountingEmbedder(FakeEmbedder):
-    def __init__(self, vectors):
-        super().__init__(vectors)
-        self.calls: list[str] = []
-
-    def embed(self, text):
-        self.calls.append(text)
-        return super().embed(text)
-
-
-def test_expand_embeds_only_unmasked_candidates():
+def test_expand_masks_visited_on_path_and_other_document_candidates():
     # d1#1 is held only by a visited neighbor, d1#3 is on the path and
-    # d2#0 lies in another document: none of them is ever embedded.
+    # d2#0 lies in another document: none of them is a candidate.
     spec = {
         "a": ["d1#0"],
         "b": ["d1#0", "d1#1"],
         "c": ["d1#0", "d1#2", "d1#3", "d2#0"],
     }
-    backend = CountingEmbedder({c: (1.0, 0.0) for c in ["d1#0", "d1#1", "d1#2", "d1#3", "d2#0"]})
-    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=5))
+    sampler = _toy_sampler(
+        spec, _uniform_embedder(["d1#0", "d1#1", "d1#2", "d1#3", "d2#0"]),
+        TraversalConfig(beam_width=5),
+    )
     cands = sampler.expand_step(
         ("a", "d1#0"), (1.0, 0.0), {"a", "b"}, {"d1#0", "d1#3"}, doc_id="d1"
     )
     assert cands == [("c", "d1#2", 1.0)]
-    assert backend.calls == ["d1#2"]
-    # A second step over the same pool reuses the embedded chunk.
-    sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d1")
-    assert sorted(backend.calls) == ["d1#1", "d1#2", "d1#3"]
+    cands = sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d1")
+    assert cands == [("b", "d1#1", 1.0), ("c", "d1#2", 1.0), ("c", "d1#3", 1.0)]
 
 
-def test_a_step_embeds_its_unembedded_candidates_first():
-    # y, a chunk of an unvisited neighbor, waits to be embedded; the step
-    # embeds it before it walks, and leaves w, no neighbor's chunk, as it is.
+def test_a_step_skips_chunks_of_entities_that_are_no_neighbors():
+    # w scores highest but is no neighbor's chunk, so z, the best of the
+    # neighbors' chunks, is the step's pick, now and when the step repeats.
     spec = {"a": ["qa"], "b": ["qa", "x", "y"], "c": ["qa", "z"], "d": ["w"]}
     vectors = {
         "qa": (1.0, 0.0), "x": (0.5, 0.0), "y": (0.25, 0.0), "z": (0.75, 0.0), "w": (2.0, 0.0),
     }
-    backend = CountingEmbedder(vectors)
-    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=1))
-    for chunk in ("qa", "x", "z"):
-        sampler._fill(sampler._row[chunk])
-    embedded = len(backend.calls)
+    sampler = _toy_sampler(spec, vectors, TraversalConfig(beam_width=1))
     cands = sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"})
     assert cands == [("c", "z", 0.75)]
-    assert backend.calls[embedded:] == ["y"]
     assert sampler.expand_step(("a", "qa"), vectors["qa"], {"a"}, {"qa"}) == cands
-    assert backend.calls[embedded:] == ["y"]
 
 
 def test_an_entity_chunk_missing_from_the_store_is_an_integrity_error():
@@ -408,10 +372,11 @@ def test_an_entity_chunk_missing_from_the_store_is_an_integrity_error():
 
 def test_a_step_pinned_to_an_unknown_document_finds_nothing():
     spec = {"a": ["d1#0"], "b": ["d1#0", "d1#1"], "c": ["d1#0", "d2#0"]}
-    backend = CountingEmbedder({c: (1.0, 0.0) for c in ["d1#0", "d1#1", "d2#0"]})
-    sampler = _toy_sampler(spec, backend, TraversalConfig(beam_width=5))
+    sampler = _toy_sampler(
+        spec, _uniform_embedder(["d1#0", "d1#1", "d2#0"]), TraversalConfig(beam_width=5)
+    )
     assert sampler.expand_step(("a", "d1#0"), (1.0, 0.0), {"a"}, {"d1#0"}, doc_id="d9") == []
-    assert backend.calls == [] and sampler.candidates == 0
+    assert sampler.candidates == 0
 
 
 # --- sample_paths ----------------------------------------------------------------
@@ -502,10 +467,9 @@ def test_five_entity_toy_matches_exhaustive_enumeration():
 )
 def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, policy, monkeypatch):
     # Vectors from a five-value grid tie often, so the tie-break decides
-    # many beams; paths and scores must follow similarity() exactly, with
-    # chunks embedded up front or as the steps need them, also when the
-    # blocks of start paragraphs are scored with errors up to the bound. Blocks of four queries make several
-    # blocks per sample.
+    # many beams; paths and scores must follow similarity() exactly, also
+    # when the blocks of start paragraphs are scored with errors up to the
+    # bound. Blocks of four queries make several blocks per sample.
     monkeypatch.setattr(traversal, "_BLOCK_QUERIES", 4)
     for seed in range(10):
         rng = random.Random(900 + seed)
@@ -522,18 +486,15 @@ def test_sample_paths_with_tied_scores_match_the_scalar_ranking(depth, width, po
         graph = build_graph(entity_map)
         expected = _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
         for sampler_class in (PathSampler, AdversarialSampler):
-            for prefilled in PREFILLED:
-                sampler = sampler_class(graph, entity_map, store, cfg, FakeEmbedder(vectors))
-                if prefilled:
-                    _prefill(sampler)
-                paths = sampler.sample().paths
-                where = (seed, sampler_class.__name__, prefilled)
-                assert sorted(tuple(p.steps) for p in paths) == expected, where
-                for p in paths:
-                    q = vectors[p.root_chunk]
-                    assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]], where
-                if sampler_class is AdversarialSampler:
-                    assert sampler.most_queries > 1, where  # a block scored together
+            sampler = sampler_class(graph, entity_map, store, cfg, FakeEmbedder(vectors))
+            paths = sampler.sample().paths
+            where = (seed, sampler_class.__name__)
+            assert sorted(tuple(p.steps) for p in paths) == expected, where
+            for p in paths:
+                q = vectors[p.root_chunk]
+                assert p.scores == [similarity(q, vectors[c]) for c in p.chunks()[1:]], where
+            if sampler_class is AdversarialSampler:
+                assert sampler.most_queries > 1, where  # a block scored together
 
 
 def test_a_block_scores_each_distinct_start_paragraph_once(monkeypatch):
@@ -694,12 +655,10 @@ def test_same_document_sampling_matches_the_oracle_without_scoring_a_query_block
             same_document_only=True,
         )
         expected = _paths_via_oracle(chunk_entities, entity_chunks, vectors, cfg)
-        for prefilled in PREFILLED:
-            sampler = _toy_sampler(entity_chunks, vectors, cfg, prefilled)
-            path_set = sampler.sample()
-            assert sorted(tuple(p.steps) for p in path_set.paths) == expected, (seed, prefilled)
-            assert path_set.counts["scanned"] == 0
-            assert path_set.counts["rescored"] == path_set.counts["candidates"]
+        path_set = _toy_sampler(entity_chunks, vectors, cfg).sample()
+        assert sorted(tuple(p.steps) for p in path_set.paths) == expected, seed
+        assert path_set.counts["scanned"] == 0
+        assert path_set.counts["rescored"] == path_set.counts["candidates"]
 
 
 def test_config_validation():
@@ -723,7 +682,7 @@ def test_sampler_rejects_an_invalid_config(cfg, problem):
         _toy_sampler({"a": ["qa"], "b": ["qa", "cb"]}, _uniform_embedder(["qa", "cb"]), cfg)
 
 
-def test_backend_errors_identify_the_root():
+def test_backend_errors_identify_the_chunk():
     from graphsynth.errors import BackendError
 
     class Exploding:
@@ -736,9 +695,9 @@ def test_backend_errors_identify_the_root():
     entity_map = make_entity_map(spec)
     store = make_store({"qa": "qa", "cb": "cb"})
     graph = build_graph(entity_map)
-    sampler = PathSampler(graph, entity_map, store, TraversalConfig(), Exploding())
-    with pytest.raises(BackendError, match="root a") as err:
-        sampler.sample()
+    # Chunks are embedded in chunk-id order, when the sampler is built.
+    with pytest.raises(BackendError, match="^while embedding chunk cb: remote down$") as err:
+        PathSampler(graph, entity_map, store, TraversalConfig(), Exploding())
     assert err.value.retryable
 
 
@@ -746,9 +705,8 @@ def test_an_empty_embedding_is_rejected():
     from graphsynth.errors import IntegrityError
 
     spec = {"a": ["qa"], "b": ["qa", "cb"]}
-    sampler = _toy_sampler(spec, {"qa": (), "cb": ()}, TraversalConfig())
     with pytest.raises(IntegrityError, match="empty vector"):
-        sampler.sample()
+        _toy_sampler(spec, {"qa": (), "cb": ()}, TraversalConfig())
 
 
 def test_paths_file_roundtrip(tmp_path):
