@@ -12,7 +12,6 @@ from .balance import (
     BalanceConfig,
     CCPair,
     SubsetAllocation,
-    UtilizationLedger,
     secondary_sampling,
 )
 from .corpus import Chunk, ChunkingConfig, ChunkStore, Document, chunk_document, ingest_corpus
@@ -45,7 +44,6 @@ __all__ = [
     "PathSet",
     "SubsetAllocation",
     "TraversalConfig",
-    "UtilizationLedger",
     "build_entity_map",
     "build_graph",
     "chunk_document",

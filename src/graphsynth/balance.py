@@ -1,19 +1,21 @@
 """Secondary sampling with utilization-aware ordering and CC pairing.
 
 The path set is partitioned into subsets. Within a subset, paths are
-selected least-utilized-first (sum of the ledger counts of the entities on
+selected least-utilized-first (sum of the use counts of the entities on
 the path) until chunk coverage reaches the target r or the subset hits the
 standard length l. On an l-length stop with coverage short of r, the
 relative shortfall dr = (r - r') / r sizes both the cut (paths beyond
-floor((1 - dr) * l) return to the pool and their ledger contributions are
-reversed) and the sparse-entity draw k = floor(dr * l), whose members are
+floor((1 - dr) * l) return to the pool and their entity uses are
+subtracted) and the sparse-entity draw k = floor(dr * l), whose members are
 randomly paired without replacement for contrastive generation, each side
 carrying one randomly sampled chunk.
 
-Entity utilization counts carry across subsets; chunk coverage resets per
-subset. The selection loop keeps the utilization of every remaining path
-in an integer vector in rank order, so a pick is an argmin whose ties go
-to the lowest rank; an entity -> path-positions index then raises the
+Entity use counts, one Counter, carry across subsets. Chunk coverage is
+the share of the corpus's chunks in the subset's set of covered chunks,
+which starts empty in each subset and is rebuilt from the retained paths
+after a cut. The selection loop keeps the utilization of every remaining
+path in an integer vector in rank order, so a pick is an argmin whose ties
+go to the lowest rank; an entity -> path-positions index then raises the
 utilization of just the paths that share an entity with the pick. Its
 output is pinned, transcript-for-transcript, to a naive sort-and-pop
 reference implementation in the test suite.
@@ -32,51 +34,6 @@ import numpy as np
 from .errors import ConfigurationError, IntegrityError
 from .jsonl import iter_jsonl, write_jsonl
 from .traversal import Path, PathSet, as_step
-
-
-class UtilizationLedger:
-    """Per-entity usage counts plus per-subset chunk-coverage state.
-
-    Coverage uses a witness counter (chunk -> number of retained items
-    containing it) so reversing a returned path removes a chunk from the
-    covered set only when its last witness leaves. The number of covered
-    chunks changes only when a witness count moves between 0 and 1, so it
-    is kept as a running count.
-    """
-
-    def __init__(self, total_chunks: int):
-        if total_chunks < 0:
-            raise ValueError("total_chunks must be >= 0")
-        self.total_chunks = total_chunks
-        self.counts: Counter[str] = Counter()
-        self._witness: Counter[str] = Counter()
-        self._covered = 0
-
-    @property
-    def coverage(self) -> float:
-        if self.total_chunks == 0:
-            return 0.0
-        return self._covered / self.total_chunks
-
-    def reset_coverage(self) -> None:
-        self._witness.clear()
-        self._covered = 0
-
-    def add_steps(self, steps: Sequence[tuple[str, str]]) -> None:
-        for entity, _ in steps:
-            self.counts[entity] += 1
-        for chunk in dict.fromkeys(c for _, c in steps):
-            self._witness[chunk] += 1
-            if self._witness[chunk] == 1:
-                self._covered += 1
-
-    def remove_steps(self, steps: Sequence[tuple[str, str]]) -> None:
-        for entity, _ in steps:
-            self.counts[entity] -= 1
-        for chunk in dict.fromkeys(c for _, c in steps):
-            self._witness[chunk] -= 1
-            if self._witness[chunk] == 0:
-                self._covered -= 1
 
 
 @dataclass(frozen=True)
@@ -174,7 +131,7 @@ class _RankedPaths:
         return out
 
     def raise_sharing(self, utilization: np.ndarray, picked: Path) -> None:
-        """Apply ``picked``'s ledger increments to ``utilization``."""
+        """Apply the count increments of ``picked``'s entities to ``utilization``."""
         for entity, _ in picked.steps:
             code = self._codes[entity]
             lo, hi = self._bounds[code], self._bounds[code + 1]
@@ -186,18 +143,26 @@ def _build_subset(
     available: np.ndarray,
     length: int,
     target: float,
-    ledger: UtilizationLedger,
+    counts: Counter[str],
+    total_chunks: int,
     rng: random.Random,
     entity_to_chunks: Mapping[str, Sequence[str]],
     subset_index: int,
 ) -> SubsetAllocation:
-    """One subset from the paths flagged in ``available``, which loses the retained ones."""
-    ledger.reset_coverage()
+    """One subset from the paths flagged in ``available``, which loses the retained ones.
+
+    ``counts`` carries across subsets; the chunks the subset covers start empty.
+    """
+    covered: set[str] = set()
+
+    def coverage() -> float:
+        return len(covered) / total_chunks if total_chunks else 0.0
+
     trace = BalanceTrace()
     picked: list[int] = []
     cc_pairs: list[CCPair] = []
 
-    utilization = ranked.utilization(ledger.counts)
+    utilization = ranked.utilization(counts)
     utilization[~available] = _TAKEN
     for _ in range(int(available.sum())):
         # argmin takes the first of equal values: the lowest rank.
@@ -207,17 +172,18 @@ def _build_subset(
         ranked.raise_sharing(utilization, candidate)
         picked.append(pos)
         trace.selection_order.append(candidate.path_id)
-        ledger.add_steps(candidate.steps)
-        if ledger.coverage >= target:
+        counts.update(candidate.entities())
+        covered.update(candidate.chunks())
+        if coverage() >= target:
             break
         if len(picked) >= length:
             if length < 2:
                 raise ConfigurationError(
                     "balance.standard_length must be >= 2 when the CC branch triggers"
                 )
-            delta_r = (target - ledger.coverage) / target
+            delta_r = (target - coverage()) / target
             # The sparse-entity ranking snapshot precedes the cut reversal.
-            ranking = sorted(entity_to_chunks, key=lambda e: (ledger.counts[e], e))
+            ranking = sorted(entity_to_chunks, key=lambda e: (counts[e], e))
             k = math.floor(delta_r * length)
             cut = math.floor((1.0 - delta_r) * length)
             # cut == 0 would return every selected path and stall the outer
@@ -226,7 +192,8 @@ def _build_subset(
             returned = [ranked.paths[i] for i in picked[cut:]]
             del picked[cut:]
             for p in returned:
-                ledger.remove_steps(p.steps)
+                counts.subtract(p.entities())
+            covered = {c for i in picked for c in ranked.paths[i].chunks()}
             trace.returned = [p.path_id for p in returned]
             trace.delta_r = delta_r
             trace.k = k
@@ -246,8 +213,8 @@ def _build_subset(
                         right=(ey, cy),
                     )
                 )
-            for pair in cc_pairs:
-                ledger.add_steps(pair.steps())
+                counts.update((ex, ey))
+                covered.update((cx, cy))
             break
 
     available[picked] = False
@@ -255,7 +222,7 @@ def _build_subset(
         subset_index=subset_index,
         cot_paths=[ranked.paths[i] for i in picked],
         cc_pairs=cc_pairs,
-        achieved_coverage=ledger.coverage,
+        achieved_coverage=coverage(),
         trace=trace,
     )
 
@@ -268,7 +235,7 @@ def secondary_sampling(
     total_chunks: int,
     seed: int = 0,
 ) -> list[SubsetAllocation]:
-    """Partition the whole path set into subsets, carrying the ledger.
+    """Partition the whole path set into subsets, carrying entity use counts across them.
 
     A path's rank, which breaks utilization ties, is its position in
     ``path_set``; a path without an id is given ``p`` and its six-digit
@@ -288,8 +255,10 @@ def secondary_sampling(
         raise ValueError(f"duplicate path_id '{repeated[0]}'")
     hop = max(p.hop_count for p in paths)
     length = resolve_standard_length(cfg, total_chunks, hop)
+    if total_chunks < 0:
+        raise ValueError("total_chunks must be >= 0")
     rng = random.Random(seed)
-    ledger = UtilizationLedger(total_chunks)
+    counts: Counter[str] = Counter()
 
     ranked = _RankedPaths(paths)
     available = np.ones(len(paths), dtype=bool)
@@ -297,8 +266,8 @@ def secondary_sampling(
     while available.any():
         try:
             subsets.append(_build_subset(
-                ranked, available, length, cfg.target_coverage, ledger, rng,
-                entity_to_chunks, len(subsets),
+                ranked, available, length, cfg.target_coverage, counts, total_chunks,
+                rng, entity_to_chunks, len(subsets),
             ))
         except ConfigurationError as e:
             if cfg.standard_length != "auto":

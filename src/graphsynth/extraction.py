@@ -220,13 +220,18 @@ def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:
 
 def load_entity_map(path) -> list[EntityRecord]:
     def build(rec: dict) -> EntityRecord:
-        chunk_ids = rec["chunk_ids"]
+        for key in ("entity_id", "canonical_name"):
+            if type(rec[key]) is not str:
+                raise ValueError(f"{key} {rec[key]!r} is not a string")
+        chunk_ids, aliases = rec["chunk_ids"], rec.get("aliases", [])
         if type(chunk_ids) is not list or not all(type(c) is str for c in chunk_ids):
             raise ValueError(f"chunk_ids {chunk_ids!r} is not a list of chunk ids")
+        if type(aliases) is not list or not all(type(a) is str for a in aliases):
+            raise ValueError(f"aliases {aliases!r} is not a list of strings")
         return EntityRecord(
             entity_id=rec["entity_id"],
             canonical_name=rec["canonical_name"],
-            aliases=set(rec.get("aliases", [])),
+            aliases=set(aliases),
             chunk_ids=chunk_ids,
         )
 

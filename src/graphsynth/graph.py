@@ -120,11 +120,20 @@ def load_graph(path) -> ContextGraph:
     nodes: set[str] = set()
     provenance: dict[tuple[str, str], list[str]] = {}
 
+    def string(rec: dict, key: str) -> str:
+        if type(rec[key]) is not str:
+            raise ValueError(f"{key} {rec[key]!r} is not a string")
+        return rec[key]
+
     def add(rec: dict) -> None:
         if rec["kind"] == "node":
-            nodes.add(rec["entity_id"])
+            nodes.add(string(rec, "entity_id"))
         elif rec["kind"] == "edge":
-            provenance[edge_key(rec["source"], rec["target"])] = list(rec["provenance"])
+            key = edge_key(string(rec, "source"), string(rec, "target"))
+            chunks = rec["provenance"]
+            if type(chunks) is not list or not all(type(c) is str for c in chunks):
+                raise ValueError(f"provenance {chunks!r} is not a list of chunk ids")
+            provenance[key] = chunks
         else:
             raise ValueError(f"kind {rec['kind']!r} is neither 'node' nor 'edge'")
 

@@ -576,9 +576,12 @@ def load_paths(path) -> PathSet:
         path_id = rec.get("path_id")  # null, as save_paths writes an unnamed path's
         if path_id is not None and type(path_id) is not str:
             raise ValueError(f"path_id {path_id!r} is not a string")
+        scores = rec.get("scores", [])  # json reads the NaN save_paths writes as a float
+        if type(scores) is not list or not all(type(x) in (int, float) for x in scores):
+            raise ValueError(f"scores {scores!r} is not a list of numbers")
         return Path(
             steps=[as_step(s) for s in rec["steps"]],
-            scores=[float(x) for x in rec.get("scores", [])],
+            scores=[float(x) for x in scores],
             path_id=path_id,
         )
 

@@ -7,7 +7,6 @@ import pytest
 
 from graphsynth.balance import (
     BalanceConfig,
-    UtilizationLedger,
     _RankedPaths,
     auto_standard_length,
     load_subsets,
@@ -76,30 +75,24 @@ def transcript_of(plain_paths, subsets):
 # --- path utilization -----------------------------------------------------------
 
 
-def path_utilization(path, ledger):
-    """The utilization the selection loop gives ``path``: its entities' ledger counts, summed."""
-    return int(_RankedPaths([path]).utilization(ledger.counts)[0])
+def path_utilization(path, counts):
+    """The utilization the selection loop gives ``path``: its entities' counts, summed."""
+    return int(_RankedPaths([path]).utilization(counts)[0])
 
 
 def test_utilization_zero_on_fresh_ledger():
-    ledger = UtilizationLedger(total_chunks=4)
     p = _paths([("P", [("a", "c1"), ("b", "c2")])])[0]
-    assert path_utilization(p, ledger) == 0
+    assert path_utilization(p, Counter()) == 0
 
 
 def test_utilization_sums_counts():
-    ledger = UtilizationLedger(total_chunks=4)
-    ledger.counts["a"] = 2
-    ledger.counts["b"] = 3
     p = _paths([("P", [("a", "c1"), ("b", "c2")])])[0]
-    assert path_utilization(p, ledger) == 5
+    assert path_utilization(p, Counter(a=2, b=3)) == 5
 
 
 def test_utilization_defaults_missing_entities_to_zero():
-    ledger = UtilizationLedger(total_chunks=4)
-    ledger.counts["a"] = 2
     p = _paths([("P", [("a", "c1"), ("zzz", "c2")])])[0]
-    assert path_utilization(p, ledger) == 2
+    assert path_utilization(p, Counter(a=2)) == 2
 
 
 # --- secondary_sampling trivial cases --------------------------------------------
@@ -240,35 +233,6 @@ def test_disjoint_two_l_instance_matches_oracle():
     assert sorted(retained) == sorted(pid for pid, _ in plain)
 
 
-def test_ledger_reversal_is_exact():
-    ledger = UtilizationLedger(total_chunks=10)
-    shared = [("a", "c1"), ("b", "c2")]
-    other = [("b", "c2"), ("c", "c3")]
-    ledger.add_steps(shared)
-    ledger.add_steps(other)
-    covered = lambda: {c for c, n in ledger._witness.items() if n > 0}
-    assert covered() == {"c1", "c2", "c3"}
-    assert ledger.coverage == 0.3
-    # removing one witness of c2 keeps it covered; the second removal clears it
-    ledger.remove_steps(other)
-    assert covered() == {"c1", "c2"}
-    assert ledger.coverage == 0.2
-    assert ledger.counts["b"] == 1
-    ledger.remove_steps(shared)
-    assert covered() == set()
-    assert ledger.coverage == 0.0
-    assert +ledger.counts == Counter()
-
-
-def test_ledger_coverage_resets_per_subset():
-    ledger = UtilizationLedger(total_chunks=4)
-    ledger.add_steps([("a", "c1")])
-    assert ledger.coverage == 0.25
-    ledger.reset_coverage()
-    assert ledger.coverage == 0.0
-    assert ledger.counts["a"] == 1  # counts carry across subsets
-
-
 # --- auto length -------------------------------------------------------------------
 
 
@@ -313,10 +277,24 @@ def random_balance_instance(rng: random.Random):
     return plain, e2c, total, r, l
 
 
+# Subset 0 picks P1, P2, P3 and keeps only P1: returned P2 shares c1 with
+# it, and the one CC pair, g and h, takes c4 of returned P3.
+CUT_SHARES_CHUNKS = (
+    [
+        ("P1", [("a", "c1"), ("b", "c2")]),
+        ("P2", [("c", "c3"), ("d", "c1")]),
+        ("P3", [("e", "c4"), ("f", "c5")]),
+    ],
+    {"a": ["c1"], "b": ["c2"], "c": ["c3"], "d": ["c1"], "e": ["c4"], "f": ["c5"],
+     "g": ["c4"], "h": ["c6"]},
+    20, 1.0, 3,
+)
+
+
 def test_randomized_oracle_equivalence():
-    for seed in range(30):
-        rng = random.Random(1000 + seed)
-        plain, e2c, total, r, l = random_balance_instance(rng)
+    cases = [(seed, random_balance_instance(random.Random(1000 + seed))) for seed in range(30)]
+    cases.append((0, CUT_SHARES_CHUNKS))
+    for seed, (plain, e2c, total, r, l) in cases:
         got, _ = impl_transcript(plain, e2c, total, r, l, seed=seed)
         want = secondary_sampling_oracle(plain, e2c, total, r, l, seed=seed)
         assert got == want, f"divergence at seed {seed}"

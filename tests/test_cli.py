@@ -930,6 +930,8 @@ def test_graph_stats_reports_a_malformed_graph_file(tmp_path, capsys):
         '{"path_id": "p1"}',
         '{"steps": [["e00001"]]}',
         '{"path_id": 5, "steps": [["e00001", "d1#0000"]]}',
+        '{"scores": "12", "steps": [["e00001", "d1#0000"]]}',
+        '{"scores": [true], "steps": [["e00001", "d1#0000"]]}',
     ],
 )
 def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
@@ -955,6 +957,15 @@ def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
         (
             "entities.jsonl", "chunk_ids", ["c1", 5], "graph.jsonl", "graph",
             "chunk_ids ['c1', 5] is not a list of chunk ids",
+        ),
+        ("entities.jsonl", "entity_id", 5, "graph.jsonl", "graph", "entity_id 5 is not a string"),
+        (
+            "entities.jsonl", "canonical_name", None, "graph.jsonl", "graph",
+            "canonical_name None is not a string",
+        ),
+        (
+            "entities.jsonl", "aliases", "abc", "graph.jsonl", "graph",
+            "aliases 'abc' is not a list of strings",
         ),
         (
             "chunks.jsonl", "ordinal", "x", "entities.jsonl", "extract",
@@ -998,6 +1009,15 @@ def test_graph_stats_reports_a_file_that_is_no_graph(tmp_path, capsys):
         ('{"kind": "node"}', "missing key(s) 'entity_id'"),
         ('{"kind": "edge", "source": "a", "target": "b"}', "missing key(s) 'provenance'"),
         ('{"kind": "vertex", "entity_id": "b"}', "kind 'vertex' is neither 'node' nor 'edge'"),
+        ('{"kind": "node", "entity_id": 5}', "entity_id 5 is not a string"),
+        (
+            '{"kind": "edge", "source": "a", "target": ["b"], "provenance": []}',
+            "target ['b'] is not a string",
+        ),
+        (
+            '{"kind": "edge", "source": "a", "target": "b", "provenance": "d0#0001"}',
+            "provenance 'd0#0001' is not a list of chunk ids",
+        ),
     ],
 )
 def test_graph_stats_reports_a_line_of_the_wrong_shape(tmp_path, capsys, line, problem):

@@ -12,6 +12,7 @@ from graphsynth.embedding import EmbeddingCache, similarity
 from graphsynth.errors import IntegrityError
 from graphsynth.graph import build_graph
 from graphsynth.traversal import (
+    Path,
     PathSampler,
     TraversalConfig,
     load_paths,
@@ -719,3 +720,10 @@ def test_paths_file_roundtrip(tmp_path):
     assert [(p.path_id, p.steps, p.hop_count) for p in loaded.paths] == [
         (p.path_id, p.steps, p.hop_count) for p in path_set.paths
     ]
+
+
+def test_a_nan_score_survives_the_paths_file(tmp_path):
+    path = Path(steps=[("a", "qa"), ("b", "cb")], scores=[math.nan, 1], path_id="p1")
+    save_paths(tmp_path / "p.jsonl", [path])
+    (loaded,) = load_paths(tmp_path / "p.jsonl").paths
+    assert math.isnan(loaded.scores[0]) and loaded.scores[1:] == [1.0]
