@@ -15,6 +15,7 @@ from pathlib import Path as FsPath
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import ConfigurationError, DuplicateIdError, IngestError
+from .jsonl import iter_jsonl, loads
 
 # Terminal punctuation followed by whitespace and an uppercase letter or digit.
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9“\"(])")
@@ -52,7 +53,7 @@ def ingest_corpus(source: Iterable[str] | TextIO) -> list[Document]:
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = loads(line)
         except json.JSONDecodeError as e:
             raise IngestError(f"line {lineno}: invalid JSON ({e.msg})") from e
         if not isinstance(rec, dict):
@@ -221,8 +222,6 @@ def save_chunks(path: str | FsPath, chunks: Iterable[Chunk], titles: dict[str, s
 
 
 def load_chunks(path: str | FsPath) -> ChunkStore:
-    from .jsonl import iter_jsonl
-
     titles: dict[str, str] = {}
 
     def build(rec: dict) -> Chunk:

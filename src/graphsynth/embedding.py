@@ -25,16 +25,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, FormatError, IntegrityError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, dumps_ascii
 
 log = logging.getLogger(__name__)
 
 Vector = np.ndarray
 
 DEFAULT_HASH_DIM = 64
-
-# Encodes one cache entry; ASCII escaping stays on, as in ``jsonl.write_json``.
-_ENTRY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def similarity(q: Sequence[float], c: Sequence[float]) -> float:
@@ -195,7 +192,7 @@ class EmbeddingCache:
         """Write the used entries to ``path`` in key order, atomically.
 
         The bytes are those of ``json.dumps({"entries": [...]},
-        sort_keys=True)``, written one entry at a time.
+        sort_keys=True)``, written one entry at a time by ``dumps_ascii``.
         """
         if self.path is None:
             raise ValueError("no cache path configured")
@@ -205,7 +202,7 @@ class EmbeddingCache:
                 if i:
                     f.write(", ")
                 values = self._entries[backend, key].tolist()
-                f.write(_ENTRY_ENCODER.encode({"backend": backend, "hash": key, "values": values}))
+                f.write(dumps_ascii({"backend": backend, "hash": key, "values": values}))
             f.write("]}")
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Protocol
 
 from .corpus import Chunk
 from .errors import FormatError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, loads, write_jsonl
 
 MAX_MENTIONS_PER_CHUNK = 16
 
@@ -119,7 +119,7 @@ class LlmEntityExtractor:
             request_id=chunk.chunk_id,
         )
         try:
-            payload = json.loads(raw)
+            payload = loads(raw)
         except json.JSONDecodeError:
             raise FormatError(f"entity list for {chunk.chunk_id} is not valid JSON", raw=raw)
         if not isinstance(payload, list) or not all(

@@ -1,4 +1,8 @@
-"""Small JSON Lines helpers used by every stage's file interface."""
+"""Small JSON Lines helpers used by every stage's file interface.
+
+Every record passes through JSON, so the coders are built once, here, not
+per call as in ``json.dumps``; they keep no per-call state, so threads share them.
+"""
 
 from __future__ import annotations
 
@@ -12,13 +16,31 @@ from typing import IO, Any, Callable, Iterable, Iterator
 from .errors import FormatError
 
 
-# json.dumps with keyword arguments builds a new encoder for every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+def _sorted_encoder(ensure_ascii: bool) -> Callable[[Any], str]:
+    """``json.dumps(obj, sort_keys=True, ensure_ascii=ensure_ascii)``, built once."""
+    proto = json.JSONEncoder(sort_keys=True, ensure_ascii=ensure_ascii)
+    if (make := json.encoder.c_make_encoder) is None:
+        return proto.encode
+    escape = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    # iterencode's arguments, but markers=None: records are trees, so no cycle check
+    encode = make(None, proto.default, escape, None, ": ", ", ", True, False, True)
+    return lambda obj: "".join(encode(obj, 0))
 
 
-def dumps(obj: Any) -> str:
-    """Serialize one record deterministically (sorted keys, no ASCII escaping)."""
-    return _ENCODER.encode(obj)
+dumps = _sorted_encoder(ensure_ascii=False)  # for every artifact line
+dumps_ascii = _sorted_encoder(ensure_ascii=True)
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def loads(text: str) -> Any:
+    """``json.loads(text)`` for a ``str``; an error's ``msg`` is the same."""
+    if text.startswith("\ufeff"):
+        return json.loads(text)  # raises with json's own BOM message
+    text = text.strip(" \t\n\r")
+    obj, end = _raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return obj
 
 
 def iter_jsonl(
@@ -37,7 +59,7 @@ def iter_jsonl(
             line = line.strip()
             if line:
                 try:
-                    rec = json.loads(line)
+                    rec = loads(line)
                 except json.JSONDecodeError as e:
                     raise FormatError(f"{path}, line {lineno}: not valid JSON ({e.msg})") from e
                 if type(rec) is not dict:

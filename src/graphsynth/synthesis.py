@@ -43,7 +43,7 @@ from .balance import SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .extraction import ChatBackend
-from .jsonl import atomic_write, dumps, iter_jsonl
+from .jsonl import atomic_write, dumps, dumps_ascii, iter_jsonl, loads
 
 log = logging.getLogger(__name__)
 
@@ -232,7 +232,7 @@ def build_requests(
 
 def _validate_payload(strategy: str, raw: str) -> tuple[dict | None, str | None]:
     try:
-        payload = json.loads(raw)
+        payload = loads(raw)
     except json.JSONDecodeError:
         return None, "not valid JSON"
     if not isinstance(payload, dict):
@@ -311,7 +311,7 @@ class MockLlmBackend:
                 ),
                 "comparison": f"In summary, {left} and {right} differ in scope and background.",
             }
-        return json.dumps(payload, sort_keys=True)
+        return dumps_ascii(payload)
 
 
 class FaultInjectingBackend:
@@ -579,7 +579,14 @@ def load_outcomes(path) -> list[RecordOutcome]:
     """Each record's outcome in the synth.jsonl at ``path``, read without building the record."""
 
     def build(rec: dict) -> RecordOutcome:
-        return RecordOutcome(rec["source_id"], rec.get("status", "ok"), rec.get("retries", 0))
+        source_id, status, retries = rec["source_id"], rec.get("status", "ok"), rec.get("retries", 0)
+        if type(source_id) is not str:
+            raise ValueError(f"source_id {source_id!r} is not a string")
+        if status not in ("ok", "rejected"):
+            raise ValueError(f"status {status!r} is neither 'ok' nor 'rejected'")
+        if type(retries) is not int or retries < 0:
+            raise ValueError(f"retries {retries!r} is not an int of at least 0")
+        return RecordOutcome(source_id, status, retries)
 
     return list(iter_jsonl(path, *_RECORD_KEYS, build=build))
 

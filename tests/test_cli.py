@@ -1038,6 +1038,10 @@ def test_graph_stats_reports_a_line_of_the_wrong_shape(tmp_path, capsys, line, p
             {"pair_id": "cc-0-0", "left": ["e1"], "right": ["e2", "c2"]},
             "['e1'] is not an [entity_id, chunk_id] pair",
         ),
+        (
+            {"pair_id": 5, "left": ["e1", "c1"], "right": ["e2", "c2"]},
+            "pair_id 5 is not a string",
+        ),
     ],
 )
 def test_cli_reports_a_cc_pair_of_the_wrong_shape(tmp_path, capsys, item, problem):
@@ -1061,6 +1065,10 @@ def test_cli_reports_a_cc_pair_of_the_wrong_shape(tmp_path, capsys, item, proble
         ("cot_path_ids", [0], "cot_path_ids [0] is not a list of path ids"),
         ("subset_index", 0.5, "subset_index 0.5 is not an int"),
         ("subset_index", False, "subset_index False is not an int"),
+        ("achieved_coverage", "0.5", "achieved_coverage '0.5' is not a number in [0, 1]"),
+        ("achieved_coverage", True, "achieved_coverage True is not a number in [0, 1]"),
+        ("achieved_coverage", 1.5, "achieved_coverage 1.5 is not a number in [0, 1]"),
+        ("achieved_coverage", -1, "achieved_coverage -1 is not a number in [0, 1]"),
     ],
 )
 def test_cli_reports_a_subset_line_of_the_wrong_shape(tmp_path, capsys, field, value, problem):
@@ -1075,6 +1083,34 @@ def test_cli_reports_a_subset_line_of_the_wrong_shape(tmp_path, capsys, field, v
     assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert err == f"error: stage 'generate' failed: {subsets}, line 1: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("source_id", 5, "source_id 5 is not a string"),
+        ("source_id", ["p000001"], "source_id ['p000001'] is not a string"),
+        ("status", 5, "status 5 is neither 'ok' nor 'rejected'"),
+        ("status", "failed", "status 'failed' is neither 'ok' nor 'rejected'"),
+        ("retries", -1, "retries -1 is not an int of at least 0"),
+        ("retries", 1.0, "retries 1.0 is not an int of at least 0"),
+        ("retries", True, "retries True is not an int of at least 0"),
+    ],
+)
+def test_cli_reports_a_synth_line_of_the_wrong_shape(tmp_path, capsys, field, value, problem):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    synth = out / "synth.jsonl"
+    first, *rest = synth.read_text(encoding="utf-8").splitlines(keepends=True)
+    synth.write_text(json.dumps({**json.loads(first), field: value}) + "\n" + "".join(rest),
+                     encoding="utf-8")
+    for report in [*out.glob("report_*.csv"), *out.glob("hist_*.svg"), out / "comparison.json"]:
+        report.unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'analyze' failed: {synth}, line 1: {problem}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsynth
+from graphsynth import jsonl
 from graphsynth.errors import FormatError
-from graphsynth.jsonl import dumps, iter_jsonl, write_json, write_jsonl
+from graphsynth.jsonl import dumps, dumps_ascii, iter_jsonl, loads, write_json, write_jsonl
 
 
 def test_write_that_raises_halfway_keeps_the_earlier_file(tmp_path):
@@ -52,10 +56,48 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, indent):
         1e-300,
         {"z": [1, [2.5, {"b": None, "a": True}], []], "é": {"y": -0.0, "x": "\u2014"}},
         [{"k": 1e-300}, [[], {}], "tab\tquote\""],
+        [math.nan, math.inf, -math.inf],
+        {"big": 2**64 + 1, "neg": -(2**70)},
     ],
 )
 def test_dumps_equals_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    assert dumps_ascii(obj) == json.dumps(obj, sort_keys=True)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_both_encoders_equal_json_dumps_on_any_json_value(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    assert dumps_ascii(obj) == json.dumps(obj, sort_keys=True)
+
+
+def test_the_encoders_without_the_c_accelerator_give_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    obj = {"z": ["naïve \u2028 ☃\x00", math.nan, -0.0, 2**64 + 1], "a": {"b": None, "c": True}}
+    assert jsonl._sorted_encoder(ensure_ascii=False)(obj) == dumps(obj)
+    assert jsonl._sorted_encoder(ensure_ascii=True)(obj) == dumps_ascii(obj)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "{", "{} x", "[1,]", " {} ", "NaN", "\ufeff{}", "\x0c{}", "{}\u00a0", "\t[1]\r\n"]
+)
+def test_loads_equals_json_loads(text):
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as e:
+        with pytest.raises(json.JSONDecodeError) as raised:
+            loads(text)
+        assert raised.value.msg == e.msg
+    else:
+        assert repr(loads(text)) == repr(expected)
 
 
 def test_the_next_write_removes_what_killed_writers_left(tmp_path):
