@@ -31,17 +31,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrityError
+from .errors import ConfigSection, ConfigurationError, IntegrityError
 from .jsonl import iter_jsonl, write_jsonl
 from .traversal import Path, PathSet, as_step
 
 
 @dataclass(frozen=True)
-class BalanceConfig:
+class BalanceConfig(ConfigSection):
     target_coverage: float = 1.0
     standard_length: int | str = "auto"
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         problems = []
         if not (0.0 < self.target_coverage <= 1.0):
             problems.append("target_coverage must be in (0, 1]")
@@ -241,9 +241,6 @@ def secondary_sampling(
     ``path_set``; a path without an id is given ``p`` and its six-digit
     position. The CC draws use ``random.Random(seed)``.
     """
-    problems = cfg.validate()
-    if problems:
-        raise ConfigurationError("; ".join(problems))
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
         raise ValueError("path set is empty")

@@ -1,4 +1,4 @@
-"""Pipeline entry point: config validation, the stage table, run manifests.
+"""Pipeline entry point: the config builder, the stage table, run manifests.
 
 Each stage is declared once in ``STAGES``: the artifact keys it reads and
 writes, and a function of a ``StageContext``. ``run_pipeline`` binds every
@@ -6,9 +6,10 @@ key to its file in the workdir and runs the table in order, ingest ->
 extract -> graph -> sample -> balance -> generate -> analyze; a stage is
 skipped when its outputs already exist, so a deleted downstream artifact is
 reproduced byte-identically on resume. A stage subcommand binds the files
-its flags name, validates the config its flags set as ``run`` does, and runs
-the same stage function. An optional output (the embedding caches, the hop
-decision, the generation manifest) is written only when its key is bound.
+its flags name, builds the config its flags set as ``run`` builds a config
+file's, and runs the same stage function. An optional output (the embedding
+caches, the hop decision, the generation manifest) is written only when its
+key is bound.
 Within one run, a stage hands what it wrote on to later stages in memory; an
 artifact that no stage of the run wrote is parsed once, on first use, and
 every artifact is hashed once.
@@ -38,7 +39,7 @@ from . import extraction as extraction_mod
 from . import graph as graph_mod
 from . import synthesis as synthesis_mod
 from . import traversal as traversal_mod
-from .errors import ConfigurationError, FormatError, GraphSynthError
+from .errors import ConfigSection, ConfigurationError, FormatError, GraphSynthError
 from .jsonl import sha256_file, write_json
 
 log = logging.getLogger(__name__)
@@ -59,25 +60,25 @@ class StageError(GraphSynthError):
         self.cause = cause
 
 
-@dataclass
-class ExtractionConfig:
+@dataclass(frozen=True)
+class ExtractionConfig(ConfigSection):
     backend: str = "rule"
     aliases: str | None = None
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         if self.backend not in ("rule", "llm"):
             return ["backend must be 'rule' or 'llm'"]
         return []
 
 
-@dataclass
-class EmbeddingConfig:
+@dataclass(frozen=True)
+class EmbeddingConfig(ConfigSection):
     backend: str = "hash"
     dim: int = embedding_mod.DEFAULT_HASH_DIM
     endpoint: str | None = None
     model: str | None = None
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         problems = []
         if self.backend not in ("hash", "remote"):
             problems.append("backend must be 'hash' or 'remote'")
@@ -86,8 +87,8 @@ class EmbeddingConfig:
         return problems
 
 
-@dataclass
-class GenerationConfig:
+@dataclass(frozen=True)
+class GenerationConfig(ConfigSection):
     backend: str = "mock"
     temperature: float = synthesis_mod.DEFAULT_TEMPERATURE
     max_tokens: int = synthesis_mod.DEFAULT_MAX_TOKENS
@@ -96,7 +97,7 @@ class GenerationConfig:
     endpoint: str | None = None
     model: str | None = None
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         problems = []
         if self.backend not in ("mock", "remote"):
             problems.append("backend must be 'mock' or 'remote'")
@@ -111,11 +112,11 @@ class GenerationConfig:
         return problems
 
 
-@dataclass
-class AnalysisConfig:
+@dataclass(frozen=True)
+class AnalysisConfig(ConfigSection):
     buckets: int = analysis_mod.DEFAULT_BUCKETS
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         if self.buckets < 1:
             return ["buckets must be >= 1"]
         return []
@@ -144,13 +145,11 @@ def _fits(value, types: tuple[type, ...]) -> bool:
     return isinstance(value, types) or (isinstance(value, int) and float in types)
 
 
-def _build(base, data, prefix: str = ""):
-    """``base`` with the values of the mapping ``data`` (a config file's tree
-    or a stage subcommand's flags) set. Unknown keys and values that do not
-    fit their field's type are rejected. A dataclass field is set from its
-    own mapping the same way, so a key left out keeps ``base``'s value
-    (``auto`` for the run's ``hop_policy``, where ``TraversalConfig()`` says
-    ``one_hop``)."""
+def _checked(base, data, prefix: str = "") -> dict:
+    """The mapping ``data`` (a config file's tree or a stage subcommand's
+    flags) as keyword arguments for ``base``'s fields, a section's as a
+    mapping of its own. Unknown keys and values that do not fit their
+    field's type are rejected, in the order ``data`` lists them."""
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigurationError(f"{prefix[:-1] or 'config root'} must be a mapping")
@@ -163,11 +162,29 @@ def _build(base, data, prefix: str = ""):
     for key, value in data.items():
         types = get_args(hints[key]) or (hints[key],)
         if is_dataclass(hints[key]):
-            value = _build(getattr(base, key), value, f"{prefix}{key}.")
+            value = _checked(getattr(base, key), value, f"{prefix}{key}.")
         elif not _fits(value, types):
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise ConfigurationError(f"{prefix}{key} must be {expected}, not {value!r}")
         kwargs[key] = value
+    return kwargs
+
+
+def _build(data) -> RunConfig:
+    """The ``RunConfig`` that ``data`` sets, once ``_checked`` passes it; a key
+    that a section leaves out keeps the run's default (``auto`` for ``hop_policy``).
+    The problems of every section built, in field order, make one error."""
+    base = RunConfig()
+    kwargs = _checked(base, data)
+    problems: list[str] = []
+    for f in fields(base):
+        if f.name in kwargs and is_dataclass(section := getattr(base, f.name)):
+            try:
+                kwargs[f.name] = replace(section, **kwargs[f.name])
+            except ConfigurationError as e:
+                problems += [f"{f.name}.{p}" for p in e.problems]
+    if problems:
+        raise ConfigurationError(*problems)
     return replace(base, **kwargs)
 
 
@@ -175,42 +192,13 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse the YAML config tree into a ``RunConfig``, checked as ``_build`` checks."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return _build(RunConfig(), yaml.safe_load(f))
+            return _build(yaml.safe_load(f))
+        except UnicodeDecodeError as e:
+            raise ConfigurationError(f"{path}: not valid UTF-8 ({e.reason})")
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
             where = f"{path}, line {mark.line + 1}" if mark else str(path)
             raise ConfigurationError(f"{where}: not valid YAML ({getattr(e, 'problem', e)})")
-
-
-def _traversal_problems(cfg: traversal_mod.TraversalConfig) -> list[str]:
-    """The library's checks, plus the run's ``auto`` schedule: it resolves to
-    one_hop or two_hop, so it needs the depth two_hop needs."""
-    if cfg.hop_policy in traversal_mod.HOP_POLICIES:
-        return cfg.validate()
-    problems = replace(cfg, hop_policy="one_hop").validate()
-    if cfg.hop_policy != "auto":
-        problems.append(f"hop_policy must be one of {('auto', *traversal_mod.HOP_POLICIES)}")
-    elif cfg.depth < 2:
-        problems.append("depth must be >= 2 for the auto hop schedule")
-    return problems
-
-
-def validate_config(config: RunConfig) -> list[str]:
-    """Empty list iff every stage precondition holds; each problem starts
-    with its section's name."""
-    problems: list[str] = []
-    for f in fields(RunConfig):
-        section = getattr(config, f.name)
-        if is_dataclass(section):
-            check = _traversal_problems if f.name == "traversal" else type(section).validate
-            problems += [f"{f.name}.{p}" for p in check(section)]
-    return problems
-
-
-def _check_config(config: RunConfig) -> None:
-    problems = validate_config(config)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
 
 
 def _config_digest(config: RunConfig) -> str:
@@ -323,7 +311,7 @@ class Stage:
 
 def _ingest(ctx: StageContext) -> dict:
     config = ctx.config
-    with open(ctx.path("input"), "r", encoding="utf-8") as f:
+    with open(ctx.path("input"), "rb") as f:
         docs = corpus_mod.ingest_corpus(f)
     chunks: list[corpus_mod.Chunk] = []
     titles: dict[str, str] = {}
@@ -605,7 +593,6 @@ def _run_stages(stages, ctx: StageContext) -> list[dict]:
 
 def run_pipeline(config: RunConfig, force: bool = False) -> dict:
     """Execute all stages; returns the run manifest (also written to disk)."""
-    _check_config(config)
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     paths = {key: workdir / name for key, name in WORKDIR_FILES.items()}
@@ -644,7 +631,7 @@ def _add_embedding_args(p: argparse.ArgumentParser, cache_key: str) -> None:
 
 
 def _standard_length(text: str) -> int | str:
-    # anything but a number stays text, for validation to name
+    # anything but a number stays text, for BalanceConfig to reject
     return int(text) if text.isdigit() else text
 
 
@@ -736,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stage(args) -> int:
-    """One stage over the files its flags name, validated as ``run`` validates."""
+    """One stage over the files its flags name, its config built as ``run`` builds one."""
     data: dict = {}
     paths: dict[str, Path] = {}
     for dest, value in vars(args).items():
@@ -747,8 +734,7 @@ def _cmd_stage(args) -> int:
         elif "." in dest:
             section, name = dest.split(".")
             data.setdefault(section, {})[name] = value
-    config = _build(RunConfig(), data)
-    _check_config(config)
+    config = _build(data)
     [entry] = _run_stages([args.stage], StageContext(config, paths, force=True))
     print(json.dumps(entry["counts"], sort_keys=True))
     return EXIT_OK
@@ -772,7 +758,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _check_config(load_config(args.config))
+    load_config(args.config)
     print("config ok")
     return EXIT_OK
 

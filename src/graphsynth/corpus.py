@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path as FsPath
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import IO, Callable, Iterable, Sequence
 
-from .errors import ConfigurationError, DuplicateIdError, IngestError
+from .errors import ConfigSection, ConfigurationError, DuplicateIdError, IngestError
 from .jsonl import iter_jsonl, loads
 
 # Terminal punctuation followed by whitespace and an uppercase letter or digit.
@@ -40,32 +40,40 @@ def chunk_id_for(doc_id: str, ordinal: int) -> str:
     return f"{doc_id}#{ordinal:04d}"
 
 
-def ingest_corpus(source: Iterable[str] | TextIO) -> list[Document]:
-    """Parse a stream of JSONL document records, preserving stream order.
+def ingest_corpus(source: Iterable[str | bytes] | IO) -> list[Document]:
+    """Parse a stream of JSONL document records, preserving stream order;
+    a line given as bytes is decoded as UTF-8.
 
-    Raises IngestError naming the line number for malformed records and
-    DuplicateIdError for repeated doc_ids.
+    Raises IngestError naming the line number (after the file's name, for
+    a file object) for malformed records and DuplicateIdError for repeated
+    doc_ids.
     """
     docs: list[Document] = []
     seen: set[str] = set()
+    where = f"{source.name}, " if hasattr(source, "name") else ""
     for lineno, line in enumerate(source, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise IngestError(f"{where}line {lineno}: not valid UTF-8 ({e})") from e
         line = line.strip()
         if not line:
             continue
         try:
             rec = loads(line)
         except json.JSONDecodeError as e:
-            raise IngestError(f"line {lineno}: invalid JSON ({e.msg})") from e
+            raise IngestError(f"{where}line {lineno}: invalid JSON ({e.msg})") from e
         if not isinstance(rec, dict):
-            raise IngestError(f"line {lineno}: expected an object record")
+            raise IngestError(f"{where}line {lineno}: expected an object record")
         doc_id = rec.get("doc_id")
         text = rec.get("text")
         if not isinstance(doc_id, str) or not doc_id:
-            raise IngestError(f"line {lineno}: missing or empty doc_id")
+            raise IngestError(f"{where}line {lineno}: missing or empty doc_id")
         if not isinstance(text, str) or not text.strip():
-            raise IngestError(f"line {lineno}: missing or empty text")
+            raise IngestError(f"{where}line {lineno}: missing or empty text")
         if doc_id in seen:
-            raise DuplicateIdError(f"line {lineno}: duplicate doc_id '{doc_id}'")
+            raise DuplicateIdError(f"{where}line {lineno}: duplicate doc_id '{doc_id}'")
         seen.add(doc_id)
         docs.append(Document(doc_id=doc_id, title=str(rec.get("title") or ""), text=text))
     return docs
@@ -78,7 +86,7 @@ def split_sentences(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ChunkingConfig:
+class ChunkingConfig(ConfigSection):
     """How ``chunk_document`` splits a document: ``fixed`` packs whole
     sentences greedily into chunks of at most ``max_chars``; ``semantic``
     places a boundary wherever adjacent-sentence similarity drops below the
@@ -88,7 +96,7 @@ class ChunkingConfig:
     max_chars: int = 1200
     breakpoint_percentile: float = 5.0
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         problems = []
         if self.policy not in ("fixed", "semantic"):
             problems.append("policy must be 'fixed' or 'semantic'")
@@ -158,11 +166,8 @@ def chunk_document(
 ) -> list[Chunk]:
     """Split one document into >= 1 chunks; the ``semantic`` policy embeds
     each sentence with ``embed``."""
-    problems = cfg.validate()
     if cfg.policy == "semantic" and embed is None:
-        problems.append("policy 'semantic' needs an embed function")
-    if problems:
-        raise ConfigurationError("; ".join(problems))
+        raise ConfigurationError("policy 'semantic' needs an embed function")
     if not doc.text.strip():
         raise ValueError("document text is empty")
     sentences = split_sentences(doc.text)
@@ -229,8 +234,10 @@ def load_chunks(path: str | FsPath) -> ChunkStore:
             value = rec.get(key, "")
             if type(value) is not str:
                 raise ValueError(f"{key} {value!r} is not a string")
+        if type(rec["ordinal"]) is not int:
+            raise ValueError(f"ordinal {rec['ordinal']!r} is not an int")
         titles[rec["doc_id"]] = rec.get("doc_title", "")
-        return Chunk(rec["chunk_id"], rec["doc_id"], int(rec["ordinal"]), rec["text"])
+        return Chunk(rec["chunk_id"], rec["doc_id"], rec["ordinal"], rec["text"])
 
     chunks = list(iter_jsonl(path, "chunk_id", "doc_id", "ordinal", "text", build=build))
     return ChunkStore(chunks, titles)

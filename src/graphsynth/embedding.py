@@ -127,6 +127,8 @@ class EmbeddingCache:
                     raise FormatError(
                         f"{self.path}, line {e.lineno} column {e.colno}: not valid JSON ({e.msg})"
                     ) from e
+                except UnicodeDecodeError as e:
+                    raise FormatError(f"{self.path}: not valid UTF-8 ({e.reason})") from e
             # the hook replaced every entry it stored with None
             entries = payload.get("entries", []) if isinstance(payload, dict) else None
             if not isinstance(entries, list) or any(rec is not None for rec in entries):

@@ -1,4 +1,4 @@
-"""Exception types shared across pipeline stages."""
+"""Exception types shared across pipeline stages, and the config sections' base."""
 
 
 class GraphSynthError(Exception):
@@ -34,4 +34,16 @@ class IntegrityError(GraphSynthError):
 
 
 class ConfigurationError(GraphSynthError):
-    """A configuration value violates a stage precondition."""
+    """Configuration values that violate a stage precondition, one per ``problems`` item."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+
+class ConfigSection:
+    """Base of the config section dataclasses: each is valid by construction."""
+
+    def __post_init__(self) -> None:
+        if problems := self._problems():
+            raise ConfigurationError(*problems)

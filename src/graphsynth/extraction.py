@@ -196,11 +196,15 @@ def canonical_names(entity_map: Iterable[EntityRecord]) -> dict[str, str]:
 
 
 def load_alias_table(path) -> dict[str, str]:
-    """Alias table file: JSONL of {surface, canonical}."""
-    return dict(iter_jsonl(
-        path, "surface", "canonical",
-        build=lambda rec: (str(rec["surface"]).lower(), str(rec["canonical"])),
-    ))
+    """Alias table file: JSONL of {surface, canonical}, both strings."""
+
+    def build(rec: dict) -> tuple[str, str]:
+        for key in ("surface", "canonical"):
+            if type(rec[key]) is not str:
+                raise ValueError(f"{key} {rec[key]!r} is not a string")
+        return rec["surface"].lower(), rec["canonical"]
+
+    return dict(iter_jsonl(path, "surface", "canonical", build=build))
 
 
 def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:

@@ -48,15 +48,19 @@ def iter_jsonl(
 ) -> Iterator:
     """Yield one JSON object per non-blank line, or what ``build`` makes of it.
 
-    A line that is not JSON, not an object, or lacks one of ``keys``, or
-    whose object ``build`` rejects (with a ValueError or TypeError, or a
-    KeyError for a key it lacks), is a ``FormatError`` naming the file and
-    line.
+    A line that is not UTF-8, not JSON, not an object, or lacks one of
+    ``keys``, or whose object ``build`` rejects (with a ValueError or
+    TypeError, or a KeyError for a key it lacks), is a ``FormatError``
+    naming the file and line. Lines end at ``\n``; a ``\r`` before it is
+    stripped with the other surrounding whitespace.
     """
     required = frozenset(keys)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}, line {lineno}: not valid UTF-8 ({e})") from e
             if line:
                 try:
                     rec = loads(line)

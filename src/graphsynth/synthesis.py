@@ -274,10 +274,8 @@ class MockLlmBackend:
 
     def __init__(self, scripted: Mapping[str, str] | None = None):
         self.scripted = dict(scripted or {})
-        self.calls: list[str] = []
 
     def complete(self, prompt, *, temperature, max_tokens, request_id=None):
-        self.calls.append(request_id or "")
         if request_id is not None and request_id in self.scripted:
             return self.scripted[request_id]
         names = [m.strip() for m in _ENTITY_LINE.findall(prompt)] or ["the subject"]

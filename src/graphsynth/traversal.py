@@ -47,7 +47,7 @@ import numpy as np
 
 from .corpus import ChunkStore
 from .embedding import EmbeddingBackend, EmbeddingCache, Vector, embed_text
-from .errors import BackendError, ConfigurationError, IntegrityError
+from .errors import BackendError, ConfigSection, ConfigurationError, IntegrityError
 from .extraction import EntityRecord
 from .graph import ContextGraph
 from .jsonl import iter_jsonl, write_jsonl
@@ -115,14 +115,16 @@ class PathSet:
 
 
 @dataclass(frozen=True)
-class TraversalConfig:
+class TraversalConfig(ConfigSection):
+    """S, D, W and the hop policy; the ``sample`` stage resolves ``auto`` first."""
+
     max_start_paragraphs: int = 3
     depth: int = 2
     beam_width: int = 2
     hop_policy: str = "one_hop"
     same_document_only: bool = False
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         problems = []
         if self.max_start_paragraphs < 1:
             problems.append("max_start_paragraphs must be >= 1")
@@ -130,10 +132,12 @@ class TraversalConfig:
             problems.append("depth must be >= 1")
         if self.beam_width < 1:
             problems.append("beam_width must be >= 1")
-        if self.hop_policy not in HOP_POLICIES:
-            problems.append(f"hop_policy must be one of {HOP_POLICIES}")
+        if self.hop_policy not in ("auto", *HOP_POLICIES):
+            problems.append(f"hop_policy must be one of {('auto', *HOP_POLICIES)}")
         if self.hop_policy in ("two_hop", "mixed") and self.depth < 2:
             problems.append(f"hop_policy {self.hop_policy} requires depth >= 2")
+        if self.hop_policy == "auto" and self.depth < 2:
+            problems.append("depth must be >= 2 for the auto hop schedule")
         return problems
 
     def expansion_depth(self) -> int:
@@ -207,9 +211,8 @@ class PathSampler:
         *,
         seed: int = 0,
     ):
-        problems = cfg.validate()
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+        if cfg.hop_policy == "auto":  # the sample stage resolves it first
+            raise ConfigurationError(f"hop_policy must be one of {HOP_POLICIES}, not 'auto'")
         self.graph = graph
         self.entity_map = list(entity_map)
         self.chunk_store = chunk_store

@@ -155,15 +155,18 @@ def test_length_below_two_at_trigger_is_config_error():
 @pytest.mark.parametrize(
     "cfg, problem",
     [
-        (BalanceConfig(target_coverage=0.0), "target_coverage"),
-        (BalanceConfig(target_coverage=1.5), "target_coverage"),
-        (BalanceConfig(standard_length="x"), "standard_length"),
+        ({"target_coverage": 0.0}, "target_coverage"),
+        ({"target_coverage": 1.5}, "target_coverage"),
+        ({"standard_length": "x"}, "standard_length"),
     ],
 )
 def test_secondary_sampling_rejects_an_invalid_config(cfg, problem):
+    # an invalid config cannot be built, so it never reaches secondary_sampling
     paths = _paths([("P1", [("a", "c1"), ("b", "c2")])])
     with pytest.raises(ConfigurationError, match=problem):
-        secondary_sampling(paths, cfg, entity_to_chunks={"a": ["c1"], "b": ["c2"]}, total_chunks=2)
+        secondary_sampling(
+            paths, BalanceConfig(**cfg), entity_to_chunks={"a": ["c1"], "b": ["c2"]}, total_chunks=2
+        )
 
 
 def test_first_selection_breaks_ties_by_stable_order():
@@ -250,10 +253,14 @@ def test_resolve_standard_length():
 
 
 def test_config_validation():
-    assert BalanceConfig(target_coverage=1.2).validate()
-    assert BalanceConfig(target_coverage=0.0).validate()
-    assert BalanceConfig(standard_length=0).validate()
-    assert BalanceConfig().validate() == []
+    for kwargs, problem in [
+        ({"target_coverage": 1.2}, "target_coverage must be in"),
+        ({"target_coverage": 0.0}, "target_coverage must be in"),
+        ({"standard_length": 0}, "standard_length must be a positive integer"),
+    ]:
+        with pytest.raises(ConfigurationError, match=problem):
+            BalanceConfig(**kwargs)
+    BalanceConfig()
 
 
 # --- randomized oracle equivalence and invariants ----------------------------------

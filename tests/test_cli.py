@@ -28,7 +28,6 @@ from graphsynth.cli import (
     load_config,
     main,
     run_pipeline,
-    validate_config,
 )
 from graphsynth.corpus import Chunk, load_chunks, save_chunks
 from graphsynth.embedding import HashEmbeddingBackend
@@ -72,23 +71,27 @@ def _write_config(tmp_path: Path, data: dict, name: str = "config.yaml") -> Path
     return path
 
 
-# --- validate_config ---------------------------------------------------------------
+# --- config sections ---------------------------------------------------------------
 
 
 def test_validate_names_beam_width():
-    config = RunConfig(traversal=TraversalConfig(beam_width=0))
-    assert any("beam_width" in p for p in validate_config(config))
+    with pytest.raises(ConfigurationError, match="beam_width"):
+        RunConfig(traversal=TraversalConfig(beam_width=0))
 
 
 def test_validate_names_target_coverage():
     from graphsynth.balance import BalanceConfig
 
-    config = RunConfig(balance=BalanceConfig(target_coverage=1.2))
-    assert any("target_coverage" in p for p in validate_config(config))
+    with pytest.raises(ConfigurationError, match="target_coverage"):
+        RunConfig(balance=BalanceConfig(target_coverage=1.2))
 
 
-def test_validate_defaults_clean():
-    assert validate_config(RunConfig()) == []
+def test_validate_defaults_clean(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("", encoding="utf-8")
+    assert load_config(path) == RunConfig()
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "config ok\n"
 
 
 @pytest.mark.parametrize(
@@ -102,15 +105,129 @@ def test_validate_defaults_clean():
         ("two_hop", 1, "traversal.hop_policy two_hop requires depth >= 2"),
     ],
 )
-def test_validate_checks_the_hop_policy_with_auto(hop_policy, depth, problem):
-    config = RunConfig(traversal=TraversalConfig(hop_policy=hop_policy, depth=depth))
-    assert validate_config(config) == [problem]
+def test_validate_checks_the_hop_policy_with_auto(tmp_path, hop_policy, depth, problem):
+    path = _write_config(tmp_path, {"traversal": {"hop_policy": hop_policy, "depth": depth}})
+    with pytest.raises(ConfigurationError) as e:
+        load_config(path)
+    assert e.value.problems == [problem]
+
+
+def _section_classes() -> dict[str, type]:
+    hints = get_type_hints(RunConfig)
+    return {f.name: hints[f.name] for f in fields(RunConfig) if is_dataclass(hints[f.name])}
+
+
+@pytest.mark.parametrize(
+    "section, kwargs, problems",
+    [
+        (
+            "chunking",
+            {"policy": "x", "max_chars": 0, "breakpoint_percentile": -1.0},
+            [
+                "policy must be 'fixed' or 'semantic'",
+                "max_chars must be >= 1",
+                "breakpoint_percentile must be in [0, 100]",
+            ],
+        ),
+        ("extraction", {"backend": "x"}, ["backend must be 'rule' or 'llm'"]),
+        (
+            "embedding",
+            {"backend": "x", "dim": 0},
+            ["backend must be 'hash' or 'remote'", "dim must be >= 1"],
+        ),
+        (
+            "traversal",
+            {"max_start_paragraphs": 0, "depth": 0, "beam_width": 0, "hop_policy": "auto"},
+            [
+                "max_start_paragraphs must be >= 1",
+                "depth must be >= 1",
+                "beam_width must be >= 1",
+                "depth must be >= 2 for the auto hop schedule",
+            ],
+        ),
+        (
+            "balance",
+            {"target_coverage": 0.0, "standard_length": 0},
+            [
+                "target_coverage must be in (0, 1]",
+                "standard_length must be a positive integer or 'auto'",
+            ],
+        ),
+        (
+            "generation",
+            {"backend": "x", "temperature": 3.0, "max_tokens": 0, "max_retries": -1,
+             "concurrency": 0},
+            [
+                "backend must be 'mock' or 'remote'",
+                "temperature must be in [0, 2]",
+                "max_tokens must be >= 1",
+                "max_retries must be >= 0",
+                "concurrency must be >= 1",
+            ],
+        ),
+        ("analysis", {"buckets": 0}, ["buckets must be >= 1"]),
+    ],
+)
+def test_an_invalid_section_cannot_be_built(section, kwargs, problems):
+    cls = _section_classes()[section]
+    with pytest.raises(ConfigurationError) as e:
+        cls(**kwargs)
+    assert (str(e.value), e.value.problems) == ("; ".join(problems), problems)
+
+
+def test_every_section_is_frozen_and_checked_when_built():
+    from dataclasses import FrozenInstanceError
+
+    from graphsynth.cli import GenerationConfig
+    from graphsynth.errors import ConfigSection
+
+    assert all(issubclass(cls, ConfigSection) for cls in _section_classes().values())
+    assert len(_section_classes()) == 7
+    config = GenerationConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.concurrency = 0
+    assert config.concurrency == 1
+
+
+def test_a_config_error_raised_with_one_message_lists_it_as_its_problem():
+    assert ConfigurationError("this stage needs the graph file").problems == [
+        "this stage needs the graph file"
+    ]
+
+
+def test_load_config_reports_every_section_in_field_order(tmp_path, capsys):
+    # balance comes first in the file, traversal first in RunConfig
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        "balance: {target_coverage: 1.5}\ntraversal: {beam_width: 0, hop_policy: bogus}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigurationError) as e:
+        load_config(path)
+    assert e.value.problems == [
+        "traversal.beam_width must be >= 1",
+        "traversal.hop_policy must be one of ('auto', 'one_hop', 'two_hop', 'mixed')",
+        "balance.target_coverage must be in (0, 1]",
+    ]
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: traversal.beam_width must be >= 1; traversal.hop_policy must be one of"
+        " ('auto', 'one_hop', 'two_hop', 'mixed'); balance.target_coverage must be in (0, 1]\n"
+    )
+
+
+def test_a_value_of_the_wrong_type_is_reported_before_any_section_problem(tmp_path):
+    path = _write_config(
+        tmp_path, {"traversal": {"beam_width": 0}, "balance": {"target_coverage": "all"}}
+    )
+    with pytest.raises(ConfigurationError) as e:
+        load_config(path)
+    assert e.value.problems == ["balance.target_coverage must be float, not 'all'"]
 
 
 def test_config_example_is_the_defaults():
     # the run's hop policy is auto while the library's TraversalConfig() says one_hop
     config = load_config(Path(__file__).parent.parent / "config.example.yaml")
-    assert validate_config(config) == []
     assert config == RunConfig()
     assert config.traversal.hop_policy == "auto"
 
@@ -967,10 +1084,8 @@ def test_cli_reports_a_paths_record_of_the_wrong_shape(tmp_path, capsys, line):
             "entities.jsonl", "aliases", "abc", "graph.jsonl", "graph",
             "aliases 'abc' is not a list of strings",
         ),
-        (
-            "chunks.jsonl", "ordinal", "x", "entities.jsonl", "extract",
-            "invalid literal for int() with base 10: 'x'",
-        ),
+        ("chunks.jsonl", "ordinal", "x", "entities.jsonl", "extract", "ordinal 'x' is not an int"),
+        ("chunks.jsonl", "ordinal", True, "entities.jsonl", "extract", "ordinal True is not an int"),
         ("chunks.jsonl", "text", 5, "entities.jsonl", "extract", "text 5 is not a string"),
         ("chunks.jsonl", "chunk_id", 7, "entities.jsonl", "extract", "chunk_id 7 is not a string"),
         ("chunks.jsonl", "doc_id", None, "entities.jsonl", "extract", "doc_id None is not a string"),
@@ -994,6 +1109,74 @@ def test_cli_reports_a_chunk_or_entity_line_of_the_wrong_shape(
     assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert err == f"error: stage '{stage}' failed: {out / name}, line 1: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"surface": 5, "canonical": "ruben tide"}, "surface 5 is not a string"),
+        ({"surface": "lantern", "canonical": None}, "canonical None is not a string"),
+    ],
+)
+def test_cli_reports_an_alias_line_of_the_wrong_shape(tmp_path, capsys, record, problem):
+    aliases = tmp_path / "aliases.jsonl"
+    aliases.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    data = _config_dict(tmp_path)
+    data["extraction"] = {"aliases": str(aliases)}
+    assert main(["run", "--config", str(_write_config(tmp_path, data))]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'extract' failed: {aliases}, line 1: {problem}\n"
+
+
+def test_cli_reports_undecodable_bytes_by_file_and_line(tmp_path, capsys):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # a graph line: graph stats
+    graph = tmp_path / "graph.jsonl"
+    graph.write_bytes((out / "graph.jsonl").read_bytes().replace(b"\n", b"\xff\n", 2))
+    assert main(["graph", "stats", "--graph", str(graph)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {graph}, line 1: not valid UTF-8 (") and err.count("\n") == 1
+    # a paths line, read by balance
+    paths = out / "paths.jsonl"
+    lines = paths.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    paths.write_bytes(b"\n".join(lines))
+    (out / "subsets.jsonl").unlink()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'balance' failed: {paths}, line 3: not valid UTF-8 (")
+    # a line of the input corpus
+    corpus = Path(_config_dict(tmp_path)["input"])
+    corpus.write_bytes(corpus.read_bytes().replace(b"\n", b"\n\xff", 1))
+    assert main(["run", "--config", str(config_path), "--force"]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'ingest' failed: {corpus}, line 2: not valid UTF-8 (")
+    assert err.count("\n") == 1
+
+
+def test_cli_reports_an_undecodable_embedding_cache_by_name(tmp_path, capsys):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    cache = out / "embeddings.json"
+    cache.write_bytes(cache.read_bytes() + b"\xff")
+    (out / "paths.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'sample' failed: {cache}: not valid UTF-8 (invalid start byte)\n"
+
+
+def test_cli_reports_an_undecodable_config_as_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"seed: 1\ninput: corpus\xff.jsonl\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {path}: not valid UTF-8 (invalid start byte)\n") == 2
 
 
 def test_graph_stats_reports_a_file_that_is_no_graph(tmp_path, capsys):
@@ -1220,7 +1403,6 @@ def test_config_types_accept_an_int_for_a_float_and_null_for_an_optional(tmp_pat
     data["extraction"] = {"aliases": None}
     config = load_config(_write_config(tmp_path, data))
     assert (config.balance.target_coverage, config.generation.temperature) == (1, 0)
-    assert validate_config(config) == []
 
 
 def test_cli_stagewise_chain(tmp_path):

@@ -65,6 +65,18 @@ def test_ingest_accepts_file_object():
     assert len(ingest_corpus(io.StringIO(payload))) == 1
 
 
+def test_ingest_of_a_binary_file_names_the_file_and_an_undecodable_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    first = json.dumps({"doc_id": "d", "title": "", "text": "caf\u00e9."}, ensure_ascii=False)
+    path.write_bytes(first.encode("utf-8") + b"\r\n\xff\n")
+    with open(path, "rb") as f, pytest.raises(IngestError) as e:
+        ingest_corpus(f)
+    assert str(e.value).startswith(f"{path}, line 2: not valid UTF-8 (")
+    path.write_bytes(first.encode("utf-8") + b"\r\n")
+    with open(path, "rb") as f:
+        assert [d.text for d in ingest_corpus(f)] == ["caf\u00e9."]
+
+
 def test_split_sentences_terminal_punctuation():
     text = "One thing happened. Then another! Did it matter? 42 said so."
     assert split_sentences(text) == [
@@ -115,16 +127,17 @@ def test_empty_document_rejected():
 @pytest.mark.parametrize(
     "cfg, problem",
     [
-        (ChunkingConfig(max_chars=0), "max_chars must be >= 1"),
-        (ChunkingConfig(policy="sentences"), "policy must be 'fixed' or 'semantic'"),
-        (ChunkingConfig(breakpoint_percentile=101.0), "breakpoint_percentile"),
-        (ChunkingConfig(policy="semantic"), "needs an embed function"),
+        ({"max_chars": 0}, "max_chars must be >= 1"),
+        ({"policy": "sentences"}, "policy must be 'fixed' or 'semantic'"),
+        ({"breakpoint_percentile": 101.0}, "breakpoint_percentile"),
+        ({"policy": "semantic"}, "needs an embed function"),
     ],
 )
 def test_chunk_document_rejects_an_invalid_config(cfg, problem):
+    # the config's own problems stop its construction; chunk_document checks the embed function
     doc = Document(doc_id="d", title="", text="One. Two.")
     with pytest.raises(ConfigurationError, match=problem):
-        chunk_document(doc, cfg)
+        chunk_document(doc, ChunkingConfig(**cfg))
 
 
 def test_semantic_split_at_derived_boundary(fake_embedder_factory):

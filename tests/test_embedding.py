@@ -313,3 +313,11 @@ def test_remote_backend_server_errors_are_retried(json_server):
         backend.embed("text")
     backend.client.close()
     assert server.calls == 3
+
+
+def test_an_undecodable_cache_file_is_a_format_error_naming_the_file(tmp_path):
+    path = tmp_path / "embeddings.json"
+    path.write_bytes(b'{"entries": []}\xff')
+    with pytest.raises(FormatError) as e:
+        EmbeddingCache(path)
+    assert str(e.value) == f"{path}: not valid UTF-8 (invalid start byte)"

@@ -135,3 +135,13 @@ def test_a_record_of_the_wrong_shape_is_a_format_error(tmp_path, line, problem):
     with pytest.raises(FormatError) as e:
         list(iter_jsonl(target, "a", "b", "c"))
     assert str(e.value) == f"{target}, line 3: {problem}"
+
+
+def test_an_undecodable_line_is_a_format_error_and_crlf_lines_load(tmp_path):
+    target = tmp_path / "records.jsonl"
+    target.write_bytes(b'{"a": 1}\r\n\r\n{"a": "\xc3\xa9"}\r\n{"a": 3}\xff\n')
+    with pytest.raises(FormatError) as e:
+        list(iter_jsonl(target, "a"))
+    assert str(e.value).startswith(f"{target}, line 4: not valid UTF-8 (")
+    target.write_bytes(target.read_bytes().replace(b"\xff", b""))
+    assert list(iter_jsonl(target, "a")) == [{"a": 1}, {"a": "\u00e9"}, {"a": 3}]

@@ -425,12 +425,19 @@ def test_cc_schema_validation():
     ],
 )
 def test_cot_schema_validation_names_what_the_reply_lacks(reply, reason):
+    calls = []
+
+    class Recording(MockLlmBackend):
+        def complete(self, prompt, *, request_id=None, **kwargs):
+            calls.append(request_id)
+            return super().complete(prompt, request_id=request_id, **kwargs)
+
     reqs = _requests(1)
-    backend = MockLlmBackend(scripted={reqs[0].request_id: json.dumps(reply)})
+    backend = Recording(scripted={reqs[0].request_id: json.dumps(reply)})
     [record] = generate(reqs, backend, max_retries=0)
     assert (record.status, record.reject_reason) == ("rejected", f"schema: {reason}")
     assert (record.narrative, record.qa) == ("", None)
-    assert backend.calls == [reqs[0].request_id]
+    assert calls == [reqs[0].request_id]
 
 
 def test_mock_answers_a_cc_prompt_quoting_qa_with_a_comparison():

@@ -663,24 +663,46 @@ def test_same_document_sampling_matches_the_oracle_without_scoring_a_query_block
 
 
 def test_config_validation():
-    assert TraversalConfig(beam_width=0).validate()
-    assert TraversalConfig(hop_policy="two_hop", depth=1).validate()
-    assert TraversalConfig().validate() == []
+    from graphsynth.errors import ConfigurationError
+
+    for kwargs, problem in [
+        ({"beam_width": 0}, "beam_width must be >= 1"),
+        ({"hop_policy": "two_hop", "depth": 1}, "hop_policy two_hop requires depth >= 2"),
+    ]:
+        with pytest.raises(ConfigurationError, match=problem):
+            TraversalConfig(**kwargs)
+    TraversalConfig()
 
 
 @pytest.mark.parametrize(
     "cfg, problem",
     [
-        (TraversalConfig(hop_policy="one-hop"), "hop_policy must be one of"),
-        (TraversalConfig(hop_policy="auto", depth=3), "hop_policy must be one of"),
-        (TraversalConfig(beam_width=0), "beam_width must be >= 1"),
+        ({"hop_policy": "one-hop"}, "hop_policy must be one of"),
+        ({"hop_policy": "auto", "depth": 3}, "hop_policy must be one of"),
+        ({"beam_width": 0}, "beam_width must be >= 1"),
     ],
 )
 def test_sampler_rejects_an_invalid_config(cfg, problem):
+    # an invalid config cannot be built; a valid one with an unresolved auto is
+    # rejected by the sampler
     from graphsynth.errors import ConfigurationError
 
+    embedder = _uniform_embedder(["qa", "cb"])
     with pytest.raises(ConfigurationError, match=problem):
-        _toy_sampler({"a": ["qa"], "b": ["qa", "cb"]}, _uniform_embedder(["qa", "cb"]), cfg)
+        _toy_sampler({"a": ["qa"], "b": ["qa", "cb"]}, embedder, TraversalConfig(**cfg))
+
+
+def test_sample_paths_takes_no_unresolved_auto():
+    from graphsynth.errors import ConfigurationError
+
+    spec = {"a": ["qa"], "b": ["qa", "cb"]}
+    entity_map = make_entity_map(spec)
+    store = make_store({"qa": "qa", "cb": "cb"})
+    cfg = TraversalConfig(hop_policy="auto")  # a valid section: the run's default
+    with pytest.raises(ConfigurationError, match="not 'auto'"):
+        traversal.sample_paths(
+            build_graph(entity_map), entity_map, store, cfg, _uniform_embedder(["qa", "cb"])
+        )
 
 
 def test_backend_errors_identify_the_chunk():
