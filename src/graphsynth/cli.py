@@ -195,6 +195,9 @@ def load_config(path: str | Path) -> RunConfig:
             return _build(yaml.safe_load(f))
         except UnicodeDecodeError as e:
             raise ConfigurationError(f"{path}: not valid UTF-8 ({e.reason})")
+        except yaml.reader.ReaderError as e:  # a character YAML does not allow
+            problem = str(e).partition("\n")[0]  # the second line repeats file and position
+            raise ConfigurationError(f"{path}, position {e.position}: not valid YAML ({problem})")
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
             where = f"{path}, line {mark.line + 1}" if mark else str(path)

@@ -1179,6 +1179,16 @@ def test_cli_reports_an_undecodable_config_as_a_config_error(tmp_path, capsys):
     assert err.count(f"config error: {path}: not valid UTF-8 (invalid start byte)\n") == 2
 
 
+def test_cli_reports_a_config_holding_a_control_character_on_one_line(tmp_path, capsys):
+    path = tmp_path / "nul.yaml"
+    path.write_bytes(b'seed: 1\ninput: "a\x00b"\n')
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {path}, position 17: not valid YAML"
+        " (unacceptable character #x0000: special characters are not allowed)\n"
+    )
+
+
 def test_graph_stats_reports_a_file_that_is_no_graph(tmp_path, capsys):
     corpus = _write_corpus(tmp_path)
     assert main(["graph", "stats", "--graph", str(corpus)]) == EXIT_STAGE

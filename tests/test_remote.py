@@ -187,6 +187,12 @@ def test_endpoint_must_be_http_url():
         _client("ftp://example.test/x")
 
 
+@pytest.mark.parametrize("api_key", ["k3y\r\nX-Injected: 1", "k\u00e9y"])
+def test_an_api_key_that_is_no_printable_ascii_is_a_config_error(api_key):
+    with pytest.raises(ConfigurationError, match="chat API key must be printable ASCII"):
+        remote.JsonClient("http://127.0.0.1:9/x", name="chat", api_key=api_key)
+
+
 def test_https_verifies_certificates(no_proxy_env):
     client = _client("https://api.example.test/v1/chat")
     conn = client._new_connection()  # nothing is sent
@@ -230,6 +236,231 @@ def test_chat_reply_of_the_wrong_shape_fails_without_a_retry(json_server, sleeps
     assert str(err.value) == f"chat service reply has no usable {field}: {reply!r:.80}"
     assert not err.value.retryable
     assert server.calls == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("status, body", [(301, b""), (302, {"error": "moved"})])
+def test_a_redirect_fails_at_once_and_names_its_status(json_server, sleeps, status, body):
+    server = json_server(lambda n, p: (status, body))
+    client = _client(server.url, max_retries=3)
+    with pytest.raises(BackendError) as err:
+        client.post({})
+    client.close()
+    assert str(err.value) == f"test service returned {status}"
+    assert not err.value.retryable
+    assert server.calls == 1 and sleeps == []
+
+
+# --- the HTTP/1.1 exchange -------------------------------------------------------------
+
+HANGUP = None  # in a _RawServer script, after a reply: the server closes that connection
+
+
+class _RawServer:
+    """Answers each POST on 127.0.0.1 with the next reply of ``script``, sent
+    byte for byte. Records each request's header lines (``heads``) and the
+    connections it accepted."""
+
+    def __init__(self, *script):
+        self.script = list(script)
+        self.heads: list[list[str]] = []
+        self.accepted = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/v1/raw"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self.script:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # timed out, or stopped
+                return
+            self.accepted += 1
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as rfile:
+                while self.script:
+                    head = []
+                    while (line := rfile.readline()) not in (b"\r\n", b""):
+                        head.append(line.decode("latin-1").rstrip("\r\n"))
+                    if not line:  # the client closed the connection
+                        break
+                    [length] = [h.split(":")[1] for h in head if h.startswith("Content-Length:")]
+                    rfile.read(int(length))
+                    self.heads.append(head)
+                    conn.sendall(self.script.pop(0))
+                    if self.script and self.script[0] is HANGUP:
+                        self.script.pop(0)
+                        break
+
+    def stop(self):
+        self._listener.close()
+        self._thread.join(timeout=10)
+
+
+@pytest.fixture
+def raw_server():
+    servers: list[_RawServer] = []
+
+    def make(*script):
+        servers.append(_RawServer(*script))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.stop()
+
+
+def _http_reply(body: bytes = b'{"n": 1}', status: str = "200 OK", headers: str = "") -> bytes:
+    head = f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n{headers}\r\n"
+    return head.encode("latin-1") + body
+
+
+def test_chunked_replies_keep_their_connection(raw_server, sleeps):
+    chunked = (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
+        b"5;ext=1\r\n" b'{"n":\r\n' b"3\r\n" b" 1}\r\n" b"0\r\n" b"Trailer-Field: x\r\n\r\n"
+    )
+    server = raw_server(chunked, chunked)
+    client = _client(server.url, max_retries=0)
+    assert [client.post({}), client.post({})] == [{"n": 1}, {"n": 1}]
+    client.close()
+    assert server.accepted == 1 and sleeps == []
+
+
+def test_a_close_delimited_http10_reply_reconnects_for_the_next_request(raw_server, sleeps):
+    http10 = b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"n": 1}'
+    server = raw_server(http10, HANGUP, http10, HANGUP)
+    client = _client(server.url, max_retries=0)
+    assert client.post({}) == {"n": 1}
+    assert client._connections[0].sock is None
+    assert client.post({}) == {"n": 1}
+    client.close()
+    assert server.accepted == 2 and sleeps == []
+
+
+def test_interim_replies_are_skipped(raw_server):
+    early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
+    server = raw_server(early + _http_reply())
+    client = _client(server.url, max_retries=0)
+    assert client.post({}) == {"n": 1}
+    client.close()
+
+
+def test_header_names_are_read_in_any_case(raw_server, sleeps):
+    shouting = b'HTTP/1.1 200 OK\r\ncontent-LENGTH: 8\r\nCONNECTION: Close\r\n\r\n{"n": 1}'
+    server = raw_server(shouting, shouting)
+    client = _client(server.url, max_retries=0)
+    assert client.post({}) == {"n": 1}
+    assert client._connections[0].sock is None  # closed as the reply asked
+    assert client.post({}) == {"n": 1}
+    client.close()
+    # each reply said Connection: close, so each request had a connection of its own
+    assert server.accepted == 2 and sleeps == []
+
+
+def test_a_body_shorter_than_its_length_is_retried(raw_server, sleeps):
+    server = raw_server(b'HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{"n"', HANGUP, _http_reply())
+    client = _client(server.url, max_retries=1)
+    assert client.post({}) == {"n": 1}
+    client.close()
+    assert sleeps == [0.25] and server.accepted == 2
+
+
+@pytest.mark.parametrize(
+    "reply, problem",
+    [
+        (_http_reply(headers="X-Long: " + "a" * 65536 + "\r\n"), "LineTooLong"),
+        (_http_reply(headers="X-Many: 1\r\n" * 100), "got more than 100 headers"),
+        (b"SSH-2.0-OpenSSH\r\n\r\n", "BadStatusLine"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n", "malformed reply"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "malformed reply"),
+    ],
+    ids=["long-line", "101-headers", "not-http", "bad-length", "bad-chunk-size"],
+)
+def test_a_reply_that_does_not_parse_is_a_transport_fault(raw_server, sleeps, reply, problem):
+    server = raw_server(reply, HANGUP, _http_reply())
+    client = _client(server.url, max_retries=1)
+    assert client.post({}) == {"n": 1}
+    client.close()
+    assert sleeps == [0.25]
+    server = raw_server(reply)
+    client = _client(server.url, max_retries=0)
+    with pytest.raises(BackendError, match="failed after retries") as err:
+        client.post({})
+    client.close()
+    assert isinstance(err.value.__cause__, http.client.HTTPException)
+    assert problem in f"{type(err.value.__cause__).__name__}: {err.value.__cause__}"
+
+
+def test_a_hundred_header_lines_and_a_line_of_65536_bytes_are_read(raw_server):
+    long_line = "X-Long: " + "a" * (65536 - len("X-Long: \r\n")) + "\r\n"
+    # with the Content-Length line, 100 header lines
+    server = raw_server(_http_reply(headers="X-Many: 1\r\n" * 98 + long_line))
+    client = _client(server.url, max_retries=0)
+    assert client.post({}) == {"n": 1}
+    client.close()
+
+
+def test_a_redirect_names_its_location(raw_server, sleeps):
+    location = "Location: https://new.example.test/v1/chat\r\n"
+    server = raw_server(_http_reply(b"", "301 Moved Permanently", location))
+    client = _client(server.url, max_retries=3)
+    with pytest.raises(BackendError) as err:
+        client.post({})
+    client.close()
+    assert str(err.value) == (
+        "test service returned 301 (Location: https://new.example.test/v1/chat)"
+    )
+    assert sleeps == [] and server.accepted == 1
+
+
+@pytest.mark.parametrize("api_key", [None, "k3y"])
+def test_a_request_carries_exactly_the_fixed_headers(raw_server, api_key):
+    server = raw_server(_http_reply())
+    client = _client(server.url, api_key=api_key, max_retries=0)
+    client.post({"a": 1})
+    client.close()
+    port = server.url.split(":")[2].split("/")[0]
+    expected = {
+        f"Host: 127.0.0.1:{port}",
+        "Accept-Encoding: identity",
+        "Content-Type: application/json",
+        "Content-Length: 8",  # {"a": 1}
+        *([f"Authorization: Bearer {api_key}"] if api_key else []),
+    }
+    [(request_line, *headers)] = server.heads
+    assert request_line == "POST /v1/raw HTTP/1.1"
+    assert sorted(headers) == sorted(expected)
+
+
+def test_a_path_outside_ascii_is_sent_percent_encoded(raw_server):
+    server = raw_server(_http_reply())
+    client = _client(server.url + "/chât ☃?q=a%20b", max_retries=0)
+    assert client.post({}) == {"n": 1}
+    client.close()
+    assert server.heads[0][0] == "POST /v1/raw/ch%C3%A2t%20%E2%98%83?q=a%20b HTTP/1.1"
+
+
+def test_each_request_is_one_write_on_a_no_delay_socket(json_server, monkeypatch):
+    server = json_server(_ok)
+    port = int(server.url.split(":")[2].split("/")[0])
+    writes = []
+    real_sendall = socket.socket.sendall
+
+    def counting_sendall(sock, data, *args):
+        if sock.getpeername()[1] == port:  # the client's side, not the server's
+            writes.append(data)
+        return real_sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    client = _client(server.url, max_retries=0)
+    assert [client.post({"i": i})["n"] for i in range(3)] == [1, 2, 3]
+    sock = client._connections[0].sock
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    client.close()
+    assert len(writes) == 3
+    assert all(w.startswith(b"POST ") and w.endswith(b'}') for w in writes)
 
 
 # --- proxy resolution ----------------------------------------------------------------
