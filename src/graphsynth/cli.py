@@ -7,9 +7,9 @@ extract -> graph -> sample -> balance -> generate -> analyze; a stage is
 skipped when its outputs already exist, so a deleted downstream artifact is
 reproduced byte-identically on resume. A stage subcommand binds the files
 its flags name, builds the config its flags set as ``run`` builds a config
-file's, and runs the same stage function. An optional output (the embedding
-caches, the hop decision, the generation manifest) is written only when its
-key is bound.
+file's, and runs the same stage function. An optional output (the hop
+decision, the generation manifest) is written only when its key is bound;
+an embedding cache, which is no artifact, is kept only for remote backends.
 Within one run, a stage hands what it wrote on to later stages in memory; an
 artifact that no stage of the run wrote is parsed once, on first use, and
 every artifact is hashed once.
@@ -322,7 +322,7 @@ def _ingest(ctx: StageContext) -> dict:
         embed = None
         if config.chunking.policy == "semantic":
             backend = stack.enter_context(embedding_backend(config.embedding))
-            cache = stack.enter_context(embedding_mod.EmbeddingCache(ctx.paths.get("ingest_cache")))
+            cache = stack.enter_context(_embedding_cache(ctx, "ingest_cache"))
 
             def embed(text: str):
                 return embedding_mod.embed_text(text, backend, cache)
@@ -401,17 +401,21 @@ def _resolve_hop_policy(ctx: StageContext, chunk_store) -> str:
     return decision["hop_policy"]
 
 
+def _embedding_cache(ctx: StageContext, key: str) -> embedding_mod.EmbeddingCache:
+    # bound under the remote backend only: a hash vector costs less to make than to load
+    remote = ctx.config.embedding.backend == "remote"
+    return embedding_mod.EmbeddingCache(ctx.paths.get(key) if remote else None)
+
+
 def _sample(ctx: StageContext) -> dict:
     config = ctx.config
     store = ctx.load("chunks")
     g = ctx.load("graph")
     hop_policy = _resolve_hop_policy(ctx, store)
     cfg = replace(config.traversal, hop_policy=hop_policy)
-    # entries are keyed by backend and text, so an earlier run's are reused
-    with (
-        embedding_mod.EmbeddingCache(ctx.paths.get("embeddings")) as cache,
-        embedding_backend(config.embedding) as backend,
-    ):
+    # entries are keyed by backend and text, so an earlier remote run's are reused
+    cache = _embedding_cache(ctx, "embeddings")
+    with cache, embedding_backend(config.embedding) as backend:
         paths = traversal_mod.sample_paths(
             g, ctx.load("entities"), store, cfg, backend, cache, seed=config.seed
         )
@@ -507,15 +511,10 @@ def _analyze(ctx: StageContext) -> dict:
 
 
 STAGES = (
-    Stage("ingest", ("input",), ("chunks", "ingest_cache"), _ingest),
+    Stage("ingest", ("input",), ("chunks",), _ingest),
     Stage("extract", ("chunks",), ("entities",), _extract),
     Stage("graph", ("entities",), ("graph",), _graph),
-    Stage(
-        "sample",
-        ("chunks", "entities", "graph"),
-        ("paths", "embeddings", "hop_decision"),
-        _sample,
-    ),
+    Stage("sample", ("chunks", "entities", "graph"), ("paths", "hop_decision"), _sample),
     Stage("balance", ("chunks", "entities", "paths"), ("subsets",), _balance),
     Stage(
         "generate",
@@ -534,9 +533,9 @@ STAGES = (
     ),
 )
 
-# The file each artifact key names in a run's workdir; ``run`` binds
-# ``input`` to ``config.input`` and leaves ``ingest_cache`` and
-# ``hist_synth`` unbound.
+# The file each artifact key names in a run's workdir, and ``embeddings``
+# the remote embedding cache's; ``run`` binds ``input`` to ``config.input``
+# and leaves ``ingest_cache`` and ``hist_synth`` unbound.
 WORKDIR_FILES = {
     "chunks": "chunks.jsonl",
     "entities": "entities.jsonl",
@@ -630,7 +629,7 @@ def _stage_parser(sub, name: str, help: str, stage: str | None = None):
 def _add_embedding_args(p: argparse.ArgumentParser, cache_key: str) -> None:
     p.add_argument("--embedding-backend", dest="embedding.backend", choices=["hash", "remote"])
     p.add_argument("--dim", dest="embedding.dim", type=int)
-    p.add_argument("--cache", dest=f"@{cache_key}", help="embedding cache file")
+    p.add_argument("--cache", dest=f"@{cache_key}", help="remote embedding cache file")
 
 
 def _standard_length(text: str) -> int | str:

@@ -5,12 +5,12 @@ ranking during traversal depends on nothing else. The hash backend gives
 deterministic unit-norm vectors so the whole pipeline can run offline; the
 remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
 ``cli.embedding_backend`` builds that client (30 s timeout, 3 retries at
-0.5 s back-off) and closes it.
-Vectors are 1-d float64 arrays; the cache hands out read-only ones.
-``with EmbeddingCache(path) as cache:`` saves the cache when the block ends.
-The cache file is written and read one entry at a time: saving never holds
-the whole cache as Python floats or as one string, and loading turns each
-entry into an array as soon as it is decoded.
+0.5 s back-off) and closes it. Vectors are 1-d float64 arrays; the cache
+hands out read-only ones. The stages bind a cache to a file for the remote
+backend only: a hash vector costs less to make than to save and load.
+``with EmbeddingCache(path) as cache:`` saves the file when the block ends,
+one entry at a time, never holding the whole cache as Python floats or as
+one string; loading turns each entry into an array as soon as it is decoded.
 """
 
 from __future__ import annotations

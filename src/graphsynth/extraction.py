@@ -196,15 +196,29 @@ def canonical_names(entity_map: Iterable[EntityRecord]) -> dict[str, str]:
 
 
 def load_alias_table(path) -> dict[str, str]:
-    """Alias table file: JSONL of {surface, canonical}, both strings."""
+    """Alias table file: JSONL of {surface, canonical}, both strings.
 
-    def build(rec: dict) -> tuple[str, str]:
+    Each surface is keyed as ``normalize_mention`` leaves a mention, so a
+    plural or punctuated surface matches; two lines whose surfaces normalize
+    alike but name different canonicals are a ``FormatError``.
+    """
+    table: dict[str, str] = {}
+
+    def build(rec: dict) -> None:
         for key in ("surface", "canonical"):
             if type(rec[key]) is not str:
                 raise ValueError(f"{key} {rec[key]!r} is not a string")
-        return rec["surface"].lower(), rec["canonical"]
+        surface = normalize_mention(rec["surface"])
+        known = table.setdefault(surface, rec["canonical"])
+        if known != rec["canonical"]:
+            raise ValueError(
+                f"surface {rec['surface']!r} normalizes to {surface!r}, "
+                f"which an earlier line maps to {known!r}, not {rec['canonical']!r}"
+            )
 
-    return dict(iter_jsonl(path, "surface", "canonical", build=build))
+    for _ in iter_jsonl(path, "surface", "canonical", build=build):
+        pass
+    return table
 
 
 def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:

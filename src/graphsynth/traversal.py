@@ -107,7 +107,8 @@ class Path:
 class PathSet:
     paths: list[Path] = field(default_factory=list)
     # What the sampler did: candidates left after masking, columns its
-    # walks took, and how many candidates it scored exactly.
+    # walks took, how many candidates it scored exactly, and how many
+    # distinct chunk texts it embedded or found in the cache.
     counts: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -254,9 +255,12 @@ class PathSampler:
         self._matrix_t: np.ndarray | None = None  # None when there are no chunks
         self._max_norm = 0.0
         cache = cache if cache is not None else EmbeddingCache()
+        held, texts = len(cache), set()
         for row, c in enumerate(self._chunk_ids):
+            text = chunk_store.get(c).text
+            texts.add(text)
             try:
-                vector = embed_text(chunk_store.get(c).text, backend, cache)
+                vector = embed_text(text, backend, cache)
             except BackendError as e:
                 raise BackendError(f"while embedding chunk {c}: {e}", retryable=e.retryable) from e
             if self._matrix_t is None:
@@ -267,6 +271,9 @@ class PathSampler:
             norm = math.sqrt(float(column @ column))
             # max() would drop a nan; as inf it keeps _bounded false
             self._max_norm = max(self._max_norm, norm if norm < math.inf else math.inf)
+        # Each backend call adds a cache entry; every other distinct text was held.
+        self.embedded = len(cache) - held
+        self.cache_hits = len(texts) - self.embedded
         # The neighbor masks of the current root entity's expansion, dropped
         # when the next root entity starts: each costs a byte per entity.
         self._masks: dict[int, bytes] = {}  # by entity index, see _neighbor_mask
@@ -532,7 +539,10 @@ class PathSampler:
             p.path_id = f"p{i:06d}"
         return PathSet(
             paths,
-            {"candidates": self.candidates, "scanned": self.scanned, "rescored": self.rescored},
+            {
+                "candidates": self.candidates, "scanned": self.scanned, "rescored": self.rescored,
+                "embedded": self.embedded, "cache_hits": self.cache_hits,
+            },
         )
 
 

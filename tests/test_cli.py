@@ -31,7 +31,7 @@ from graphsynth.cli import (
 )
 from graphsynth.corpus import Chunk, load_chunks, save_chunks
 from graphsynth.embedding import HashEmbeddingBackend
-from graphsynth.errors import BackendError, ConfigurationError
+from graphsynth.errors import ConfigurationError
 from graphsynth.extraction import (
     EntityRecord,
     RuleBasedExtractor,
@@ -279,9 +279,11 @@ def _parsers(parser: argparse.ArgumentParser):
 
 def test_stage_flags_name_config_fields_and_artifact_keys():
     # A flag's dest is ``section.field`` of RunConfig, ``seed``, or ``@key``
-    # of an artifact some stage reads or writes (``{source}`` filled in).
+    # of an artifact some stage reads or writes (``{source}`` filled in) or
+    # of the embedding cache that ingest or sample keeps for a remote backend.
     schema = get_type_hints(RunConfig)
     artifact_keys = {k for stage in STAGES for k in stage.inputs + stage.outputs}
+    artifact_keys |= {"ingest_cache", "embeddings"}
     settable = 0
     for parser in _parsers(build_parser()):
         sources = next((a.choices for a in parser._actions if a.dest == "source"), [None])
@@ -331,8 +333,8 @@ def test_sample_counts_candidates_and_exact_rescores(tmp_path):
     assert 0 < counts["scanned"] < counts["candidates"]
 
 
-# sha256 of paths.jsonl and embeddings.json on the long-tail corpus, per
-# traversal config; a change to how sample ranks or embeds must keep them.
+# sha256 of paths.jsonl on the long-tail corpus, per traversal config; a
+# change to how sample ranks or embeds must keep them.
 TRAVERSAL_DIGESTS = {
     "one_hop": (
         {"hop_policy": "one_hop"},
@@ -351,7 +353,6 @@ TRAVERSAL_DIGESTS = {
         "81d83d795a5480a6f2e1ab64418bc4ab91c8fd52b0f7be309361dc8c3a56f72a",
     ),
 }
-LONGTAIL_EMBEDDINGS_DIGEST = "b38a286fb5a9b1c3da0ee5174262339b890963179545766193d6ee5fa9853dda"
 
 
 @pytest.mark.parametrize("name", list(TRAVERSAL_DIGESTS))
@@ -365,7 +366,6 @@ def test_sample_artifacts_match_their_golden_digests(tmp_path, name):
     run_pipeline(config)
     workdir = Path(config.workdir)
     assert sha256_file(workdir / "paths.jsonl") == paths_digest
-    assert sha256_file(workdir / "embeddings.json") == LONGTAIL_EMBEDDINGS_DIGEST
 
 
 @pytest.mark.parametrize("name", list(TRAVERSAL_DIGESTS))
@@ -648,58 +648,96 @@ def test_forced_rerun_analyzes_the_records_it_generated(tmp_path):
     assert (workdir / "report_synth.csv").read_bytes() == report.read_bytes() != seed_7
 
 
-def test_sample_rebuild_reuses_the_embedding_cache(tmp_path, monkeypatch):
-    from graphsynth.embedding import HashEmbeddingBackend
+def _hash_embedding_service(json_server, texts: list[str] | None = None, down=lambda: False):
+    """An embedding endpoint answering with the hash backend's vectors at the
+    default dim, so a run against it samples the paths of a hash run. It
+    appends each text it embeds to ``texts``, and answers 400 while ``down()``."""
+    backend = HashEmbeddingBackend()
 
+    def respond(n, payload):
+        if down():
+            return 400, {"error": "service down"}
+        if texts is not None:
+            texts.append(payload["input"][0])
+        return 200, {"data": [{"embedding": backend.embed(payload["input"][0]).tolist()}]}
+
+    return json_server(respond)
+
+
+def _remote_embedding_config(tmp_path: Path, server, workdir: str = "out") -> dict:
+    data = _config_dict(tmp_path, workdir)
+    data["embedding"] = {"backend": "remote", "endpoint": server.url, "model": "m"}
+    return data
+
+
+def _sample_counts(manifest: dict) -> dict:
+    return next(s for s in manifest["stages"] if s["name"] == "sample")["counts"]
+
+
+def test_a_hash_run_keeps_no_embedding_cache_and_a_rerun_skips_every_stage(tmp_path, capsys):
+    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+    config = load_config(config_path)
+    counts = _sample_counts(run_pipeline(config))
+    out = Path(config.workdir)
+    assert not (out / "embeddings.json").exists()
+    # every distinct text of the entity map's chunks is embedded, none found cached
+    store = load_chunks(out / "chunks.jsonl")
+    chunk_ids = {c for rec in load_entity_map(out / "entities.jsonl") for c in rec.chunk_ids}
+    distinct = {store.get(c).text for c in chunk_ids}
+    assert (counts["embedded"], counts["cache_hits"]) == (len(distinct), 0) != (0, 0)
+    manifest = run_pipeline(config)
+    assert [s["skipped"] for s in manifest["stages"]] == [True] * 7
+    assert not (out / "embeddings.json").exists()
+    capsys.readouterr()
+    # --cache names the remote backend's cache: under hash nothing is written there
+    command = [
+        "sample", "--graph", str(out / "graph.jsonl"), "--entities", str(out / "entities.jsonl"),
+        "--chunks", str(out / "chunks.jsonl"), "--cache", str(tmp_path / "cache.json"),
+        "--out", str(tmp_path / "paths.jsonl"),
+    ]
+    assert main(command) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["cache_hits"] == 0
+    assert not (tmp_path / "cache.json").exists()
+
+
+def test_sample_rebuild_reuses_the_embedding_cache(tmp_path, json_server):
     texts: list[str] = []
-    embed = HashEmbeddingBackend.embed
-
-    def counted(self, text):
-        texts.append(text)
-        return embed(self, text)
-
-    monkeypatch.setattr(HashEmbeddingBackend, "embed", counted)
-    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
-    run_pipeline(config)
-    assert texts
+    server = _hash_embedding_service(json_server, texts)
+    config = load_config(_write_config(tmp_path, _remote_embedding_config(tmp_path, server)))
+    counts = _sample_counts(run_pipeline(config))
+    assert texts and (counts["embedded"], counts["cache_hits"]) == (len(texts), 0)
     paths_path = Path(config.workdir) / "paths.jsonl"
     original = paths_path.read_bytes()
     paths_path.unlink()
+    embedded = len(texts)
     texts.clear()
     manifest = run_pipeline(config)
     assert not next(s for s in manifest["stages"] if s["name"] == "sample")["skipped"]
     assert texts == []
+    counts = _sample_counts(manifest)
+    assert (counts["embedded"], counts["cache_hits"]) == (0, embedded)
     assert paths_path.read_bytes() == original
+    assert server.wait_closed() == 0
 
 
-def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, monkeypatch):
-    embed = HashEmbeddingBackend.embed
+def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, json_server):
     texts: list[str] = []
-
-    def failing_after_3(self, text):
-        if len(texts) == 3:
-            raise BackendError("service down")
-        texts.append(text)
-        return embed(self, text)
-
-    monkeypatch.setattr(HashEmbeddingBackend, "embed", failing_after_3)
-    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
-    with pytest.raises(StageError, match="^stage 'sample' failed: .*service down"):
+    failing = [True]
+    server = _hash_embedding_service(json_server, texts, lambda: failing[0] and len(texts) == 3)
+    config = load_config(_write_config(tmp_path, _remote_embedding_config(tmp_path, server)))
+    with pytest.raises(StageError, match="^stage 'sample' failed: .*service returned 400$"):
         run_pipeline(config)
     out = Path(config.workdir)
     assert len(json.loads((out / "embeddings.json").read_text())["entries"]) == 3
     assert not (out / "paths.jsonl").exists()
 
-    def counted(self, text):
-        texts.append(text)
-        return embed(self, text)
-
-    monkeypatch.setattr(HashEmbeddingBackend, "embed", counted)
+    failing[0] = False
     run_pipeline(config)
     rerun = texts[3:]
     assert rerun and not set(rerun) & set(texts[:3])
     texts.clear()
-    fresh = load_config(_write_config(tmp_path, _config_dict(tmp_path, "fresh"), "fresh.yaml"))
+    fresh_data = _remote_embedding_config(tmp_path, server, "fresh")
+    fresh = load_config(_write_config(tmp_path, fresh_data, "fresh.yaml"))
     run_pipeline(fresh)
     assert len(texts) == 3 + len(rerun)
     for name in ("paths.jsonl", "embeddings.json"):
@@ -764,12 +802,15 @@ def test_remote_embedding_caches_of_two_services_are_kept_apart(
     assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
 
-def test_forced_rerun_after_a_config_change_writes_a_fresh_embedding_cache(tmp_path):
-    data = _config_dict(tmp_path, "out_forced")
+def test_forced_rerun_after_a_config_change_writes_a_fresh_embedding_cache(
+    tmp_path, json_server
+):
+    server = _hash_embedding_service(json_server)
+    data = _remote_embedding_config(tmp_path, server, "out_forced")
     run_pipeline(load_config(_write_config(tmp_path, data, "a.yaml")))
     data["chunking"]["max_chars"] = 120
     run_pipeline(load_config(_write_config(tmp_path, data, "a.yaml")), force=True)
-    fresh = _config_dict(tmp_path, "out_fresh")
+    fresh = _remote_embedding_config(tmp_path, server, "out_fresh")
     fresh["chunking"]["max_chars"] = 120
     run_pipeline(load_config(_write_config(tmp_path, fresh, "b.yaml")))
     cache = "embeddings.json"
@@ -1157,8 +1198,9 @@ def test_cli_reports_undecodable_bytes_by_file_and_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_cli_reports_an_undecodable_embedding_cache_by_name(tmp_path, capsys):
-    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+def test_cli_reports_an_undecodable_embedding_cache_by_name(tmp_path, capsys, json_server):
+    server = _hash_embedding_service(json_server)
+    config_path = _write_config(tmp_path, _remote_embedding_config(tmp_path, server))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
     out = tmp_path / "out"
     cache = out / "embeddings.json"
@@ -1344,8 +1386,9 @@ def test_cli_names_what_an_auto_standard_length_resolved_to(tmp_path, capsys):
     )
 
 
-def test_cli_reports_a_damaged_embedding_cache_by_name(tmp_path, capsys):
-    config_path = _write_config(tmp_path, _config_dict(tmp_path))
+def test_cli_reports_a_damaged_embedding_cache_by_name(tmp_path, capsys, json_server):
+    server = _hash_embedding_service(json_server)
+    config_path = _write_config(tmp_path, _remote_embedding_config(tmp_path, server))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
     out = tmp_path / "out"
     cache = out / "embeddings.json"
@@ -1434,8 +1477,7 @@ def test_cli_stagewise_chain(tmp_path):
         ["graph", "stats", "--graph", f("graph.jsonl")],
         [
             "sample", "--graph", f("graph.jsonl"), *files, "-S", "3", "-D", "2", "-W", "2",
-            "--hop-policy", "one_hop", "--seed", "7", "--cache", f("embeddings.json"),
-            "--out", f("paths.jsonl"),
+            "--hop-policy", "one_hop", "--seed", "7", "--out", f("paths.jsonl"),
         ],
         [
             "balance", "--paths", f("paths.jsonl"), *files, "-r", "1.0", "-l", "auto",
@@ -1462,7 +1504,7 @@ def test_cli_stagewise_chain(tmp_path):
     written = sorted(p.name for p in out.iterdir())
     assert written == sorted(
         [
-            "chunks.jsonl", "entities.jsonl", "graph.jsonl", "paths.jsonl", "embeddings.json",
+            "chunks.jsonl", "entities.jsonl", "graph.jsonl", "paths.jsonl",
             "subsets.jsonl", "synth.jsonl", "synth_manifest.json", "report_raw.csv",
             "report_subsets.csv", "report_synth.csv", "hist_raw.svg", "hist_subsets.svg",
         ]

@@ -14,6 +14,7 @@ from graphsynth.extraction import (
     RuleBasedExtractor,
     build_entity_map,
     ExtractionReport,
+    load_alias_table,
     load_entity_map,
     normalize_mention,
     save_entity_map,
@@ -266,3 +267,43 @@ def test_entity_map_file_roundtrip(tmp_path):
     assert [(r.entity_id, r.canonical_name, r.chunk_ids) for r in loaded] == [
         (r.entity_id, r.canonical_name, r.chunk_ids) for r in records
     ]
+
+
+# --- alias table -------------------------------------------------------------
+
+
+def _alias_file(tmp_path, *pairs):
+    path = tmp_path / "aliases.jsonl"
+    path.write_text(
+        "".join(json.dumps({"surface": s, "canonical": c}) + "\n" for s, c in pairs),
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "surface, canonical, mention",
+    [("acme corps", "acme", "Acme Corps"), ("u.s.", "united states", "U.S.")],
+)
+def test_a_plural_or_punctuated_alias_surface_matches_its_mention(
+    tmp_path, surface, canonical, mention
+):
+    table = load_alias_table(_alias_file(tmp_path, (surface, canonical)))
+    assert normalize_mention(mention, table) == canonical
+    records = build_entity_map([ExtractionReport(chunk_id="c1", raw_mentions=[mention])], table)
+    assert [(r.canonical_name, r.aliases) for r in records] == [(canonical, {mention})]
+
+
+def test_alias_surfaces_that_normalize_alike_must_agree(tmp_path):
+    path = _alias_file(
+        tmp_path, ("Acme Corp", "acme"), ("acme corps", "acme"), ("ACME CORP.", "acme inc")
+    )
+    with pytest.raises(FormatError) as err:
+        load_alias_table(path)
+    assert str(err.value) == (
+        f"{path}, line 3: surface 'ACME CORP.' normalizes to 'acme corp', "
+        "which an earlier line maps to 'acme', not 'acme inc'"
+    )
+    # the first two lines alone agree
+    path = _alias_file(tmp_path, ("Acme Corp", "acme"), ("acme corps", "acme"))
+    assert load_alias_table(path) == {"acme corp": "acme"}

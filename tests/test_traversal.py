@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphsynth import traversal
-from graphsynth.embedding import EmbeddingCache, similarity
+from graphsynth.embedding import EmbeddingCache, embed_text, similarity
 from graphsynth.errors import IntegrityError
 from graphsynth.graph import build_graph
 from graphsynth.traversal import (
@@ -660,6 +660,29 @@ def test_same_document_sampling_matches_the_oracle_without_scoring_a_query_block
         assert sorted(tuple(p.steps) for p in path_set.paths) == expected, seed
         assert path_set.counts["scanned"] == 0
         assert path_set.counts["rescored"] == path_set.counts["candidates"]
+
+
+def test_the_sampler_counts_each_distinct_text_as_embedded_or_found_cached():
+    # a#0 and b#0 share a text, and the cache already holds c#0's
+    entity_map = make_entity_map({"e1": ["a#0", "c#0"], "e2": ["b#0", "c#0"]})
+    store = make_store({"a#0": "same", "b#0": "same", "c#0": "held"})
+    calls: list[str] = []
+
+    class Recording(FakeEmbedder):
+        def embed(self, text):
+            calls.append(text)
+            return super().embed(text)
+
+    backend = Recording({"same": (1.0, 0.0), "held": (0.0, 1.0)})
+    cache = EmbeddingCache()
+    embed_text("held", backend, cache)
+    calls.clear()
+    sampler = PathSampler(
+        build_graph(entity_map), entity_map, store, TraversalConfig(), backend, cache
+    )
+    assert calls == ["same"]
+    counts = sampler.sample().counts
+    assert (counts["embedded"], counts["cache_hits"]) == (1, 1)
 
 
 def test_config_validation():
