@@ -15,14 +15,18 @@ the share of the corpus's chunks in the subset's set of covered chunks,
 which starts empty in each subset and is rebuilt from the retained paths
 after a cut. The selection loop keeps the utilization of every remaining
 path in an integer vector in rank order, so a pick is an argmin whose ties
-go to the lowest rank; an entity -> path-positions index then raises the
-utilization of just the paths that share an entity with the pick. Its
-output is pinned, transcript-for-transcript, to a naive sort-and-pop
-reference implementation in the test suite.
+go to the lowest rank. Each entity of the pick then raises the paths that
+hold it with one vector add: at their positions for an entity on fewer
+than n/8 of the n paths, and as one dense add over all paths, cheaper than
+a scatter, for a hub on at least n/8. A path of depth d holds at most
+d + 1 entities, so at most 8 (d + 1) are dense, in at most 64 (d + 1) n
+bytes. The output is pinned, transcript-for-transcript, to a naive
+sort-and-pop reference implementation in the test suite.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from collections import Counter
@@ -34,6 +38,8 @@ import numpy as np
 from .errors import ConfigSection, ConfigurationError, IntegrityError
 from .jsonl import iter_jsonl, write_jsonl
 from .traversal import Path, PathSet, as_step
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -94,38 +100,45 @@ class SubsetAllocation:
 # Utilization of a path already taken: far above any reachable sum, far
 # below the int64 limit, so the increments it keeps receiving never wrap.
 _TAKEN = 1 << 62
+# Entities on at least 1/_DENSE_SHARE of the paths get dense raises (1/16, 1/32 timed alike).
+_DENSE_SHARE = 8
 
 
 class _RankedPaths:
-    """Paths in rank order, with an entity -> path-positions index.
+    """Paths in rank order, with one raise per entity.
 
-    A pick adds one to the count of the entity of each of its steps, which
-    raises every path holding that entity by its number of steps on it.
+    A pick raises the paths holding each of its steps' entities by their steps
+    on it, ``utilization[positions] += weights``, with ``slice(None)`` for a hub.
     """
 
     def __init__(self, ranked: Sequence[Path]):
         self.paths = list(ranked)
         n = len(self.paths)
-        self._codes: dict[str, int] = {}
+        codes: dict[str, int] = {}
         step_path: list[int] = []
         step_entity: list[int] = []
         for i, p in enumerate(self.paths):
             for entity, _ in p.steps:
                 step_path.append(i)
-                step_entity.append(self._codes.setdefault(entity, len(self._codes)))
+                step_entity.append(codes.setdefault(entity, len(codes)))
         self._step_path = np.array(step_path, dtype=np.int64)
         self._step_entity = np.array(step_entity, dtype=np.int64)
         # One (entity, path) pair per distinct key, sorted by entity, with
         # the number of the path's steps on that entity as its weight.
-        pairs, self._weights = np.unique(
-            self._step_entity * n + self._step_path, return_counts=True
-        )
-        self._positions = pairs % n
-        self._bounds = np.searchsorted(pairs // n, np.arange(len(self._codes) + 1)).tolist()
+        pairs, weights = np.unique(self._step_entity * n + self._step_path, return_counts=True)
+        positions = pairs % n
+        bounds = np.searchsorted(pairs // n, np.arange(len(codes) + 1)).tolist()
+        self.raises: dict[str, tuple[np.ndarray | slice, np.ndarray]] = {}  # in code order
+        for entity, lo, hi in zip(codes, bounds, bounds[1:]):
+            at, by = positions[lo:hi], weights[lo:hi]
+            if (hi - lo) * _DENSE_SHARE >= n:
+                at, by = slice(None), np.zeros(n, dtype=np.int64)
+                by[positions[lo:hi]] = weights[lo:hi]
+            self.raises[entity] = (at, by)
 
     def utilization(self, counts: Mapping[str, int]) -> np.ndarray:
         """Every path's utilization, the sum of its steps' entity counts, as int64."""
-        per_entity = np.array([counts[e] for e in self._codes], dtype=np.int64)
+        per_entity = np.array([counts[e] for e in self.raises], dtype=np.int64)
         out = np.zeros(len(self.paths), dtype=np.int64)
         np.add.at(out, self._step_path, per_entity[self._step_entity])
         return out
@@ -133,9 +146,8 @@ class _RankedPaths:
     def raise_sharing(self, utilization: np.ndarray, picked: Path) -> None:
         """Apply the count increments of ``picked``'s entities to ``utilization``."""
         for entity, _ in picked.steps:
-            code = self._codes[entity]
-            lo, hi = self._bounds[code], self._bounds[code + 1]
-            utilization[self._positions[lo:hi]] += self._weights[lo:hi]
+            positions, weights = self.raises[entity]
+            utilization[positions] += weights
 
 
 def _build_subset(
@@ -166,14 +178,15 @@ def _build_subset(
     utilization[~available] = _TAKEN
     for _ in range(int(available.sum())):
         # argmin takes the first of equal values: the lowest rank.
-        pos = int(np.argmin(utilization))
+        pos = int(utilization.argmin())
         candidate = ranked.paths[pos]
         utilization[pos] = _TAKEN
         ranked.raise_sharing(utilization, candidate)
         picked.append(pos)
         trace.selection_order.append(candidate.path_id)
-        counts.update(candidate.entities())
-        covered.update(candidate.chunks())
+        for entity, chunk in candidate.steps:
+            counts[entity] += 1
+            covered.add(chunk)
         if coverage() >= target:
             break
         if len(picked) >= length:
@@ -234,12 +247,14 @@ def secondary_sampling(
     entity_to_chunks: Mapping[str, Sequence[str]],
     total_chunks: int,
     seed: int = 0,
+    stats: dict[str, int] | None = None,
 ) -> list[SubsetAllocation]:
     """Partition the whole path set into subsets, carrying entity use counts across them.
 
     A path's rank, which breaks utilization ties, is its position in
     ``path_set``; a path without an id is given ``p`` and its six-digit
-    position. The CC draws use ``random.Random(seed)``.
+    position. The CC draws use ``random.Random(seed)``. A given ``stats`` gets
+    the counts of picks, picks returned, cut subsets and dense raises.
     """
     paths = list(path_set.paths if isinstance(path_set, PathSet) else path_set)
     if not paths:
@@ -258,9 +273,10 @@ def secondary_sampling(
     counts: Counter[str] = Counter()
 
     ranked = _RankedPaths(paths)
-    available = np.ones(len(paths), dtype=bool)
+    n, retained = len(paths), 0
+    available = np.ones(n, dtype=bool)
     subsets: list[SubsetAllocation] = []
-    while available.any():
+    while retained < n:
         try:
             subsets.append(_build_subset(
                 ranked, available, length, cfg.target_coverage, counts, total_chunks,
@@ -272,6 +288,14 @@ def secondary_sampling(
             raise ConfigurationError(
                 f"{e}; 'auto' resolved it to {length} from {total_chunks} chunks at hop {hop}"
             ) from None
+        before, retained = retained, retained + len(subsets[-1].cot_paths)
+        if retained * 10 // n > before * 10 // n:  # at each tenth of the paths
+            log.info("balance: %d/%d paths retained, %d subsets", retained, n, len(subsets))
+    if stats is not None:
+        stats["picks"] = sum(len(s.trace.selection_order) for s in subsets)
+        stats["returned"] = sum(len(s.trace.returned) for s in subsets)
+        stats["cut_subsets"] = sum(s.trace.cut is not None for s in subsets)
+        stats["dense_entities"] = sum(type(at) is slice for at, _ in ranked.raises.values())
     return subsets
 
 

@@ -425,18 +425,21 @@ def _sample(ctx: StageContext) -> dict:
 
 
 def _balance(ctx: StageContext) -> dict:
+    stats: dict[str, int] = {}
     allocations = balance_mod.secondary_sampling(
         ctx.load("paths"),
         ctx.config.balance,
         entity_to_chunks=extraction_mod.entity_chunk_index(ctx.load("entities")),
         total_chunks=len(ctx.load("chunks")),
         seed=ctx.config.seed,
+        stats=stats,
     )
     balance_mod.save_subsets(ctx.path("subsets"), allocations)
     ctx.put("subsets", allocations)
     return {
         "subsets": len(allocations),
         "cc_pairs": sum(len(s.cc_pairs) for s in allocations),
+        **stats,
     }
 
 

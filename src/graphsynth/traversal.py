@@ -149,13 +149,11 @@ class TraversalConfig(ConfigSection):
         return self.depth
 
 
-def select_start_paragraphs(
-    root: EntityRecord, cfg: TraversalConfig, rng: random.Random
-) -> list[str]:
-    """All of the root's chunks if few, else a uniform sample of S."""
+def select_start_paragraphs(root: EntityRecord, cfg: TraversalConfig, seed: int | str) -> list[str]:
+    """All of the root's chunks if few, else a uniform sample of S by ``random.Random(seed)``."""
     if len(root.chunk_ids) <= cfg.max_start_paragraphs:
         return list(root.chunk_ids)
-    return rng.sample(root.chunk_ids, cfg.max_start_paragraphs)
+    return random.Random(seed).sample(root.chunk_ids, cfg.max_start_paragraphs)
 
 
 @dataclass
@@ -523,9 +521,9 @@ class PathSampler:
         for first in range(0, len(roots), per_block):
             block = []
             for root in roots[first : first + per_block]:
-                # Per-root rng keeps results independent of root scheduling.
-                rng = random.Random(f"{self.seed}:{root.entity_id}")
-                block.append((root, sorted(select_start_paragraphs(root, self.cfg, rng))))
+                # A per-root seed keeps results independent of root scheduling.
+                starts = select_start_paragraphs(root, self.cfg, f"{self.seed}:{root.entity_id}")
+                block.append((root, sorted(starts)))
             # one query per distinct start row, however many roots start there
             rows = list(dict.fromkeys(self._row[c] for _, starts in block for c in starts))
             self._queries = dict(zip(rows, self._begin_block([self._matrix_t[:, r] for r in rows])))

@@ -4,8 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsynth.balance import (
+    _TAKEN,
     BalanceConfig,
     _RankedPaths,
     auto_standard_length,
@@ -305,6 +308,83 @@ def test_randomized_oracle_equivalence():
         got, _ = impl_transcript(plain, e2c, total, r, l, seed=seed)
         want = secondary_sampling_oracle(plain, e2c, total, r, l, seed=seed)
         assert got == want, f"divergence at seed {seed}"
+
+
+def hub_instance():
+    """240 depth-3 paths (4 steps): ``hub`` on half of them, ``above``, ``edge`` and
+    ``below`` on n/8 + 1, n/8 and n/8 - 1, and 60 light entities on the other steps.
+
+    P002, an early hub path whose two light entities are rare, holds ``hub``
+    twice, so raising it by one step where two are due changes the order.
+    """
+    rng = random.Random(33)
+    n = 240
+    light = [f"l{i:02d}" for i in range(60)]
+    members = {"hub": set(range(0, n, 2))}
+    for name, k in (("above", n // 8 + 1), ("edge", n // 8), ("below", n // 8 - 1)):
+        members[name] = set(rng.sample(range(3, n), k))
+    e2c = {e: [f"{e}-c{j}" for j in range(1 + i % 3)] for i, e in enumerate([*members, *light])}
+    plain = []
+    for i in range(n):
+        ents = [e for e in members if i in members[e]]
+        ents += rng.sample(light, 4 - len(ents))
+        plain.append((f"P{i:03d}", [(e, rng.choice(e2c[e])) for e in ents]))
+    plain[2] = ("P002", [("hub", "hub-c0"), ("l30", "l30-c0"), ("l45", "l45-c0"), ("hub", "hub-c0")])
+    return plain, e2c
+
+
+def test_hub_entities_match_the_oracle():
+    plain, e2c = hub_instance()
+    held = Counter(e for _, steps in plain for e in {e for e, _ in steps})
+    assert (held["hub"], held["above"], held["edge"], held["below"]) == (120, 31, 30, 29)
+    assert max(n for e, n in held.items() if e.startswith("l")) < 30
+    # the three entities on at least n/8 paths raise densely, the rest by position
+    raises = _RankedPaths(_paths(plain)).raises
+    assert {e for e, (at, _) in raises.items() if isinstance(at, slice)} == {"hub", "above", "edge"}
+    total = len({c for chunks in e2c.values() for c in chunks})
+    for r, l, seed in ((1.0, 12, 0), (0.5, 20, 1)):
+        got, _ = impl_transcript(plain, e2c, total, r, l, seed=seed)
+        assert got == secondary_sampling_oracle(plain, e2c, total, r, l, seed=seed)
+        assert any(entry["returned"] for entry in got["subsets"])
+
+
+@st.composite
+def picked_paths(draw):
+    """9-40 paths of one to five steps, with ``hub`` on at least half of them and
+    ``solo`` on the first only, so both raise forms occur; plus starting use
+    counts and an order of picks."""
+    n = draw(st.integers(min_value=9, max_value=40))
+    light = st.sampled_from([f"e{i}" for i in range(20)])
+    plain = []
+    for i in range(n):
+        steps = draw(st.lists(light, min_size=1, max_size=3))
+        if i == 0:
+            steps.append("solo")
+        if i < (n + 1) // 2 or draw(st.booleans()):
+            steps.insert(draw(st.integers(0, len(steps))), "hub")
+        plain.append((f"P{i}", [(e, "c") for e in steps]))
+    entities = sorted({e for _, steps in plain for e, _ in steps})
+    counts = Counter(draw(st.dictionaries(st.sampled_from(entities), st.integers(0, 50))))
+    order = draw(st.permutations(range(n)))
+    return _paths(plain), counts, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(picked_paths())
+def test_raised_utilization_equals_a_recount_after_every_pick(instance):
+    paths, counts, order = instance
+    ranked = _RankedPaths(paths)
+    forms = {isinstance(at, slice) for at, _ in ranked.raises.values()}
+    assert forms == {True, False}
+    utilization = ranked.utilization(counts)
+    untaken = set(range(len(paths)))
+    for pos in order:
+        utilization[pos] = _TAKEN
+        ranked.raise_sharing(utilization, paths[pos])
+        counts.update(paths[pos].entities())
+        untaken.discard(pos)
+        rows = sorted(untaken)
+        assert (utilization[rows] == ranked.utilization(counts)[rows]).all()
 
 
 def test_entity_repeated_on_a_path_counts_per_step():

@@ -838,6 +838,21 @@ def test_sample_and_generate_log_progress(tmp_path, caplog):
     assert generate[-1] == f"generate: {records}/{records} records done, {rejected} rejected"
 
 
+def test_balance_logs_progress_and_counts_its_picks(tmp_path, caplog):
+    config = load_config(_write_config(tmp_path, _config_dict(tmp_path)))
+    with caplog.at_level(logging.INFO, logger="graphsynth.balance"):
+        manifest = run_pipeline(config)
+    counts = {s["name"]: s["counts"] for s in manifest["stages"]}
+    paths, balance = counts["sample"]["paths"], counts["balance"]
+    # every path is retained once; each other pick was returned at a cut
+    assert balance["picks"] - balance["returned"] == paths
+    assert 1 <= balance["cut_subsets"] <= balance["subsets"]
+    assert balance["dense_entities"] >= 1
+    logged = [r.getMessage() for r in caplog.records if r.name == "graphsynth.balance"]
+    assert 1 <= len(logged) <= 10
+    assert logged[-1] == f"balance: {paths}/{paths} paths retained, {balance['subsets']} subsets"
+
+
 def test_semantic_chunking_and_mixed_hops_run_end_to_end(tmp_path):
     data = _config_dict(tmp_path)
     data["chunking"] = {"policy": "semantic", "breakpoint_percentile": 5.0}
