@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigSection, ConfigurationError, IntegrityError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import checked, iter_jsonl, write_jsonl
 from .traversal import Path, PathSet, as_step
 
 log = logging.getLogger(__name__)
@@ -323,19 +323,13 @@ def load_subsets(path, path_set: PathSet) -> list[SubsetAllocation]:
     def cc_pair(item) -> CCPair:
         if type(item) is not dict or not item.keys() >= {"pair_id", "left", "right"}:
             raise ValueError("a cc_pairs item is not an object with pair_id, left and right")
-        if type(item["pair_id"]) is not str:
-            raise ValueError(f"pair_id {item['pair_id']!r} is not a string")
-        return CCPair(item["pair_id"], as_step(item["left"]), as_step(item["right"]))
+        return CCPair(checked(item, "pair_id"), as_step(item["left"]), as_step(item["right"]))
 
     def build(rec: dict) -> SubsetAllocation:
-        subset_index, path_ids = rec["subset_index"], rec["cot_path_ids"]
-        coverage = rec["achieved_coverage"]
-        if type(subset_index) is not int:
-            raise ValueError(f"subset_index {subset_index!r} is not an int")
+        subset_index, coverage = checked(rec, "subset_index", int), rec["achieved_coverage"]
         if type(coverage) not in (int, float) or not 0 <= coverage <= 1:
             raise ValueError(f"achieved_coverage {coverage!r} is not a number in [0, 1]")
-        if type(path_ids) is not list or not all(type(pid) is str for pid in path_ids):
-            raise ValueError(f"cot_path_ids {path_ids!r} is not a list of path ids")
+        path_ids = checked(rec, "cot_path_ids", "path ids")
         unknown = [pid for pid in path_ids if pid not in by_id]
         if unknown:
             raise IntegrityError(

@@ -544,7 +544,7 @@ WORKDIR_FILES = {
     "entities": "entities.jsonl",
     "graph": "graph.jsonl",
     "paths": "paths.jsonl",
-    "embeddings": "embeddings.json",
+    "embeddings": "embeddings.jsonl",
     "hop_decision": "hop_decision.json",
     "subsets": "subsets.jsonl",
     "synth": "synth.jsonl",

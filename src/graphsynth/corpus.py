@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 from typing import IO, Callable, Iterable, Sequence
 
 from .errors import ConfigSection, ConfigurationError, DuplicateIdError, IngestError
-from .jsonl import iter_jsonl, loads
+from .jsonl import checked, iter_jsonl, loads
 
 # Terminal punctuation followed by whitespace and an uppercase letter or digit.
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9“\"(])")
@@ -230,14 +230,10 @@ def load_chunks(path: str | FsPath) -> ChunkStore:
     titles: dict[str, str] = {}
 
     def build(rec: dict) -> Chunk:
-        for key in ("chunk_id", "doc_id", "text", "doc_title"):
-            value = rec.get(key, "")
-            if type(value) is not str:
-                raise ValueError(f"{key} {value!r} is not a string")
-        if type(rec["ordinal"]) is not int:
-            raise ValueError(f"ordinal {rec['ordinal']!r} is not an int")
-        titles[rec["doc_id"]] = rec.get("doc_title", "")
-        return Chunk(rec["chunk_id"], rec["doc_id"], rec["ordinal"], rec["text"])
+        chunk_id, doc_id = checked(rec, "chunk_id"), checked(rec, "doc_id")
+        text = checked(rec, "text")
+        titles[doc_id] = checked(rec, "doc_title", str, "")
+        return Chunk(chunk_id, doc_id, checked(rec, "ordinal", int), text)
 
     chunks = list(iter_jsonl(path, "chunk_id", "doc_id", "ordinal", "text", build=build))
     return ChunkStore(chunks, titles)

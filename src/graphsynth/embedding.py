@@ -8,15 +8,14 @@ remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
 0.5 s back-off) and closes it. Vectors are 1-d float64 arrays; the cache
 hands out read-only ones. The stages bind a cache to a file for the remote
 backend only: a hash vector costs less to make than to save and load.
-``with EmbeddingCache(path) as cache:`` saves the file when the block ends,
-one entry at a time, never holding the whole cache as Python floats or as
-one string; loading turns each entry into an array as soon as it is decoded.
+The cache is JSON Lines (``embeddings.jsonl`` in a workdir), loaded and saved
+a line at a time like every artifact; ``with EmbeddingCache(path) as cache:``
+saves it when the block ends.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 from pathlib import Path
@@ -24,8 +23,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import BackendError, FormatError, IntegrityError
-from .jsonl import atomic_write, dumps_ascii
+from .errors import BackendError, IntegrityError
+from .jsonl import checked, iter_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -99,18 +98,18 @@ class RemoteEmbeddingBackend:
 
 
 class EmbeddingCache:
-    """(backend id, content hash) -> vector, persisted as a single JSON file,
-    ``{"entries": [{"backend": …, "hash": …, "values": […]}, …]}``.
+    """(backend id, content hash) -> vector, persisted as JSON Lines, one
+    ``{"backend": …, "hash": …, "values": […]}`` entry per line.
 
-    The file at ``path``, if there is one, is loaded when the cache is made;
-    one that is not valid JSON is a ``FormatError`` naming the file and the
-    position. ``save`` writes back only the entries this cache looked up or
-    added since, so entries loaded for texts a run no longer has are
-    dropped. Used as a context manager, the cache saves itself to ``path``
-    (if bound) when the block ends; a block that raises saves every entry,
-    so vectors already paid for outlast the failure, and a failed save is
-    then only logged, so the block's own error is the one raised.
-    Reads are lock-free on the snapshot dict; writes are serialized.
+    The file at ``path``, if there is one, is loaded when the cache is made,
+    a line at a time; a line that is no such entry is a ``FormatError``
+    naming the file and the line. ``save`` writes back only the entries this
+    cache looked up or added since, so entries loaded for texts a run no
+    longer has are dropped. Used as a context manager, the cache saves itself
+    to ``path`` (if bound) when the block ends; a block that raises saves
+    every entry, so vectors already paid for outlast the failure, and a
+    failed save is then only logged, so the block's own error is the one
+    raised. Reads are lock-free on the snapshot dict; writes are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -120,35 +119,19 @@ class EmbeddingCache:
         self._used: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         if self.path and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as f:
-                try:
-                    payload = json.load(f, object_hook=self._load_entry)
-                except json.JSONDecodeError as e:
-                    raise FormatError(
-                        f"{self.path}, line {e.lineno} column {e.colno}: not valid JSON ({e.msg})"
-                    ) from e
-                except UnicodeDecodeError as e:
-                    raise FormatError(f"{self.path}: not valid UTF-8 ({e.reason})") from e
-            # the hook replaced every entry it stored with None
-            entries = payload.get("entries", []) if isinstance(payload, dict) else None
-            if not isinstance(entries, list) or any(rec is not None for rec in entries):
-                raise FormatError(f"{self.path}: not an embedding cache")
+            for _ in iter_jsonl(self.path, "backend", "hash", "values", build=self._load_entry):
+                pass
 
-    def _load_entry(self, obj: dict):
-        """``json.load``'s hook: stores each entry as soon as it is decoded
-        and keeps nothing of it; any other object is returned as it is. An
-        entry whose values are no non-empty flat list of numbers, or are not
-        as many as the backend's earlier entries hold, is a ``FormatError``."""
-        if "values" not in obj:
-            return obj
-        values = obj["values"]
+    def _load_entry(self, rec: dict) -> None:
+        """Store one line's entry; its values must be a non-empty flat list of
+        numbers, as many as the backend's earlier entries hold."""
+        backend_id, key, values = checked(rec, "backend"), checked(rec, "hash"), rec["values"]
+        if type(values) is not list or not values or set(map(type, values)) - {int, float}:
+            raise ValueError(f"values {values!r:.80} are no non-empty flat list of numbers")
         try:
-            if type(values) is not list or not values or set(map(type, values)) - {int, float}:
-                raise ValueError("values are no non-empty flat list of numbers")
-            self._store(obj["backend"], obj["hash"], values)
-        except (IntegrityError, KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{self.path}: not an embedding cache entry ({e!r})") from e
-        return None
+            self._store(backend_id, key, values)
+        except IntegrityError as e:
+            raise ValueError(str(e)) from e
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -191,21 +174,16 @@ class EmbeddingCache:
             log.warning("could not save the embedding cache %s", self.path, exc_info=True)
 
     def save(self) -> None:
-        """Write the used entries to ``path`` in key order, atomically.
-
-        The bytes are those of ``json.dumps({"entries": [...]},
-        sort_keys=True)``, written one entry at a time by ``dumps_ascii``.
-        """
+        """Write the used entries to ``path``, a line each in key order, atomically."""
         if self.path is None:
             raise ValueError("no cache path configured")
-        with atomic_write(self.path) as f:
-            f.write('{"entries": [')
-            for i, (backend, key) in enumerate(sorted(self._used)):
-                if i:
-                    f.write(", ")
-                values = self._entries[backend, key].tolist()
-                f.write(dumps_ascii({"backend": backend, "hash": key, "values": values}))
-            f.write("]}")
+        write_jsonl(
+            self.path,
+            (
+                {"backend": b, "hash": k, "values": self._entries[b, k].tolist()}
+                for b, k in sorted(self._used)
+            ),
+        )
 
 
 def embed_text(text: str, backend: EmbeddingBackend, cache: EmbeddingCache | None = None) -> Vector:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Protocol
 
 from .corpus import Chunk
 from .errors import FormatError
-from .jsonl import iter_jsonl, loads, write_jsonl
+from .jsonl import checked, iter_jsonl, loads, write_jsonl
 
 MAX_MENTIONS_PER_CHUNK = 16
 
@@ -205,15 +205,13 @@ def load_alias_table(path) -> dict[str, str]:
     table: dict[str, str] = {}
 
     def build(rec: dict) -> None:
-        for key in ("surface", "canonical"):
-            if type(rec[key]) is not str:
-                raise ValueError(f"{key} {rec[key]!r} is not a string")
-        surface = normalize_mention(rec["surface"])
-        known = table.setdefault(surface, rec["canonical"])
-        if known != rec["canonical"]:
+        raw, canonical = checked(rec, "surface"), checked(rec, "canonical")
+        surface = normalize_mention(raw)
+        known = table.setdefault(surface, canonical)
+        if known != canonical:
             raise ValueError(
-                f"surface {rec['surface']!r} normalizes to {surface!r}, "
-                f"which an earlier line maps to {known!r}, not {rec['canonical']!r}"
+                f"surface {raw!r} normalizes to {surface!r}, "
+                f"which an earlier line maps to {known!r}, not {canonical!r}"
             )
 
     for _ in iter_jsonl(path, "surface", "canonical", build=build):
@@ -238,19 +236,11 @@ def save_entity_map(path, entity_map: Iterable[EntityRecord]) -> int:
 
 def load_entity_map(path) -> list[EntityRecord]:
     def build(rec: dict) -> EntityRecord:
-        for key in ("entity_id", "canonical_name"):
-            if type(rec[key]) is not str:
-                raise ValueError(f"{key} {rec[key]!r} is not a string")
-        chunk_ids, aliases = rec["chunk_ids"], rec.get("aliases", [])
-        if type(chunk_ids) is not list or not all(type(c) is str for c in chunk_ids):
-            raise ValueError(f"chunk_ids {chunk_ids!r} is not a list of chunk ids")
-        if type(aliases) is not list or not all(type(a) is str for a in aliases):
-            raise ValueError(f"aliases {aliases!r} is not a list of strings")
         return EntityRecord(
-            entity_id=rec["entity_id"],
-            canonical_name=rec["canonical_name"],
-            aliases=set(aliases),
-            chunk_ids=chunk_ids,
+            entity_id=checked(rec, "entity_id"),
+            canonical_name=checked(rec, "canonical_name"),
+            chunk_ids=checked(rec, "chunk_ids", "chunk ids"),
+            aliases=set(checked(rec, "aliases", "strings", [])),
         )
 
     return list(iter_jsonl(path, "entity_id", "canonical_name", "chunk_ids", build=build))

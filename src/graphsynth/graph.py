@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .extraction import EntityRecord
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import checked, iter_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -120,20 +120,12 @@ def load_graph(path) -> ContextGraph:
     nodes: set[str] = set()
     provenance: dict[tuple[str, str], list[str]] = {}
 
-    def string(rec: dict, key: str) -> str:
-        if type(rec[key]) is not str:
-            raise ValueError(f"{key} {rec[key]!r} is not a string")
-        return rec[key]
-
     def add(rec: dict) -> None:
         if rec["kind"] == "node":
-            nodes.add(string(rec, "entity_id"))
+            nodes.add(checked(rec, "entity_id"))
         elif rec["kind"] == "edge":
-            key = edge_key(string(rec, "source"), string(rec, "target"))
-            chunks = rec["provenance"]
-            if type(chunks) is not list or not all(type(c) is str for c in chunks):
-                raise ValueError(f"provenance {chunks!r} is not a list of chunk ids")
-            provenance[key] = chunks
+            key = edge_key(checked(rec, "source"), checked(rec, "target"))
+            provenance[key] = checked(rec, "provenance", "chunk ids")
         else:
             raise ValueError(f"kind {rec['kind']!r} is neither 'node' nor 'edge'")
 

@@ -43,6 +43,25 @@ def loads(text: str) -> Any:
     return obj
 
 
+_REQUIRED = object()
+
+
+def checked(rec: dict, key: str, kind: type | str = str, default: Any = _REQUIRED) -> Any:
+    """``rec[key]``, or ``default`` if given and the key is absent, as ``kind``:
+    ``str``, ``int``, or a noun such as ``"chunk ids"`` for a list of strings.
+
+    A value of another type is a ``ValueError`` naming the key and the value.
+    """
+    value = rec[key] if default is _REQUIRED else rec.get(key, default)
+    if type(value) is kind:
+        return value
+    if kind is str or kind is int:
+        raise ValueError(f"{key} {value!r} is not {'a string' if kind is str else 'an int'}")
+    if type(value) is not list or not all(type(x) is str for x in value):
+        raise ValueError(f"{key} {value!r} is not a list of {kind}")
+    return value
+
+
 def iter_jsonl(
     path: str | Path, *keys: str, build: Callable[[dict], Any] | None = None
 ) -> Iterator:

@@ -43,7 +43,7 @@ from .balance import SubsetAllocation
 from .corpus import ChunkStore
 from .errors import BackendError, IntegrityError
 from .extraction import ChatBackend
-from .jsonl import atomic_write, dumps, dumps_ascii, iter_jsonl, loads
+from .jsonl import atomic_write, checked, dumps, dumps_ascii, iter_jsonl, loads
 
 log = logging.getLogger(__name__)
 
@@ -577,9 +577,8 @@ def load_outcomes(path) -> list[RecordOutcome]:
     """Each record's outcome in the synth.jsonl at ``path``, read without building the record."""
 
     def build(rec: dict) -> RecordOutcome:
-        source_id, status, retries = rec["source_id"], rec.get("status", "ok"), rec.get("retries", 0)
-        if type(source_id) is not str:
-            raise ValueError(f"source_id {source_id!r} is not a string")
+        source_id = checked(rec, "source_id")
+        status, retries = rec.get("status", "ok"), rec.get("retries", 0)
         if status not in ("ok", "rejected"):
             raise ValueError(f"status {status!r} is neither 'ok' nor 'rejected'")
         if type(retries) is not int or retries < 0:

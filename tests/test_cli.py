@@ -679,7 +679,7 @@ def test_a_hash_run_keeps_no_embedding_cache_and_a_rerun_skips_every_stage(tmp_p
     config = load_config(config_path)
     counts = _sample_counts(run_pipeline(config))
     out = Path(config.workdir)
-    assert not (out / "embeddings.json").exists()
+    assert not list(out.glob("embeddings*"))
     # every distinct text of the entity map's chunks is embedded, none found cached
     store = load_chunks(out / "chunks.jsonl")
     chunk_ids = {c for rec in load_entity_map(out / "entities.jsonl") for c in rec.chunk_ids}
@@ -687,7 +687,7 @@ def test_a_hash_run_keeps_no_embedding_cache_and_a_rerun_skips_every_stage(tmp_p
     assert (counts["embedded"], counts["cache_hits"]) == (len(distinct), 0) != (0, 0)
     manifest = run_pipeline(config)
     assert [s["skipped"] for s in manifest["stages"]] == [True] * 7
-    assert not (out / "embeddings.json").exists()
+    assert not list(out.glob("embeddings*"))
     capsys.readouterr()
     # --cache names the remote backend's cache: under hash nothing is written there
     command = [
@@ -728,7 +728,7 @@ def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, json_server):
     with pytest.raises(StageError, match="^stage 'sample' failed: .*service returned 400$"):
         run_pipeline(config)
     out = Path(config.workdir)
-    assert len(json.loads((out / "embeddings.json").read_text())["entries"]) == 3
+    assert len((out / "embeddings.jsonl").read_text().splitlines()) == 3
     assert not (out / "paths.jsonl").exists()
 
     failing[0] = False
@@ -740,7 +740,7 @@ def test_a_failed_sample_keeps_the_vectors_it_paid_for(tmp_path, json_server):
     fresh = load_config(_write_config(tmp_path, fresh_data, "fresh.yaml"))
     run_pipeline(fresh)
     assert len(texts) == 3 + len(rerun)
-    for name in ("paths.jsonl", "embeddings.json"):
+    for name in ("paths.jsonl", "embeddings.jsonl"):
         assert (out / name).read_bytes() == (Path(fresh.workdir) / name).read_bytes()
 
 
@@ -813,10 +813,27 @@ def test_forced_rerun_after_a_config_change_writes_a_fresh_embedding_cache(
     fresh = _remote_embedding_config(tmp_path, server, "out_fresh")
     fresh["chunking"]["max_chars"] = 120
     run_pipeline(load_config(_write_config(tmp_path, fresh, "b.yaml")))
-    cache = "embeddings.json"
+    cache = "embeddings.jsonl"
     assert (tmp_path / "out_forced" / cache).read_bytes() == (
         tmp_path / "out_fresh" / cache
     ).read_bytes()
+
+
+def test_a_remote_run_leaves_an_old_format_cache_alone_and_writes_its_own(tmp_path, json_server):
+    # the cache was once one JSON document named embeddings.json: such a file
+    # is never read as the JSON Lines cache, so the run embeds every text once
+    texts: list[str] = []
+    server = _hash_embedding_service(json_server, texts)
+    config = load_config(_write_config(tmp_path, _remote_embedding_config(tmp_path, server)))
+    out = Path(config.workdir)
+    out.mkdir()
+    old = out / "embeddings.json"
+    old.write_text('{"entries": [{"backend": "b", "hash": "k", "values": [1.0]}]}')
+    before = old.read_bytes()
+    counts = _sample_counts(run_pipeline(config))
+    assert (counts["embedded"], counts["cache_hits"]) == (len(texts), 0) != (0, 0)
+    assert old.read_bytes() == before
+    assert len((out / "embeddings.jsonl").read_text().splitlines()) == len(texts)
 
 
 def test_sample_and_generate_log_progress(tmp_path, caplog):
@@ -1218,13 +1235,16 @@ def test_cli_reports_an_undecodable_embedding_cache_by_name(tmp_path, capsys, js
     config_path = _write_config(tmp_path, _remote_embedding_config(tmp_path, server))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
     out = tmp_path / "out"
-    cache = out / "embeddings.json"
+    cache = out / "embeddings.jsonl"
+    lines = cache.read_bytes().count(b"\n")
     cache.write_bytes(cache.read_bytes() + b"\xff")
     (out / "paths.jsonl").unlink()
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
-    assert err == f"error: stage 'sample' failed: {cache}: not valid UTF-8 (invalid start byte)\n"
+    where = f"{cache}, line {lines + 1}"
+    assert err.startswith(f"error: stage 'sample' failed: {where}: not valid UTF-8 (")
+    assert err.endswith(": invalid start byte)\n") and err.count("\n") == 1
 
 
 def test_cli_reports_an_undecodable_config_as_a_config_error(tmp_path, capsys):
@@ -1406,13 +1426,13 @@ def test_cli_reports_a_damaged_embedding_cache_by_name(tmp_path, capsys, json_se
     config_path = _write_config(tmp_path, _remote_embedding_config(tmp_path, server))
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
     out = tmp_path / "out"
-    cache = out / "embeddings.json"
+    cache = out / "embeddings.jsonl"
     cache.write_bytes(cache.read_bytes()[:300])
     (out / "paths.jsonl").unlink()
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
-    where = f"{cache}, line 1 column 301"
+    where = f"{cache}, line 1"
     assert err.startswith(f"error: stage 'sample' failed: {where}: not valid JSON (")
     assert err.count("\n") == 1
     assert len(cache.read_bytes()) == 300  # the failed load wrote nothing over it

@@ -79,7 +79,7 @@ def test_cache_dimension_integrity_error():
 
 def test_cache_persists_bit_identical(tmp_path):
     backend = HashEmbeddingBackend(dim=32)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.jsonl"
     cache = EmbeddingCache(path)
     v = embed_text("persist me", backend, cache)
     cache.save()
@@ -96,33 +96,30 @@ def test_cache_persists_bit_identical(tmp_path):
     ],
     ids=["empty", "one", "non-ascii"],
 )
-def test_cache_file_is_the_one_document_json_dump(tmp_path, entries):
-    path = tmp_path / "cache.json"
+def test_cache_file_is_one_json_line_per_entry(tmp_path, entries):
+    path = tmp_path / "cache.jsonl"
     cache = EmbeddingCache(path)
     for backend_id, key, values in entries:
         cache.put(backend_id, key, values)
     cache.save()
-    expected = json.dumps(
-        {
-            "entries": [
-                {"backend": b, "hash": k, "values": v} for b, k, v in sorted(entries)
-            ]
-        },
-        sort_keys=True,
+    expected = "".join(
+        json.dumps(dict(backend=b, hash=k, values=v), sort_keys=True, ensure_ascii=False) + "\n"
+        for b, k, v in sorted(entries)
     )
     assert path.read_text(encoding="utf-8") == expected
-    assert path.read_bytes().isascii()
 
 
 def test_cache_loads_an_indented_file_to_the_same_read_only_vectors(tmp_path):
     backend = HashEmbeddingBackend(dim=8)
     texts = ["one", "two", "three"]
     vectors = {_key(t): backend.embed(t) for t in texts}
-    path = tmp_path / "cache.json"
-    records = [
-        {"backend": backend.backend_id, "hash": k, "values": v.tolist()} for k, v in vectors.items()
+    path = tmp_path / "cache.jsonl"
+    # each entry indented, spread over blank lines, and ended by CRLF
+    lines = [
+        "  " + json.dumps({"backend": backend.backend_id, "hash": k, "values": v.tolist()})
+        for k, v in vectors.items()
     ]
-    path.write_text(json.dumps({"entries": records}, indent=2), encoding="utf-8")
+    path.write_bytes(("\r\n\r\n".join(lines) + "\r\n").encode("utf-8"))
     cache = EmbeddingCache(path)
     assert len(cache) == 3
     for key, vector in vectors.items():
@@ -134,7 +131,7 @@ def test_cache_loads_an_indented_file_to_the_same_read_only_vectors(tmp_path):
 def test_cache_save_never_holds_the_whole_cache(tmp_path):
     # the old save built every vector as Python floats and the file as one
     # string: a peak of several times the file's size
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.jsonl"
     cache = EmbeddingCache(path)
     rows = np.random.default_rng(0).standard_normal((2000, 64))
     for i, row in enumerate(rows):
@@ -151,15 +148,41 @@ def test_cache_save_never_holds_the_whole_cache(tmp_path):
         assert np.array_equal(reloaded.get("hash64", f"{i:064x}"), row)
 
 
+def test_cache_load_never_holds_the_whole_file(tmp_path):
+    # the one-document cache was read as one string and decoded whole: a
+    # peak of twice the file's size, where the loaded vectors hold 0.6 of it
+    path = tmp_path / "cache.jsonl"
+    cache = EmbeddingCache(path)
+    rows = np.random.default_rng(0).standard_normal((2000, 64))
+    for i, row in enumerate(rows):
+        cache.put("hash64", f"{i:064x}", row)
+    cache.save()
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        reloaded = EmbeddingCache(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size and peak - held < size / 20
+    assert len(reloaded) == len(rows)
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
-        ('{"entries": [{"backend": "b", "hash": "k", "values": [1.0, 2', "line 1 column 61"),
-        ('{"entries": [\n  {"backend": "b" "hash": "k"}]}', "line 2 column 19"),
+        # a line cut short
+        (
+            '{"backend": "b", "hash": "j", "values": [1.0, 2.0]}\n'
+            '{"backend": "b", "hash": "k", "values": [1.0, 2',
+            "line 2",
+        ),
+        # the cache's earlier one-document format
+        ('{"entries": [\n  {"backend": "b", "hash": "k", "values": [1.0]}]}', "line 1"),
     ],
 )
 def test_a_damaged_cache_file_is_a_format_error_naming_file_and_position(tmp_path, text, where):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match="not valid JSON") as err:
         EmbeddingCache(path)
@@ -169,34 +192,33 @@ def test_a_damaged_cache_file_is_a_format_error_naming_file_and_position(tmp_pat
 @pytest.mark.parametrize(
     "payload",
     [
-        [],
-        {"entries": {"backend": "b"}},
-        {"entries": [{"backend": "b", "hash": "k"}]},
-        {"entries": [{"hash": "k", "values": [1.0]}]},
-        {"entries": [{"backend": "b", "hash": "k", "values": "x"}]},
-        {"entries": [3]},
+        [[]],
+        [{"entries": {"backend": "b"}}],
+        [{"backend": "b", "hash": "k"}],
+        [{"hash": "k", "values": [1.0]}],
+        [{"backend": "b", "hash": "k", "values": "x"}],
+        [3],
         # values empty, of another length than the backend's earlier entries, or nested
-        {"entries": [{"backend": "b", "hash": "k", "values": []}]},
-        {
-            "entries": [
-                {"backend": "b", "hash": "j", "values": [1.0, 2.0, 3.0]},
-                {"backend": "b", "hash": "k", "values": [1.0, 2.0]},
-            ]
-        },
-        {
-            "entries": [
-                {"backend": "b", "hash": "j", "values": [[1.0, 2.0]] * 2},
-                {"backend": "b", "hash": "k", "values": [1.0, 2.0, 3.0, 4.0]},
-            ]
-        },
+        [{"backend": "b", "hash": "k", "values": []}],
+        [
+            {"backend": "b", "hash": "j", "values": [1.0, 2.0, 3.0]},
+            {"backend": "b", "hash": "k", "values": [1.0, 2.0]},
+        ],
+        [{"backend": "b", "hash": "j", "values": [[1.0, 2.0]] * 2}],
+        # a backend id that is no string, which once broke the sorted save
+        [
+            {"backend": "b", "hash": "j", "values": [1.0]},
+            {"backend": 5, "hash": "k", "values": [1.0]},
+        ],
     ],
 )
 def test_a_file_that_is_no_embedding_cache_is_a_format_error(tmp_path, payload):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    # each record is one line; the last is the one at fault
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in payload), encoding="utf-8")
     with pytest.raises(FormatError) as err:
         EmbeddingCache(path)
-    assert str(err.value).startswith(f"{path}: not an embedding cache")
+    assert str(err.value).startswith(f"{path}, line {len(payload)}: ")
 
 
 def _key(text):
@@ -316,8 +338,11 @@ def test_remote_backend_server_errors_are_retried(json_server):
 
 
 def test_an_undecodable_cache_file_is_a_format_error_naming_the_file(tmp_path):
-    path = tmp_path / "embeddings.json"
-    path.write_bytes(b'{"entries": []}\xff')
+    path = tmp_path / "embeddings.jsonl"
+    path.write_bytes(b'{"backend": "b", "hash": "j", "values": [1.0]}\n\xff\n')
     with pytest.raises(FormatError) as e:
         EmbeddingCache(path)
-    assert str(e.value) == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert str(e.value) == (
+        f"{path}, line 2: not valid UTF-8"
+        " ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+    )

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 import graphsynth
 from graphsynth import jsonl
 from graphsynth.errors import FormatError
-from graphsynth.jsonl import dumps, dumps_ascii, iter_jsonl, loads, write_json, write_jsonl
+from graphsynth.jsonl import (
+    checked,
+    dumps,
+    dumps_ascii,
+    iter_jsonl,
+    loads,
+    write_json,
+    write_jsonl,
+)
 
 
 def test_write_that_raises_halfway_keeps_the_earlier_file(tmp_path):
@@ -145,3 +153,29 @@ def test_an_undecodable_line_is_a_format_error_and_crlf_lines_load(tmp_path):
     assert str(e.value).startswith(f"{target}, line 4: not valid UTF-8 (")
     target.write_bytes(target.read_bytes().replace(b"\xff", b""))
     assert list(iter_jsonl(target, "a")) == [{"a": 1}, {"a": "\u00e9"}, {"a": 3}]
+
+
+@pytest.mark.parametrize(
+    "value, kind, problem",
+    [
+        (5, str, "f 5 is not a string"),
+        (None, str, "f None is not a string"),
+        ("3", int, "f '3' is not an int"),
+        (True, int, "f True is not an int"),
+        ("c1", "chunk ids", "f 'c1' is not a list of chunk ids"),
+        (["c1", 2], "path ids", "f ['c1', 2] is not a list of path ids"),
+    ],
+)
+def test_checked_names_the_key_the_value_and_what_it_is_not(value, kind, problem):
+    with pytest.raises(ValueError) as e:
+        checked({"f": value}, "f", kind)
+    assert str(e.value) == problem
+
+
+def test_checked_returns_the_value_or_the_default_of_an_absent_key():
+    rec = {"s": "x", "n": 0, "ids": ["a", "b"]}
+    assert (checked(rec, "s"), checked(rec, "n", int)) == ("x", 0)
+    assert checked(rec, "ids", "ids") is rec["ids"]
+    assert checked(rec, "title", str, "") == ""
+    with pytest.raises(KeyError):
+        checked(rec, "title")
