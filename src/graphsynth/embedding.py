@@ -4,10 +4,11 @@ Similarity is the raw dot product of embeddings; candidate paragraph
 ranking during traversal depends on nothing else. The hash backend gives
 deterministic unit-norm vectors so the whole pipeline can run offline; the
 remote one adapts a ``remote.JsonClient`` to an HTTP embedding service.
-``cli.embedding_backend`` builds that client (30 s timeout, 3 retries at
-0.5 s back-off) and closes it. Vectors are 1-d float64 arrays; the cache
-hands out read-only ones. The stages bind a cache to a file for the remote
-backend only: a hash vector costs less to make than to save and load.
+``cli.embedding_backend`` builds that client (30 s timeout, retries as
+``remote.MAX_RETRIES`` and ``remote.BACKOFF_SECONDS`` say) and closes it.
+Vectors are 1-d float64 arrays; the cache hands out read-only ones. The
+stages bind a cache to a file for the remote backend only: a hash vector
+costs less to make than to save and load.
 The cache is JSON Lines (``embeddings.jsonl`` in a workdir), loaded and saved
 a line at a time like every artifact; ``with EmbeddingCache(path) as cache:``
 saves it when the block ends.

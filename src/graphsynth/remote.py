@@ -38,6 +38,7 @@ import urllib.request
 from .errors import BackendError, ConfigurationError
 
 _MAX_LINE, _MAX_HEADERS = 65536, 100  # the bounds http.client keeps
+MAX_RETRIES, BACKOFF_SECONDS = 3, 0.5  # ``post``'s retries and first back-off, read per call
 
 
 def _line(reader) -> bytes:
@@ -97,39 +98,40 @@ class JsonClient:
         *,
         name: str,
         api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
         timeout: float = 30.0,
         connections: int = 1,
     ):
         if connections < 1:
             raise ConfigurationError(f"{name} client needs at least 1 connection")
-        url = urllib.parse.urlsplit(endpoint)
+        try:
+            url = urllib.parse.urlsplit(endpoint)
+            port = url.port
+            authority = url.netloc.rpartition("@")[2]
+            host = authority.encode("idna").decode()
+        except ValueError as e:  # an unclosed "[", a port outside 0-65535, an empty label
+            raise ConfigurationError(f"{name} endpoint is not a valid URL: {e}") from None
+        # the endpoint without user info or query, either of which may hold
+        # a credential: what a file or a message may show of the service
+        endpoint = urllib.parse.urlunsplit((url.scheme, authority, url.path, "", ""))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigurationError(f"{name} endpoint must be an http(s) URL, got {endpoint!r}")
         # a bearer token is printable ASCII, and a line break would end its header
         if api_key and not (api_key.isascii() and api_key.isprintable()):
             raise ConfigurationError(f"{name} API key must be printable ASCII")
-        self.name = name
-        # the endpoint without user info or query, either of which may hold
-        # a credential: what a file may record of the service
-        authority = url.netloc.rpartition("@")[2]
-        self.endpoint = urllib.parse.urlunsplit((url.scheme, authority, url.path, "", ""))
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
+        self.name, self.endpoint = name, endpoint
         self.timeout = timeout
         path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         # a space, a control character or a character outside ASCII, percent-encoded
         path = urllib.parse.quote(path, safe=bytes(range(33, 127)))
         self._head = (  # every request's head, up to the value of its Content-Length
-            f"POST {path} HTTP/1.1\r\nHost: {authority.encode('idna').decode()}\r\n"
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
             "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
             + (f"Authorization: Bearer {api_key}\r\n" if api_key else "")
             + "Content-Length: "
         ).encode("ascii")
         https = url.scheme == "https"
         self._context = ssl.create_default_context() if https else None
-        target = (url.hostname, url.port or (443 if https else 80))
+        target = (url.hostname, port or (443 if https else 80))
         proxy = urllib.request.getproxies().get(url.scheme)
         self._tunnel: dict | None = None
         if proxy and not urllib.request.proxy_bypass(url.hostname):
@@ -206,9 +208,9 @@ class JsonClient:
         """The decoded JSON reply; ``BackendError`` once retries run out."""
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.backoff_seconds:
-                time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+        for attempt in range(MAX_RETRIES + 1):
+            if attempt:
+                time.sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
             try:
                 status, headers, data = self._send(body)
             except (OSError, http.client.HTTPException) as e:

@@ -19,12 +19,12 @@ when it is sent, so the prompts held at once are those of the requests in
 flight.
 ``RemoteChatBackend`` adapts a ``remote.JsonClient``, which retries transport
 faults and 5xx replies, to a chat-completion service; ``cli.chat_backend``
-builds the client (120 s timeout, 3 retries at 0.5 s back-off) and closes
-it. Schema retries and repair prompts stay here. With concurrency N the
-client pools N connections, which bound the requests in flight, and
-``generate`` runs 2N workers, each pulling the next request when it is
-free, so that requests waiting out a back-off leave the connections to the
-others.
+builds the client (120 s timeout; ``remote.MAX_RETRIES`` retries at
+``remote.BACKOFF_SECONDS`` back-off) and closes it. Schema retries and
+repair prompts stay here. With concurrency N the client pools N
+connections, which bound the requests in flight, and ``generate`` runs 2N
+workers, each pulling the next request when it is free, so that requests
+waiting out a back-off leave the connections to the others.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import random
 import re
 import threading
 from dataclasses import MISSING, dataclass, fields
@@ -267,17 +266,9 @@ class MockLlmBackend:
     """Deterministic offline backend producing schema-valid payloads: a CoT
     payload for a prompt that starts with the CoT template's head, a CC
     payload for any other.
-
-    ``scripted`` overrides the response for specific request ids, which is
-    how tests drive invalid/edge payloads.
     """
 
-    def __init__(self, scripted: Mapping[str, str] | None = None):
-        self.scripted = dict(scripted or {})
-
     def complete(self, prompt, *, temperature, max_tokens, request_id=None):
-        if request_id is not None and request_id in self.scripted:
-            return self.scripted[request_id]
         names = [m.strip() for m in _ENTITY_LINE.findall(prompt)] or ["the subject"]
         if prompt.startswith(_TEMPLATES["cot"][0]):
             chain = " which in turn involves ".join(names)
@@ -310,41 +301,6 @@ class MockLlmBackend:
                 "comparison": f"In summary, {left} and {right} differ in scope and background.",
             }
         return dumps_ascii(payload)
-
-
-class FaultInjectingBackend:
-    """Wraps a backend with deterministic, per-request fault injection.
-
-    A request id rolls once: below ``invalid_rate`` it permanently returns
-    an unparseable payload; in the next ``transient_rate`` band the first
-    call raises a retryable error and later calls pass through.
-    """
-
-    def __init__(self, inner: ChatBackend, invalid_rate: float = 0.2,
-                 transient_rate: float = 0.1, seed: int = 0):
-        self.inner = inner
-        self.invalid_rate = invalid_rate
-        self.transient_rate = transient_rate
-        self.seed = seed
-        self._attempts: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def roll(self, request_id: str) -> float:
-        return random.Random(f"{self.seed}:{request_id}").random()
-
-    def complete(self, prompt, *, temperature, max_tokens, request_id=None):
-        rid = request_id or ""
-        with self._lock:
-            attempt = self._attempts.get(rid, 0)
-            self._attempts[rid] = attempt + 1
-        roll = self.roll(rid)
-        if roll < self.invalid_rate:
-            return "this is not json {"
-        if roll < self.invalid_rate + self.transient_rate and attempt == 0:
-            raise BackendError(f"injected transient failure for {rid}", retryable=True)
-        return self.inner.complete(
-            prompt, temperature=temperature, max_tokens=max_tokens, request_id=request_id
-        )
 
 
 class RemoteChatBackend:

@@ -469,7 +469,8 @@ class PathSampler:
         contenders without building the pool; they are scored by the
         left-to-right sum of ``similarity()``, so each returned score equals
         ``similarity(root_vec, v)`` bit for bit. ``root_vec`` makes a block
-        of one query, in place of the block ``sample`` was expanding.
+        of one query, in place of the block ``sample`` was expanding. No
+        stage calls it: it is kept as the seam where tests probe one step.
         """
         found = self._step(
             self._index[current[0]],

@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from graphsynth import remote
 from graphsynth.corpus import Chunk, ChunkStore
 from graphsynth.extraction import EntityRecord
 
@@ -173,3 +174,16 @@ def json_server(no_proxy_env):
     yield start
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def retries(monkeypatch):
+    """``retries(n)`` lets the HTTP client retry a request ``n`` times for the
+    test, and ``retries(n, backoff_seconds)`` also sets its first back-off."""
+
+    def apply(max_retries: int, backoff_seconds: float | None = None) -> None:
+        monkeypatch.setattr(remote, "MAX_RETRIES", max_retries)
+        if backoff_seconds is not None:
+            monkeypatch.setattr(remote, "BACKOFF_SECONDS", backoff_seconds)
+
+    return apply

@@ -25,12 +25,12 @@ from graphsynth.extraction import (
 )
 from graphsynth.graph import build_graph
 from graphsynth.synthesis import (
-    FaultInjectingBackend,
     MockLlmBackend,
     build_requests,
     generate,
 )
 from graphsynth.traversal import TraversalConfig, sample_paths
+from backends import FaultInjectingBackend
 from oracles import brute_force_graph, enumerate_paths, secondary_sampling_oracle
 
 from conftest import FakeEmbedder, make_entity_map, make_store

@@ -5,11 +5,12 @@ import gc
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -515,6 +516,31 @@ def _artifact_bytes(workdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in workdir.iterdir() if p.name != "run_manifest.json"}
 
 
+@pytest.mark.parametrize(
+    "traversal",
+    [{}, {"hop_policy": "mixed", "depth": 3, "same_document_only": True}],
+    ids=["default", "mixed_depth_3_same_document_only"],
+)
+def test_no_artifact_but_the_chunks_depends_on_document_order(tmp_path, traversal):
+    # metamorphic relation R1: chunks.jsonl keeps the input order, and every
+    # later artifact must be the same for the documents in any order
+    lines = longtail_corpus_jsonl()
+    shuffled = random.Random(0).sample(lines, len(lines))
+    assert shuffled != lines
+    runs = []
+    for name, corpus_lines in (("ordered", lines), ("shuffled", shuffled)):
+        corpus = tmp_path / f"{name}.jsonl"
+        corpus.write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
+        config = RunConfig(input=str(corpus), workdir=str(tmp_path / name))
+        run_pipeline(replace(config, traversal=replace(config.traversal, **traversal)))
+        artifacts = _artifact_bytes(Path(config.workdir))
+        del artifacts["chunks.jsonl"]
+        runs.append(artifacts)
+    ordered, reordered = runs
+    assert sorted(ordered) == sorted(reordered)
+    assert [name for name in ordered if ordered[name] != reordered[name]] == []
+
+
 @pytest.mark.parametrize("name", list(RESUME_CONFIGS))
 def test_resume_from_every_stage_reproduces_the_full_run(tmp_path, name):
     data = _config_dict(tmp_path)
@@ -976,6 +1002,13 @@ def test_remote_backend_without_endpoint_is_a_config_error(tmp_path, monkeypatch
             "--embedding-backend", "remote", "--out", str(tmp_path / "paths.jsonl"),
         ]
     ) == EXIT_CONFIG
+
+
+def test_a_malformed_endpoint_is_a_config_error(tmp_path, capsys):
+    data = _config_dict(tmp_path)
+    data["embedding"] = {"backend": "remote", "endpoint": "http://localhost:abc/v1"}
+    assert main(["run", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
+    assert "config error: embedding endpoint is not a valid URL" in capsys.readouterr().err
 
 
 def test_generate_subcommand_reads_endpoint_from_environment(tmp_path, json_server, monkeypatch):

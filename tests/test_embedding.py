@@ -263,9 +263,12 @@ def test_remote_backend_id_names_the_service_but_no_credential():
 
 
 @pytest.mark.parametrize("embedding", [[[0.5, 1.0]], [], "0.5", None, [[0.5], [1.0, 2.0]], ["x"]])
-def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_server, embedding):
+def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(
+    json_server, retries, embedding
+):
     server = json_server(lambda n, payload: (200, {"data": [{"embedding": embedding}]}))
-    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding", max_retries=0), "m")
+    retries(0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     with pytest.raises(BackendError, match="no flat list of numbers"):
         backend.embed("text")
     backend.client.close()
@@ -279,11 +282,10 @@ def test_remote_backend_rejects_a_reply_that_is_no_flat_list_of_numbers(json_ser
         ({"data": [{}]}, "['data'][0]['embedding']"),
     ],
 )
-def test_remote_backend_rejects_a_reply_of_the_wrong_shape(json_server, reply, field):
+def test_remote_backend_rejects_a_reply_of_the_wrong_shape(json_server, retries, reply, field):
     server = json_server(lambda n, payload: (200, reply))
-    backend = RemoteEmbeddingBackend(
-        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
-    )
+    retries(2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     with pytest.raises(BackendError) as err:
         backend.embed("text")
     backend.client.close()
@@ -304,33 +306,30 @@ def test_embed_text_rejects_an_empty_vector():
             embed_text("some text", Empty(), cache)
 
 
-def test_remote_backend_error_after_bounded_retries(json_server):
+def test_remote_backend_error_after_bounded_retries(json_server, retries):
     server = json_server(lambda n, payload: None)  # drops every connection unanswered
-    backend = RemoteEmbeddingBackend(
-        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
-    )
+    retries(2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     with pytest.raises(BackendError):
         backend.embed("text")
     backend.client.close()
     assert server.calls == 3
 
 
-def test_remote_backend_client_errors_are_not_retried(json_server):
+def test_remote_backend_client_errors_are_not_retried(json_server, retries):
     server = json_server(lambda n, payload: (401, {"error": "unauthorized"}))
-    backend = RemoteEmbeddingBackend(
-        JsonClient(server.url, name="embedding", max_retries=3, backoff_seconds=0.0), "m"
-    )
+    retries(3, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     with pytest.raises(BackendError, match="401"):
         backend.embed("text")
     backend.client.close()
     assert server.calls == 1
 
 
-def test_remote_backend_server_errors_are_retried(json_server):
+def test_remote_backend_server_errors_are_retried(json_server, retries):
     server = json_server(lambda n, payload: (503, {"error": "overloaded"}))
-    backend = RemoteEmbeddingBackend(
-        JsonClient(server.url, name="embedding", max_retries=2, backoff_seconds=0.0), "m"
-    )
+    retries(2, backoff_seconds=0.0)
+    backend = RemoteEmbeddingBackend(JsonClient(server.url, name="embedding"), "m")
     with pytest.raises(BackendError, match="503"):
         backend.embed("text")
     backend.client.close()

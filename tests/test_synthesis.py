@@ -20,7 +20,6 @@ from graphsynth.synthesis import (
     CC_PROMPT_TEMPLATE,
     COT_PROMPT_TEMPLATE,
     REPAIR_INSTRUCTION,
-    FaultInjectingBackend,
     MockLlmBackend,
     RemoteChatBackend,
     RecordOutcome,
@@ -33,6 +32,7 @@ from graphsynth.synthesis import (
 )
 from graphsynth.traversal import Path
 
+from backends import FaultInjectingBackend, ScriptedBackend
 from conftest import make_store
 from oracles import render_prompt
 
@@ -246,8 +246,7 @@ def test_generate_retries_once_with_repair():
 
 def test_generate_rejects_after_exhausted_retries():
     reqs = _requests(2)
-    scripted = {reqs[0].request_id: "never valid"}
-    backend = MockLlmBackend(scripted=scripted)
+    backend = ScriptedBackend({reqs[0].request_id: "never valid"})
     records = generate(reqs, backend, max_retries=1)
     assert records[0].status == "rejected"
     assert "schema" in records[0].reject_reason
@@ -410,7 +409,7 @@ def test_cc_schema_validation():
     assert records[0].qa is None
 
     bad = {reqs[0].request_id: json.dumps({"narrative": "x"})}  # comparison missing
-    records = generate(reqs, MockLlmBackend(scripted=bad), max_retries=0)
+    records = generate(reqs, ScriptedBackend(bad), max_retries=0)
     assert records[0].status == "rejected"
 
 
@@ -427,13 +426,13 @@ def test_cc_schema_validation():
 def test_cot_schema_validation_names_what_the_reply_lacks(reply, reason):
     calls = []
 
-    class Recording(MockLlmBackend):
+    class Recording(ScriptedBackend):
         def complete(self, prompt, *, request_id=None, **kwargs):
             calls.append(request_id)
             return super().complete(prompt, request_id=request_id, **kwargs)
 
     reqs = _requests(1)
-    backend = Recording(scripted={reqs[0].request_id: json.dumps(reply)})
+    backend = Recording({reqs[0].request_id: json.dumps(reply)})
     [record] = generate(reqs, backend, max_retries=0)
     assert (record.status, record.reject_reason) == ("rejected", f"schema: {reason}")
     assert (record.narrative, record.qa) == ("", None)
@@ -604,20 +603,19 @@ def _chat_server(json_server, refuse_first):
     return json_server(respond), served
 
 
-def _remote_generate(server, reqs, backoff_seconds):
-    backend = RemoteChatBackend(
-        JsonClient(server.url, name="chat", backoff_seconds=backoff_seconds, connections=2), "m"
-    )
+def _remote_generate(server, reqs):
+    backend = RemoteChatBackend(JsonClient(server.url, name="chat", connections=2), "m")
     try:
         return generate(reqs, backend, concurrency=2)
     finally:
         backend.client.close()
 
 
-def test_remote_generation_keeps_requests_in_flight_within_concurrency(json_server):
+def test_remote_generation_keeps_requests_in_flight_within_concurrency(json_server, retries):
     reqs = _tagged_requests(24)
     server, served = _chat_server(json_server, lambda i: i % 4 == 0)
-    assert _remote_generate(server, reqs, 0.05) == generate(reqs, MockLlmBackend())
+    retries(3, backoff_seconds=0.05)
+    assert _remote_generate(server, reqs) == generate(reqs, MockLlmBackend())
     assert len(served) == len(reqs) + 6
     assert server.accepted <= 2
     assert server.peak_in_flight <= 2
@@ -627,7 +625,7 @@ def test_requests_backing_off_leave_the_connections_to_others(json_server):
     # requests 0 and 1 get a 503 first; at concurrency 2 both wait out their
     # back-off at once, and the other requests must be served meanwhile
     server, served = _chat_server(json_server, lambda i: i < 2)
-    records = _remote_generate(server, _tagged_requests(6), 0.5)
+    records = _remote_generate(server, _tagged_requests(6))  # at the 0.5 s default back-off
     assert all(r.status == "ok" for r in records)
     assert sorted(served[-2:]) == [(0, 200), (1, 200)]
 
